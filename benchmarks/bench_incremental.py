@@ -15,6 +15,7 @@ gated by ``check_regression.py`` against the CPU-tagged baseline.
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import pytest
@@ -39,6 +40,10 @@ PODS = 16
 #: Acceptance floor: delta repricing after a single-pod fault must be
 #: at least this much faster than pricing the faulted fabric cold.
 MIN_SPEEDUP = 5.0
+#: Both sides are timed this many times, interleaved, and compared by
+#: their medians: a delta re-price takes ~20 ms, too short for one
+#: timing to hold a floor.
+REPEATS = 5
 
 
 @pytest.mark.benchmark(group="incremental")
@@ -64,18 +69,22 @@ def test_single_pod_fault_delta_vs_cold(results_dir, bench_record):
     delta = DeltaIndex(structure).diff_health(None, health)
     assert delta.dirty_pods == frozenset({3}) and not delta.full
 
-    _clear_block_memos()
-    start = time.perf_counter()
-    cold_parts = pod_theta_parts(faulted, matching, RATE)
-    cold_s = time.perf_counter() - start
+    cold_times, delta_times = [], []
+    for _ in range(REPEATS):
+        _clear_block_memos()
+        start = time.perf_counter()
+        cold_parts = pod_theta_parts(faulted, matching, RATE)
+        cold_times.append(time.perf_counter() - start)
 
-    reset_incremental_stats()
-    _clear_block_memos()
-    start = time.perf_counter()
-    delta_parts = pod_theta_parts(
-        faulted, matching, RATE, prev=prev, delta=delta
-    )
-    delta_s = time.perf_counter() - start
+        reset_incremental_stats()
+        _clear_block_memos()
+        start = time.perf_counter()
+        delta_parts = pod_theta_parts(
+            faulted, matching, RATE, prev=prev, delta=delta
+        )
+        delta_times.append(time.perf_counter() - start)
+    cold_s = statistics.median(cold_times)
+    delta_s = statistics.median(delta_times)
 
     assert delta_parts.theta == pytest.approx(cold_parts.theta, rel=1e-9)
     stats = incremental_stats()

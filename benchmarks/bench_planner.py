@@ -10,11 +10,11 @@ The execution-backend benchmark plans the full n=64 Figure 1 grid
 (8 panels x 36 cells x 3 solvers = 864 plans) through the thread and
 process backends and records the speedup in
 ``benchmarks/results/BENCH_planner.json`` (via ``--bench-json``).  The
-thread backend is GIL-bound on the pure-python schedule DP and LP
-assembly, so on multi-core machines the process backend wins; on a
-single-core box (``cpu_count`` is recorded alongside the timings)
-process workers can only add overhead, and the recorded speedup
-documents that honestly.
+thread backend is GIL-bound on the pure-python schedule DP; the process
+backend runs it in parallel but pays worker start-up, which on two
+CPUs roughly cancels the gain now that the grid's exact thetas are
+cheap (``cpu_count`` is recorded alongside the timings, and the
+recorded speedup documents the trade honestly).
 """
 
 from __future__ import annotations
@@ -152,5 +152,8 @@ def test_plan_many_process_vs_thread(results_dir, bench_record, tmp_path):
     # The headline number lives in BENCH_planner.json; the assertion is
     # only a generous floor against pathological regressions (e.g. the
     # affinity scheduler re-solving every theta in every worker), not a
-    # wall-clock race that can flake CI on a noisy shared runner.
-    assert speedup > 0.4
+    # wall-clock race that can flake CI on a noisy shared runner.  With
+    # exact thetas this cheap, worker start-up sets the ratio: on a
+    # 2-CPU box it read 0.38-1.1 with column generation (1.06-2.0 with
+    # the edge-flow LP), so the floor sits at half the lowest reading.
+    assert speedup > 0.2

@@ -14,7 +14,7 @@ from repro.collectives import make_collective
 from repro.core import CostParameters, evaluate_step_costs, optimize_schedule
 from repro.flows import compute_theta
 from repro.matching import Matching
-from repro.topology import ring
+from repro.topology import ring, torus
 from repro.units import Gbps, MiB, ns, us
 
 N = 64
@@ -28,6 +28,20 @@ SHIFT_PATTERN = Matching.shift(N, 16)
 def test_theta_exact_lp(benchmark):
     value = benchmark(
         lambda: compute_theta(TOPOLOGY, XOR_PATTERN, method="lp", cache=None)
+    )
+    assert 0 < value <= 1
+
+
+@pytest.mark.benchmark(group="theta")
+def test_theta_exact_torus_4x4x4(benchmark):
+    """A shift-1 step on a 4x4x4 torus: no closed form, 64 commodities
+    on 384 links, many equal-length detours (the edge-flow LP took
+    tens of seconds on it)."""
+    fabric = torus((4, 4, 4), B)
+    value = benchmark(
+        lambda: compute_theta(
+            fabric, Matching.shift(64, 1), B, method="lp", cache=None
+        )
     )
     assert 0 < value <= 1
 
@@ -143,15 +157,14 @@ def test_theta_batch_vs_scalar_loop(results_dir, bench_record):
 
 @pytest.mark.benchmark(group="theta-batch")
 def test_lp_warm_vs_cold(results_dir, bench_record):
-    """Cold LP re-solves vs the warm-started family solver on a
-    degradation sweep: one fabric structure, many capacity states —
+    """Cold ``max_concurrent_flow`` vs the warm-started family solver on
+    a degradation sweep: one fabric structure, many capacity states —
     the planner-under-churn workload the warm solver exists for.
 
-    The recorded ratio is honest for this container: without highspy
-    the warm path's win is matrix-assembly reuse only (scipy re-solves
-    from scratch), so the ratio hovers near 1; with highspy installed
-    the basis-reuse path engages and the ratio is reported by the same
-    metric.
+    Both run the same column generation and return identical values;
+    the warm solver re-solves each capacity state from the seed paths
+    it cached on the first, so ``cold_vs_warm_speedup`` (cold time /
+    warm time) measures what skipping the seed searches saves.
     """
     import time
 
@@ -181,9 +194,7 @@ def test_lp_warm_vs_cold(results_dir, bench_record):
             solver.solve_matching(state, matching, B) for state in states
         ]
         warm_s = min(warm_s, time.perf_counter() - start)
-    assert all(
-        c == pytest.approx(w, rel=1e-9) for c, w in zip(cold, warm)
-    )
+    assert cold == warm
     stats = solver.stats()
     ratio = cold_s / warm_s
     bench_record(
@@ -192,14 +203,11 @@ def test_lp_warm_vs_cold(results_dir, bench_record):
         warm_s=warm_s,
         cold_vs_warm_speedup=ratio,
         warm_solves=stats.warm_solves,
-        basis_reuses=stats.basis_reuses,
-        highs_enabled=solver.highs_enabled,
     )
     (results_dir / "theta_warm_lp.txt").write_text(
         f"n={n} ring, {len(states)} degradation states\n"
         f"cold LP: {cold_s * 1e3:.2f}ms\n"
-        f"warm LP: {warm_s * 1e3:.2f}ms ({ratio:.2f}x, "
-        f"highs_enabled={solver.highs_enabled})\n"
+        f"warm LP: {warm_s * 1e3:.2f}ms ({ratio:.2f}x)\n"
     )
     # The warm path must never be pathologically slower than cold.
     assert ratio > 0.4

@@ -9,12 +9,12 @@ larger grids than a single GIL-bound process can evaluate, so this
 subsystem owns the whole evaluation path:
 
 * **Throughput backends** (:mod:`~repro.engine.backends`) — a registry
-  of theta estimators: ``exact-lp`` (HiGHS ground truth),
-  ``exact-lp-warm`` (the same LP through the warm-started family
-  solver), ``closed-form`` (formula fast paths with LP fallback and a
-  vectorized ``theta_many`` grid pass), and ``bounds`` (the cheap
-  :class:`ThetaEnvelope` sandwich for coarse grid pre-screening before
-  exact refinement).
+  of theta estimators: ``exact-lp`` (certified ground truth),
+  ``exact-lp-warm`` (the same solver, with seed paths kept across
+  degraded-fabric families), ``closed-form`` (formula fast paths with
+  LP fallback and a vectorized ``theta_many`` grid pass), and
+  ``bounds`` (the cheap :class:`ThetaEnvelope` sandwich for coarse
+  grid pre-screening before exact refinement).
 * **Two-tier caching** (:mod:`~repro.engine.store` plus
   :class:`repro.flows.ThroughputCache`) — the in-process compute-once
   memo backed by a content-addressed on-disk :class:`DiskStore`

@@ -7,15 +7,14 @@ module names the ways of answering as *backends* behind one registry:
 ========== ===========================================================
 name       answers with
 ========== ===========================================================
-exact-lp   the HiGHS maximum-concurrent-flow LP
-           (:func:`repro.flows.max_concurrent_flow`) — ground truth.
-exact-lp-warm the same exact LP through the shared
-           :class:`~repro.flows.WarmStartLPSolver`: constraint
-           assembly is cached per structural family (degraded fabrics
-           and adjacent workload phases are perturbations of a solved
-           LP) and, with the optional ``highspy`` extra installed,
-           re-solves hot-start from the previous optimal basis.
-           Identical values to ``exact-lp``.
+exact-lp   the certified maximum concurrent flow
+           (:func:`repro.flows.max_concurrent_flow`, path column
+           generation over HiGHS) — ground truth.
+exact-lp-warm the same solver through the shared
+           :class:`~repro.flows.WarmStartLPSolver`, which keeps each
+           family member's seed paths, so degraded fabrics re-solve
+           without searching for them again.  Identical values to
+           ``exact-lp``.
 closed-form the exact closed forms of :mod:`repro.flows.closed_forms`
            when the (topology, pattern) pair has one (uniform shifts
            on rings, XOR exchanges on hypercubes, dedicated matched
@@ -162,13 +161,13 @@ class ExactLPBackend(ThroughputBackend):
 
 
 class WarmStartLPBackend(ThroughputBackend):
-    """Exact LP with per-family assembly reuse and optional hot basis.
+    """Exact theta with seed paths reused across LP families.
 
     Routes through the process-wide :class:`~repro.flows.WarmStartLPSolver`
     (``method="lp-warm"``).  Values are identical to ``exact-lp``; only
     the amortization differs, so this is the backend of choice for
-    degraded-fabric sweeps and multi-phase workloads that solve many
-    close LP relatives.
+    degraded-fabric sweeps that solve many capacity states of one
+    fabric.
     """
 
     name = "exact-lp-warm"

@@ -7,9 +7,9 @@ was priced before.  A :class:`PlanContext` holds the
 matching, diffs the fabric condition (a :class:`~repro.flows.FabricState`)
 and the demand rows against the stored ones, and routes the evaluation
 through :func:`repro.flows.pod_theta_parts` so only dirty pods are
-re-solved.  Re-solves go through the shared
-:class:`~repro.flows.WarmStartLPSolver`, so the coarse star LP and pod
-families reuse assembled LP state across deltas.
+re-solved.  Re-solves go through the block solver's process-wide
+subproblem memo, so a coarse star LP or pod subproblem seen before is
+never solved again.
 
 Three front doors:
 

@@ -46,12 +46,14 @@ from .delta import (
 from .concurrent_flow import (
     Commodity,
     ConcurrentFlowResult,
+    ThetaCertificate,
     WarmStartLPSolver,
     WarmStartStats,
     commodities_from_matching,
     commodities_from_matrix,
     default_warm_solver,
     max_concurrent_flow,
+    verify_certificate,
 )
 from .routing import (
     PathLengthRule,
@@ -65,7 +67,9 @@ from .routing import (
 __all__ = [
     "Commodity",
     "ConcurrentFlowResult",
+    "ThetaCertificate",
     "max_concurrent_flow",
+    "verify_certificate",
     "commodities_from_matching",
     "commodities_from_matrix",
     "compute_theta",
@@ -131,10 +135,11 @@ def compute_theta(
         the topology's recorded ``reference_rate`` metadata.
     method:
         * ``"auto"`` — closed form when available, else exact LP;
-        * ``"lp"`` — always the exact LP;
-        * ``"lp-warm"`` — exact LP via the shared
-          :class:`WarmStartLPSolver` (same values, amortized assembly
-          and optional basis reuse across related solves);
+        * ``"lp"`` — always the exact, certified
+          :func:`max_concurrent_flow` (path column generation);
+        * ``"lp-warm"`` — the same solver via the shared
+          :class:`WarmStartLPSolver` (identical values, seed paths
+          reused across capacity states of one fabric);
         * ``"closed"`` — closed form only (raises if unavailable);
         * ``"sp"`` — shortest-path feasible-routing lower bound;
         * ``"proxy"`` — degree/flow-hop upper-bound proxy;

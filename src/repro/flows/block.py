@@ -65,7 +65,7 @@ from .bounds import theta_lower_bound_shortest_path, theta_proxy
 from .concurrent_flow import (
     Commodity,
     commodities_from_matching,
-    default_warm_solver,
+    max_concurrent_flow,
 )
 
 __all__ = [
@@ -273,7 +273,7 @@ def _pod_subgraphs(
     Pod p's subgraph keeps its intra-pod edges (relabeled to local
     ranks ``0..size-1``) plus its uplinks to the core node.  Equal pods
     produce fingerprint-identical subgraphs, which is what the
-    subproblem dedup and the warm solver's family cache key on.
+    subproblem dedup keys on.
     """
     key = (topology.fingerprint(), structure)
     cached = _subgraph_memo.get(key)
@@ -328,16 +328,16 @@ def _solve_subproblem(
 
     The memo key is (subgraph fingerprint, commodity multiset, rate):
     on uniform patterns every equal pod collapses onto one solve, and
-    repeated collective steps reuse values across calls.  Misses route
-    through the shared :class:`~repro.flows.WarmStartLPSolver`, so even
-    distinct members of one structural family amortize LP assembly.
+    repeated collective steps reuse values across calls.  Misses run
+    :func:`~repro.flows.max_concurrent_flow`, which shares no state
+    between calls, so parallel pods never wait on a solver lock.
     """
     key = (topology.fingerprint(), _commodity_key(commodities), reference_rate)
     hit = _solution_memo.get(key)
     if hit is not None:
         _counters.bump("memo_hits")
         return hit
-    value = default_warm_solver().solve(topology, commodities, reference_rate).theta
+    value = max_concurrent_flow(topology, commodities, reference_rate).theta
     _counters.bump("pod_solves")
     _solution_memo.put(key, value)
     return value
@@ -460,7 +460,7 @@ def pod_theta(
     pods that provably cannot set the minimum.
 
     ``parallel`` > 1 solves the surviving pod subproblems in a thread
-    pool (HiGHS releases the GIL); the default solves serially in
+    pool (no lock is held across a solve); the default solves serially in
     ascending-lower-bound order, which maximizes screening.  Values are
     identical either way.
 
@@ -468,8 +468,6 @@ def pod_theta(
     """
     structure = pod_structure(topology)
     if structure is None:
-        from .concurrent_flow import max_concurrent_flow
-
         _counters.bump("flat_fallbacks")
         return max_concurrent_flow(
             topology, commodities_from_matching(matching), reference_rate

@@ -26,9 +26,8 @@ O(changed pods)":
   bound are re-screened against the new running envelope and *never
   touched* unless the envelope dips below their bound; only dirty pods
   get fresh bounds and (if surviving) an LP — routed through the same
-  process-wide subproblem memo and shared
-  :class:`~repro.flows.WarmStartLPSolver` as the cold path, so repeated
-  deltas amortize LP assembly and basis state.
+  process-wide subproblem memo as the cold path, so a pod subproblem
+  seen in an earlier delta is never solved twice.
 
 Exactness is preserved, not approximated: a clean pod's subproblem is
 structurally identical to its previous evaluation, so its ``phi_p`` (or

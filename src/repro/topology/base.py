@@ -121,12 +121,7 @@ class Topology:
     @property
     def nodes(self) -> tuple[NodeId, ...]:
         """All nodes (ranks first, then relay nodes)."""
-        ranks = list(range(self._n_ranks))
-        relays = sorted(
-            (node for node in self._graph.nodes if node not in set(ranks)),
-            key=repr,
-        )
-        return tuple(ranks + relays)
+        return tuple(range(self._n_ranks)) + self.relay_nodes
 
     @property
     def relay_nodes(self) -> tuple[NodeId, ...]:

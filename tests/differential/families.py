@@ -8,6 +8,9 @@ scenario families* rather than hand-picked cases:
 * cold ``max_concurrent_flow``  vs  the warm-started family solver,
 * serial  vs  thread  vs  process execution backends.
 
+Every exact theta taken through :func:`certified_theta` also has its
+certificate rechecked by the numpy-only verifier.
+
 Families deliberately mix rows the fast path accelerates with rows it
 must refuse (partial matchings, degraded fabrics, LP-only topologies),
 because the refusals are where silent wrongness hides.  Agreement is
@@ -23,6 +26,7 @@ from repro.fabric.degradation import (
     random_failures,
     uniform_degradation,
 )
+from repro.flows import max_concurrent_flow, verify_certificate
 from repro.matching import Matching
 from repro.topology import (
     coprime_rings,
@@ -40,12 +44,30 @@ RATE = Gbps(800)
 #: Agreement tolerance for every differential pair in this package.
 TOL = 1e-9
 
+#: Float slack when checking that theta lies inside its certified
+#: interval: the verifier re-adds the same path flows in another order.
+ROUNDING = 1e-12
+
 
 def agree(a: float, b: float, tol: float = TOL) -> bool:
     """Differential agreement: exact for inf/0, relative 1e-9 otherwise."""
     if math.isinf(a) or math.isinf(b):
         return a == b
     return math.isclose(a, b, rel_tol=tol, abs_tol=tol)
+
+
+def certified_theta(topology, commodities, rate: float = RATE) -> float:
+    """``max_concurrent_flow``'s theta, after checking its certificate:
+    the verifier's interval is at most TOL wide relative to its lower
+    end and contains theta (up to ROUNDING)."""
+    result = max_concurrent_flow(topology, commodities, rate)
+    if result.theta in (0.0, math.inf):
+        assert result.certificate is None
+        return result.theta
+    lo, hi = verify_certificate(topology, commodities, rate, result.certificate)
+    assert hi - lo <= TOL * lo, (topology.name, lo, hi)
+    assert lo * (1 - ROUNDING) <= result.theta <= hi * (1 + ROUNDING)
+    return result.theta
 
 
 def _mixed_patterns(n: int) -> list[Matching]:

@@ -18,14 +18,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from families import RATE, agree
+from families import RATE, agree, certified_theta
 from repro.engine import compute_theta_backend
 from repro.fabric.degradation import hotspot, uniform_degradation
-from repro.flows import (
-    commodities_from_matching,
-    max_concurrent_flow,
-    pod_theta,
-)
+from repro.flows import commodities_from_matching, pod_theta
 from repro.matching import Matching
 from repro.topology import PodFabric
 
@@ -33,9 +29,7 @@ TOL = 1e-9
 
 
 def flat_theta(topology, matching) -> float:
-    return max_concurrent_flow(
-        topology, commodities_from_matching(matching), RATE
-    ).theta
+    return certified_theta(topology, commodities_from_matching(matching))
 
 
 def assert_block_equals_flat(topology, matching):

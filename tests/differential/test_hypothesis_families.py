@@ -14,13 +14,12 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from families import RATE, agree
+from families import RATE, agree, certified_theta
 from repro.fabric import FabricHealth
 from repro.flows import (
     WarmStartLPSolver,
     commodities_from_matching,
     compute_theta,
-    max_concurrent_flow,
     theta_batch,
 )
 from repro.flows.closed_forms import (
@@ -133,9 +132,7 @@ def test_warm_solver_equals_cold_lp_on_random_states(data, n):
     degraded = health.apply(topology)
     matching = data.draw(matchings(n))
     solver = WarmStartLPSolver()
-    cold = max_concurrent_flow(
-        degraded, commodities_from_matching(matching), RATE
-    ).theta
+    cold = certified_theta(degraded, commodities_from_matching(matching))
     warm = solver.solve_matching(degraded, matching, RATE)
     assert agree(cold, warm)
     # A second solve of the same state is warm and still identical.

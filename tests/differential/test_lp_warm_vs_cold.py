@@ -1,12 +1,12 @@
 """Cold ``max_concurrent_flow`` vs the warm-started family solver.
 
-The warm solver re-solves the *same matrices* scipy's cold path builds,
-so agreement is exact on this container (no highspy); the differential
-contract is still stated at 1e-9 so an installed highspy basis-reuse
-path has honest float headroom.  Families deliberately mix the solver's
-two amortization cases: capacity perturbations (degraded fabrics — same
-structure, warm member) and demand movement (workload phases — same
-structure, new member).
+Both run the same column generation; the warm solver only starts a
+known family member from its cached seed paths, so values, flows and
+certificates are identical.  Values are still checked against the
+certificate at the 1e-9 differential contract.  Families deliberately
+mix the solver's two amortization cases: capacity perturbations
+(degraded fabrics — same structure, warm member) and demand movement
+(workload phases — same structure, new member).
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import pytest
 from families import (
     RATE,
     agree,
+    certified_theta,
     closed_form_families,
     degraded_variants,
     lp_only_families,
@@ -43,9 +44,7 @@ class TestWarmAgreesWithCold:
         solver = WarmStartLPSolver()
         for topology, patterns in families(8):
             for matching in patterns:
-                cold = max_concurrent_flow(
-                    topology, commodities_from_matching(matching), RATE
-                ).theta
+                cold = certified_theta(topology, commodities_from_matching(matching))
                 warm = solver.solve_matching(topology, matching, RATE)
                 assert agree(cold, warm), (topology.name, matching)
 
@@ -56,9 +55,7 @@ class TestWarmAgreesWithCold:
         matching = Matching.shift(n, 3)
         thetas = []
         for health, topology in degraded_variants(pristine, n):
-            cold = max_concurrent_flow(
-                topology, commodities_from_matching(matching), RATE
-            ).theta
+            cold = certified_theta(topology, commodities_from_matching(matching))
             warm = solver.solve_matching(topology, matching, RATE)
             assert agree(cold, warm), health
             thetas.append(warm)
@@ -77,9 +74,7 @@ class TestWarmAgreesWithCold:
         # Adjacent phases: same fabric, different full permutations.
         phases = [Matching.shift(n, k) for k in (1, 2, 3, 5, 7)]
         for matching in phases:
-            cold = max_concurrent_flow(
-                topology, commodities_from_matching(matching), RATE
-            ).theta
+            cold = certified_theta(topology, commodities_from_matching(matching))
             assert agree(cold, solver.solve_matching(topology, matching, RATE))
         assert solver.stats().families == 1
         assert solver.stats().members == len(phases)
@@ -135,7 +130,7 @@ class TestWarmAgreesWithCold:
             Commodity(1, 4, 0.25),
             Commodity(5, 2, 2.5),
         )
-        cold = max_concurrent_flow(topology, commodities, RATE).theta
+        cold = certified_theta(topology, commodities)
         warm = WarmStartLPSolver().solve(topology, commodities, RATE).theta
         assert agree(cold, warm)
 
@@ -199,25 +194,41 @@ class TestMemberEviction:
         assert solver.stats().members <= 2
 
 
-class TestHighspyPath:
-    def test_basis_reuse_when_available(self):
-        pytest.importorskip("highspy")
+class TestSeedReuse:
+    def test_warm_resolves_equal_cold_solves_exactly(self):
         n = 8
-        solver = WarmStartLPSolver(use_highs=True)
-        topology = ring(n, RATE)
-        matching = Matching.shift(n, 3)
-        for health, degraded in degraded_variants(topology, n):
+        solver = WarmStartLPSolver()
+        commodities = commodities_from_matching(Matching.shift(n, 3))
+        for health, degraded in degraded_variants(ring(n, RATE), n):
             cold = max_concurrent_flow(
-                degraded, commodities_from_matching(matching), RATE
-            ).theta
-            assert agree(cold, solver.solve_matching(degraded, matching, RATE))
-        assert solver.stats().basis_reuses >= 1
+                degraded, commodities, RATE, return_flows=True
+            )
+            warm = solver.solve(degraded, commodities, RATE, return_flows=True)
+            assert warm == cold, health
+        assert solver.stats().warm_solves >= 2
 
-    def test_use_highs_true_requires_the_package(self):
-        try:
-            import highspy  # noqa: F401
-        except Exception:
-            from repro.exceptions import FlowError
+    def test_warm_resolve_skips_the_seed_searches(self, monkeypatch):
+        import repro.flows.concurrent_flow as cf
+        from repro.fabric.degradation import uniform_degradation
 
-            with pytest.raises(FlowError, match="highspy"):
-                WarmStartLPSolver(use_highs=True)
+        calls = []
+        search = cf.dijkstra
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(cf, "dijkstra", counted)
+        n = 8
+        solver = WarmStartLPSolver()
+        matching = Matching.shift(n, 3)
+        pristine = ring(n, RATE)
+        solver.solve_matching(pristine, matching, RATE)
+        cold_searches = len(calls)
+        del calls[:]
+        dimmed = uniform_degradation(n, 0.8).apply(pristine)
+        solver.solve_matching(dimmed, matching, RATE)
+        assert solver.stats().warm_solves == 1
+        # Cold also runs the seed searches: the hop-shortest pass and
+        # one more per commodity for its second direction.
+        assert len(calls) <= cold_searches - (n + 1)

@@ -199,6 +199,25 @@ class TestBlockTheta:
         threaded = pod_theta(topology, matching, RATE, parallel=3)
         assert threaded == pytest.approx(serial, rel=1e-9)
 
+    def test_parallel_pods_skip_the_shared_warm_solver(self):
+        # Pod LPs go through max_concurrent_flow, which holds no lock,
+        # instead of the process-wide warm solver whose lock made
+        # parallel pods solve one at a time.
+        from repro.flows import default_warm_solver
+        from repro.flows.block import _clear_block_memos
+
+        topology = fabric((6, 8, 10)).flat_topology()
+        matching = Matching.shift(24, 5)
+        default_warm_solver().clear()
+        _clear_block_memos()
+        serial = pod_theta(topology, matching, RATE)
+        _clear_block_memos()
+        reset_block_stats()
+        threaded = pod_theta(topology, matching, RATE, parallel=2)
+        assert block_stats().pod_solves >= 2
+        assert threaded == pytest.approx(serial, rel=1e-12)
+        assert default_warm_solver().stats().cold_solves == 0
+
     def test_compute_theta_block_method_and_cache(self):
         from repro.flows import ThroughputCache
 

@@ -53,6 +53,15 @@ class TestTopologyBase:
         assert t.hop_distance(2, 2) == 0
         assert t.shortest_path(0, 2) == [0, 1, 2]
 
+    def test_nodes_list_ranks_then_sorted_relays(self):
+        t = Topology(
+            3,
+            [(0, "sw-b", 1.0), ("sw-b", 1, 1.0), (2, "sw-a", 1.0), ("sw-a", 0, 1.0)],
+        )
+        assert t.nodes == (0, 1, 2, "sw-a", "sw-b")
+        assert t.nodes == tuple(range(t.n_ranks)) + t.relay_nodes
+        assert ring(5, B).nodes == (0, 1, 2, 3, 4)
+
     def test_unreachable_raises(self):
         t = Topology(3, [(0, 1, 1.0)])
         assert not t.has_path(1, 2)

@@ -12,7 +12,12 @@ import pytest
 
 from repro.collectives import make_collective
 from repro.core import CostParameters, evaluate_step_costs, optimize_schedule
-from repro.flows import compute_theta
+from repro.flows import (
+    commodities_from_matching,
+    compute_theta,
+    max_concurrent_flow,
+    try_closed_form_theta,
+)
 from repro.matching import Matching
 from repro.topology import ring, torus
 from repro.units import Gbps, MiB, ns, us
@@ -24,11 +29,17 @@ XOR_PATTERN = Matching.xor_exchange(N, 16)
 SHIFT_PATTERN = Matching.shift(N, 16)
 
 
+def exact_lp(topology, matching) -> float:
+    """The certified LP, as ``compute_theta`` runs it when no closed
+    form or pod layout applies."""
+    return max_concurrent_flow(
+        topology, commodities_from_matching(matching), B
+    ).theta
+
+
 @pytest.mark.benchmark(group="theta")
 def test_theta_exact_lp(benchmark):
-    value = benchmark(
-        lambda: compute_theta(TOPOLOGY, XOR_PATTERN, method="lp", cache=None)
-    )
+    value = benchmark(lambda: exact_lp(TOPOLOGY, XOR_PATTERN))
     assert 0 < value <= 1
 
 
@@ -38,21 +49,14 @@ def test_theta_exact_torus_4x4x4(benchmark):
     on 384 links, many equal-length detours (the edge-flow LP took
     tens of seconds on it)."""
     fabric = torus((4, 4, 4), B)
-    value = benchmark(
-        lambda: compute_theta(
-            fabric, Matching.shift(64, 1), B, method="lp", cache=None
-        )
-    )
+    value = benchmark(lambda: exact_lp(fabric, Matching.shift(64, 1)))
     assert 0 < value <= 1
 
 
 @pytest.mark.benchmark(group="theta")
 def test_theta_closed_form(benchmark):
-    value = benchmark(
-        lambda: compute_theta(TOPOLOGY, SHIFT_PATTERN, method="closed", cache=None)
-    )
-    lp = compute_theta(TOPOLOGY, SHIFT_PATTERN, method="lp", cache=None)
-    assert value == pytest.approx(lp, rel=1e-6)
+    value = benchmark(lambda: try_closed_form_theta(TOPOLOGY, SHIFT_PATTERN))
+    assert value == pytest.approx(exact_lp(TOPOLOGY, SHIFT_PATTERN), rel=1e-6)
 
 
 @pytest.mark.benchmark(group="theta")
@@ -60,7 +64,7 @@ def test_theta_shortest_path_proxy(benchmark):
     value = benchmark(
         lambda: compute_theta(TOPOLOGY, XOR_PATTERN, method="sp", cache=None)
     )
-    exact = compute_theta(TOPOLOGY, XOR_PATTERN, method="lp", cache=None)
+    exact = exact_lp(TOPOLOGY, XOR_PATTERN)
     assert value <= exact * (1 + 1e-9)
 
 
@@ -69,7 +73,7 @@ def test_theta_degree_proxy(benchmark):
     value = benchmark(
         lambda: compute_theta(TOPOLOGY, XOR_PATTERN, method="proxy", cache=None)
     )
-    exact = compute_theta(TOPOLOGY, XOR_PATTERN, method="lp", cache=None)
+    exact = exact_lp(TOPOLOGY, XOR_PATTERN)
     assert value >= exact * (1 - 1e-9)
 
 
@@ -105,7 +109,7 @@ def test_proxy_driven_optimizer_gap(benchmark, results_dir):
     assert max(g for _, g in gaps) < 1.5  # proxies stay within 50% here
 
 
-# -- batch-first theta (vectorized kernels, warm-started LP) ----------------
+# -- batch-first theta (vectorized kernels) ---------------------------------
 
 
 def _figure1_grid_rows():
@@ -153,62 +157,3 @@ def test_theta_batch_vs_scalar_loop(results_dir, bench_record):
         f"theta_batch: {batch_s * 1e3:.2f}ms ({speedup:.1f}x)\n"
     )
     assert speedup >= 3.0
-
-
-@pytest.mark.benchmark(group="theta-batch")
-def test_lp_warm_vs_cold(results_dir, bench_record):
-    """Cold ``max_concurrent_flow`` vs the warm-started family solver on
-    a degradation sweep: one fabric structure, many capacity states —
-    the planner-under-churn workload the warm solver exists for.
-
-    Both run the same column generation and return identical values;
-    the warm solver re-solves each capacity state from the seed paths
-    it cached on the first, so ``cold_vs_warm_speedup`` (cold time /
-    warm time) measures what skipping the seed searches saves.
-    """
-    import time
-
-    from repro.fabric.degradation import uniform_degradation
-    from repro.flows import WarmStartLPSolver, commodities_from_matching
-    from repro.flows.concurrent_flow import max_concurrent_flow
-
-    n = 32
-    pristine = ring(n, B)
-    matching = Matching.shift(n, n // 2 - 1)
-    states = [pristine] + [
-        uniform_degradation(n, 1.0 - 0.02 * step).apply(pristine)
-        for step in range(1, 13)
-    ]
-    commodities = commodities_from_matching(matching)
-
-    solver = WarmStartLPSolver()
-    cold_s = warm_s = float("inf")
-    for _ in range(2):
-        start = time.perf_counter()
-        cold = [
-            max_concurrent_flow(state, commodities, B).theta for state in states
-        ]
-        cold_s = min(cold_s, time.perf_counter() - start)
-        start = time.perf_counter()
-        warm = [
-            solver.solve_matching(state, matching, B) for state in states
-        ]
-        warm_s = min(warm_s, time.perf_counter() - start)
-    assert cold == warm
-    stats = solver.stats()
-    ratio = cold_s / warm_s
-    bench_record(
-        degradation_states=len(states),
-        cold_s=cold_s,
-        warm_s=warm_s,
-        cold_vs_warm_speedup=ratio,
-        warm_solves=stats.warm_solves,
-    )
-    (results_dir / "theta_warm_lp.txt").write_text(
-        f"n={n} ring, {len(states)} degradation states\n"
-        f"cold LP: {cold_s * 1e3:.2f}ms\n"
-        f"warm LP: {warm_s * 1e3:.2f}ms ({ratio:.2f}x)\n"
-    )
-    # The warm path must never be pathologically slower than cold.
-    assert ratio > 0.4
-    assert stats.warm_solves >= len(states) * 2 - 2

@@ -55,11 +55,8 @@ from .engine import (
     DiskStore,
     ThetaEnvelope,
     activate_disk_cache,
-    available_throughput_backends,
-    compute_theta_backend,
     plan_many,
     plan_workload_many,
-    register_throughput_backend,
     sim_many,
     theta_envelope,
     workload_many,
@@ -163,11 +160,8 @@ __all__ = [
     # the unified evaluation engine
     "sim_many",
     "plan_workload_many",
-    "compute_theta_backend",
     "theta_envelope",
     "ThetaEnvelope",
-    "register_throughput_backend",
-    "available_throughput_backends",
     "DiskStore",
     "activate_disk_cache",
     # the unified planner API

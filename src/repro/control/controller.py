@@ -15,7 +15,7 @@ The loop per phase:
    phase's structure from the running estimate, plan the phase with the
    physical-accounting DP against the *estimated* scenario (threading a
    carried circuit configuration, and a
-   :class:`~repro.engine.PlanContext` so block-method re-plans are
+   :class:`~repro.engine.PlanContext` so re-plans on pod fabrics are
    delta-priced), or reuse the structure's cached schedule when the
    replan trigger stays quiet;
 2. the fabric executes whatever schedule the controller issued;
@@ -328,7 +328,7 @@ class OnlineController:
         Shared theta memo for the estimated-scenario step costs.
     plan_context:
         A :class:`~repro.engine.PlanContext` threading incremental
-        theta state across re-plans, so block-method phases delta-price
+        theta state across re-plans, so pod-fabric phases delta-price
         against the previous plan instead of solving cold.  A fresh
         context is created when none is given; the service daemon
         passes its resident one.

@@ -8,13 +8,10 @@ fabrics that adapt per collective (§3, Eq. 7) demands sweeping far
 larger grids than a single GIL-bound process can evaluate, so this
 subsystem owns the whole evaluation path:
 
-* **Throughput backends** (:mod:`~repro.engine.backends`) — a registry
-  of theta estimators: ``exact-lp`` (certified ground truth),
-  ``exact-lp-warm`` (the same solver, with seed paths kept across
-  degraded-fabric families), ``closed-form`` (formula fast paths with
-  LP fallback and a vectorized ``theta_many`` grid pass), and
-  ``bounds`` (the cheap :class:`ThetaEnvelope` sandwich for coarse
-  grid pre-screening before exact refinement).
+* **Theta envelopes** (:mod:`~repro.engine.envelope`) — the cheap
+  :class:`ThetaEnvelope` sandwich for coarse grid pre-screening before
+  exact refinement (exact theta itself has one route,
+  :func:`repro.flows.compute_theta`).
 * **Two-tier caching** (:mod:`~repro.engine.store` plus
   :class:`repro.flows.ThroughputCache`) — the in-process compute-once
   memo backed by a content-addressed on-disk :class:`DiskStore`
@@ -28,33 +25,16 @@ subsystem owns the whole evaluation path:
   cache deltas back, breaking the GIL ceiling on the pure-python
   schedule DP and LP assembly.
 
-The batch entry points — :func:`plan_many`, :func:`sim_many`,
-:func:`workload_many`, :func:`plan_workload_many` — are the canonical
-implementations; :mod:`repro.planner` and :mod:`repro.sim` keep thin
-compatibility shims with the same names.
+The batch entry points are :func:`plan_many`, :func:`sim_many`,
+:func:`workload_many` and :func:`plan_workload_many`.
 """
 
 from .api import plan_many, plan_workload_many, sim_many, workload_many
-from .backends import (
-    BlockLPBackend,
-    BoundsBackend,
-    ClosedFormBackend,
-    ExactLPBackend,
-    ThetaEnvelope,
-    ThroughputBackend,
-    WarmStartLPBackend,
-    available_throughput_backends,
-    compute_theta_backend,
-    compute_theta_backend_many,
-    get_throughput_backend,
-    register_throughput_backend,
-    scenario_theta_method,
-    theta_envelope,
-    unregister_throughput_backend,
-)
+from .envelope import ThetaEnvelope, theta_envelope
 from .incremental import (
     PlanContext,
     compute_theta_delta,
+    delta_priced,
     fabric_state_for,
     prewarm_scenario_context,
     prewarm_workload_context,
@@ -74,25 +54,13 @@ __all__ = [
     "sim_many",
     "workload_many",
     "plan_workload_many",
-    # throughput backends
-    "ThroughputBackend",
-    "ExactLPBackend",
-    "WarmStartLPBackend",
-    "ClosedFormBackend",
-    "BoundsBackend",
-    "BlockLPBackend",
+    # theta envelopes
     "ThetaEnvelope",
-    "register_throughput_backend",
-    "unregister_throughput_backend",
-    "available_throughput_backends",
-    "get_throughput_backend",
-    "compute_theta_backend",
-    "compute_theta_backend_many",
     "theta_envelope",
-    "scenario_theta_method",
     # incremental (delta-aware) pricing
     "PlanContext",
     "compute_theta_delta",
+    "delta_priced",
     "fabric_state_for",
     "scenario_lineage",
     "prewarm_scenario_context",

@@ -11,19 +11,11 @@ planning), ``sim_many`` (sim-in-the-loop execution), ``workload_many``
   automatically for the default cache so repeated grid runs across
   processes pay zero LP solves after the first;
 * the **execution backends** — ``parallel_backend="serial" | "thread"
-  | "process"`` (:mod:`repro.engine.parallel`); and
-* the **throughput-backend registry** — ``theta_backend`` routes a
-  whole batch of bare scenarios through one estimator
-  (:mod:`repro.engine.backends`).
-
-The legacy entry points (:func:`repro.planner.plan_many`,
-:func:`repro.sim.sim_many`, :func:`repro.sim.workload_many`) are thin
-shims over these functions; new code should import from
-:mod:`repro.engine`.
+  | "process"`` (:mod:`repro.engine.parallel`).
 
 The heavier layers (planner, sim, workload) are imported lazily inside
 the functions: the engine orchestrates them, so importing it must not
-drag them in (or create cycles with their shim modules).
+drag them in (or create import cycles).
 """
 
 from __future__ import annotations
@@ -32,7 +24,6 @@ from collections.abc import Iterable
 
 from ..exceptions import ConfigurationError, SimulationError
 from ..flows import ThroughputCache, default_cache
-from .backends import scenario_theta_method
 from .parallel import execute_batch, resolve_execution_backend
 from .store import activate_disk_cache
 
@@ -86,11 +77,13 @@ def _prewarm_plan_batch(requests, cache) -> int:
     entirely on cache hits.  Each seeded value takes exactly the miss
     the step evaluation would have taken — same keys, same tags, same
     statistics.  Only pristine ``theta_method="auto"`` single-port
-    scenarios qualify: degraded fabrics have no closed form (their
-    family metadata is dropped on purpose) and multiport steps are
-    grouped differently.  Returns the number of seeded values.
+    scenarios on a closed-form family qualify: degraded fabrics have no
+    closed form (their family metadata is dropped on purpose) and
+    multiport steps are grouped differently.  Returns the number of
+    seeded values.
     """
     from ..flows import prewarm_closed_forms
+    from ..flows.batch import CLOSED_FORM_FAMILIES
 
     seeded = 0
     seen_groups: set = set()
@@ -108,6 +101,9 @@ def _prewarm_plan_batch(requests, cache) -> int:
         seen_groups.add(group)
         try:
             topology = scenario.build_topology()
+            if topology.metadata.get("family") not in CLOSED_FORM_FAMILIES:
+                # Nothing to seed: skip building the collective.
+                continue
             matchings = []
             seen_matchings: set = set()
             for step in scenario.build_collective().steps:
@@ -138,32 +134,12 @@ def _prewarm_plan_batch(requests, cache) -> int:
     return seeded
 
 
-def _route_theta_backend(item, theta_backend: str | None):
-    """Re-route a scenario (or a request's scenario) through a backend."""
-    if theta_backend is None:
-        return item
-    from ..planner.result import PlanRequest
-    from ..planner.scenario import Scenario
-
-    method = scenario_theta_method(theta_backend)
-    if isinstance(item, Scenario):
-        return item.replace(theta_method=method)
-    if isinstance(item, PlanRequest):
-        return PlanRequest(
-            scenario=item.scenario.replace(theta_method=method),
-            solver=item.solver,
-            options=item.options,
-        )
-    return item
-
-
 def plan_many(
     scenarios: Iterable,
     solver: str = "dp",
     parallel: int | None = None,
     cache: "ThroughputCache | None" = default_cache,
     parallel_backend: str | None = None,
-    theta_backend: str | None = None,
     on_result=None,
     **options,
 ) -> list:
@@ -192,11 +168,6 @@ def plan_many(
         ships picklable scenario dicts, shares theta values through the
         on-disk store, and merges per-worker cache deltas back into
         ``cache``; its results carry no per-call cache statistics.
-    theta_backend:
-        Route every *bare scenario* (and each request's scenario)
-        through one registered throughput backend — e.g.
-        ``"exact-lp"`` forces ground-truth LP solves for a validation
-        sweep.
     on_result:
         Optional ``(index, result)`` callback fired once per item, in
         input order, as soon as that item's result exists — the
@@ -217,14 +188,10 @@ def plan_many(
     cache = _session_cache(cache)
     frozen = _freeze_options(options)
     requests = [
-        _route_theta_backend(item, theta_backend)
-        for item in scenarios
-    ]
-    requests = [
         item
         if isinstance(item, PlanRequest)
         else PlanRequest(scenario=item, solver=solver, options=frozen)
-        for item in requests
+        for item in scenarios
     ]
     backend, _ = resolve_execution_backend(
         parallel_backend, parallel, len(requests), error=ConfigurationError

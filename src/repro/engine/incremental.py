@@ -13,9 +13,9 @@ never solved again.
 
 Three front doors:
 
-* :func:`compute_theta_delta` — the engine-level entry mirroring
-  :func:`repro.engine.compute_theta_backend`, publishing into the same
-  cache tag the scalar ``block`` path uses.
+* :func:`compute_theta_delta` — the delta-aware sibling of
+  :func:`repro.flows.compute_theta`, publishing under the same
+  :func:`~repro.flows.theta_tag`.
 * :func:`prewarm_scenario_context` — prices every step of a scenario's
   collective through a context into a cache, so downstream step-cost
   evaluation (the planner, the workload policies) hits warm values.
@@ -24,6 +24,9 @@ Three front doors:
   fabric spec (uplink health stripped), rate, and theta method, so a
   streamed request that is a small perturbation of a seen fingerprint
   is priced from the delta path.
+
+Only exact pricing (``theta_method="auto"``) of pod-structured fabrics
+goes through a context; :func:`delta_priced` is that test.
 """
 
 from __future__ import annotations
@@ -36,9 +39,11 @@ from ..flows import (
     DeltaIndex,
     FabricState,
     ThetaParts,
+    compute_theta,
     pod_structure,
     pod_theta,
     pod_theta_parts,
+    theta_tag,
 )
 from ..flows.cache import ThroughputCache, default_cache
 from ..flows.delta import _counters as _inc_counters
@@ -52,17 +57,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "PlanContext",
     "compute_theta_delta",
+    "delta_priced",
     "fabric_state_for",
     "scenario_lineage",
     "prewarm_scenario_context",
     "prewarm_workload_context",
 ]
-
-def _block_tag(rate: float) -> str:
-    """The scalar ``compute_theta(..., method="block")`` cache tag —
-    the delta path publishes under the same tag so lookups interoperate."""
-    return f"theta:block@{rate!r}"
-
 
 class PlanContext:
     """Carrier of incremental pricing state across related evaluations.
@@ -107,13 +107,14 @@ class PlanContext:
         state: FabricState,
         hint: Matching | None = None,
     ) -> float:
-        """Exact block theta of ``matching`` on ``topology``, priced
+        """Exact theta of ``matching`` on ``topology``, priced
         incrementally against whatever this context has seen.
 
         ``topology`` must be the fabric *as described by* ``state``
         (base spec + uplink health + health overlay already applied) —
         the context never re-derives it, it only diffs states.  Flat
-        topologies fall back to the cold block path untouched.
+        topologies fall back to :func:`~repro.flows.pod_theta`'s flat
+        LP untouched.
         """
         structure = pod_structure(topology)
         rate = float(reference_rate)
@@ -200,6 +201,15 @@ def scenario_lineage(scenario: "Scenario") -> tuple:
     )
 
 
+def delta_priced(scenario: "Scenario") -> bool:
+    """Whether ``scenario``'s theta goes through a :class:`PlanContext`:
+    exact pricing (``theta_method="auto"``) on a pod-structured fabric."""
+    return (
+        scenario.theta_method == "auto"
+        and pod_structure(scenario.build_topology()) is not None
+    )
+
+
 def compute_theta_delta(
     topology: Topology,
     matching: Matching,
@@ -210,15 +220,16 @@ def compute_theta_delta(
     cache: ThroughputCache | None = default_cache,
 ) -> float:
     """Delta-aware exact theta — the incremental sibling of
-    :func:`repro.engine.compute_theta_backend`.
+    :func:`repro.flows.compute_theta`.
 
     With a ``context`` (and ideally the :class:`FabricState` that
     produced ``topology``), pricing reuses clean-pod parts from earlier
-    calls; without one it is plain cold block pricing.  Values publish
-    under the scalar ``block`` cache tag, so mixed delta/cold callers
-    share entries.  When ``state`` is omitted the topology fingerprint
-    stands in as the base key: repeats still hit, but every distinct
-    fabric condition full-solves (no cross-condition deltas).
+    calls; without one it is plain :func:`~repro.flows.compute_theta`.
+    Values publish under the same :func:`~repro.flows.theta_tag`, so
+    mixed delta/cold callers share entries.  When ``state`` is omitted
+    the topology fingerprint stands in as the base key: repeats still
+    hit, but every distinct fabric condition full-solves (no
+    cross-condition deltas).
     """
     if reference_rate is None:
         reference_rate = topology.metadata.get("reference_rate")
@@ -230,12 +241,7 @@ def compute_theta_delta(
             )
     rate = float(reference_rate)
     if context is None:
-        from ..flows import compute_theta
-
-        return compute_theta(
-            topology, matching, reference_rate=rate, method="block",
-            cache=cache,
-        )
+        return compute_theta(topology, matching, reference_rate=rate, cache=cache)
     if state is None:
         state = FabricState(base_key=("fingerprint", topology.fingerprint()))
 
@@ -244,9 +250,7 @@ def compute_theta_delta(
 
     if cache is None:
         return evaluate()
-    return cache.get_or_compute(
-        topology, matching, evaluate, tag=_block_tag(rate)
-    )
+    return cache.get_or_compute(topology, matching, evaluate, tag=theta_tag(rate))
 
 
 def prewarm_scenario_context(
@@ -256,19 +260,16 @@ def prewarm_scenario_context(
 ) -> int:
     """Price every step of a scenario's collective through ``context``.
 
-    Values land in ``cache`` under the scalar ``block`` tag, so the
-    step-cost evaluation the planner runs next is pure lookups.  Steps
-    are hinted against the same step index of the previously prewarmed
-    pattern sequence (``context.last_matchings``), which is what makes
-    phase-over-phase demand drift delta-price.  No-ops (returns 0) for
-    scenarios not using the ``block`` theta method and for flat
-    topologies.
+    Values land in ``cache`` under :func:`~repro.flows.theta_tag`, so
+    the step-cost evaluation the planner runs next is pure lookups.
+    Steps are hinted against the same step index of the previously
+    prewarmed pattern sequence (``context.last_matchings``), which is
+    what makes phase-over-phase demand drift delta-price.  No-ops
+    (returns 0) unless the scenario is :func:`delta_priced`.
     """
-    if scenario.theta_method != "block":
+    if not delta_priced(scenario):
         return 0
     topology = scenario.build_topology()
-    if pod_structure(topology) is None:
-        return 0
     state = fabric_state_for(scenario)
     rate = float(scenario.cost.bandwidth)
     collective = scenario.build_collective()
@@ -286,9 +287,7 @@ def prewarm_scenario_context(
         if cache is None:
             evaluate()
         else:
-            cache.get_or_compute(
-                topology, matching, evaluate, tag=_block_tag(rate)
-            )
+            cache.get_or_compute(topology, matching, evaluate, tag=theta_tag(rate))
         seeded += 1
     context.last_matchings = step_matchings
     return seeded
@@ -302,9 +301,9 @@ def prewarm_workload_context(
     """Prewarm a whole workload phase-by-phase through one context.
 
     Phase k's steps delta-price against phase k-1's (same fabric
-    lineage, drifted health/demand), which is the mechanism behind the
-    ``replan-delta`` / ``hysteresis-delta`` policies.  Returns the
-    total number of step evaluations seeded.
+    lineage, drifted health/demand); :func:`repro.workload.plan_workload`
+    runs this whenever it is given a context.  Returns the total number
+    of step evaluations seeded.
     """
     return sum(
         prewarm_scenario_context(scenario, context, cache=cache)

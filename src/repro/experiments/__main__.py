@@ -54,11 +54,7 @@ from pathlib import Path
 
 from ..analysis.adaptivity import compare_policies
 from ..collectives.registry import available_collectives
-from ..engine import (
-    EXECUTION_BACKENDS,
-    activate_disk_cache,
-    available_throughput_backends,
-)
+from ..engine import EXECUTION_BACKENDS, activate_disk_cache
 from ..fabric.reconfiguration import (
     ConstantReconfigurationDelay,
     PerPortReconfigurationDelay,
@@ -449,11 +445,10 @@ def _print_solver_counters() -> None:
     byte-for-byte) and only when the block or delta path actually did
     work, so flat-topology output is unchanged."""
     bs = block_stats()
-    if bs.pod_solves or bs.pods_screened or bs.batch_dedup_hits:
+    if bs.pod_solves or bs.pods_screened:
         print(
             f"block solver: pod_solves={bs.pod_solves} "
-            f"memo_hits={bs.memo_hits} screened={bs.pods_screened} "
-            f"batch_dedup_hits={bs.batch_dedup_hits}"
+            f"memo_hits={bs.memo_hits} screened={bs.pods_screened}"
         )
     inc = incremental_stats()
     if inc.delta_solves or inc.full_solves:
@@ -719,9 +714,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {name}")
         print("solvers:")
         for name in available_solvers():
-            print(f"  {name}")
-        print("throughput backends:")
-        for name in available_throughput_backends():
             print(f"  {name}")
         print("workload policies:")
         for name in available_policies():

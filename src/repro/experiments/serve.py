@@ -105,11 +105,10 @@ async def _run_smoke(args) -> int:
             f"size={cache['size']}"
         )
         block = metrics.get("block") or {}
-        if block.get("pod_solves") or block.get("batch_dedup_hits"):
+        if block.get("pod_solves"):
             print(
                 f"block solver: pod_solves={block['pod_solves']} "
-                f"memo_hits={block['memo_hits']} "
-                f"batch_dedup_hits={block['batch_dedup_hits']}"
+                f"memo_hits={block['memo_hits']}"
             )
         inc = metrics.get("incremental") or {}
         if inc.get("delta_solves") or inc.get("full_solves"):

@@ -2,8 +2,8 @@
 
 The central entry point is :func:`compute_theta`, which evaluates the
 congestion term ``theta(G, M_i)`` of the paper's cost model (Eq. 3) for
-a topology/matching pair, dispatching between closed forms, the exact
-LP, and cheap proxies.
+a topology/matching pair: exactly (closed form, else pod blocks, else
+the certified LP) or by a cheap bound.
 """
 
 from __future__ import annotations
@@ -30,8 +30,14 @@ from .cache import (
     ThroughputCache,
     default_cache,
     theta_key_digest,
+    theta_tag,
 )
-from .closed_forms import detect_uniform_shift, ring_shift_theta, try_closed_form_theta
+from .closed_forms import (
+    detect_uniform_shift,
+    rate_factor,
+    ring_shift_theta,
+    try_closed_form_theta,
+)
 from .delta import (
     DeltaIndex,
     FabricState,
@@ -47,11 +53,8 @@ from .concurrent_flow import (
     Commodity,
     ConcurrentFlowResult,
     ThetaCertificate,
-    WarmStartLPSolver,
-    WarmStartStats,
     commodities_from_matching,
     commodities_from_matrix,
-    default_warm_solver,
     max_concurrent_flow,
     verify_certificate,
 )
@@ -91,9 +94,7 @@ __all__ = [
     "ThroughputCache",
     "default_cache",
     "theta_key_digest",
-    "WarmStartLPSolver",
-    "WarmStartStats",
-    "default_warm_solver",
+    "theta_tag",
     "theta_batch",
     "prewarm_closed_forms",
     "pod_theta",
@@ -112,7 +113,7 @@ __all__ = [
     "reset_incremental_stats",
 ]
 
-_METHODS = ("auto", "lp", "lp-warm", "closed", "sp", "proxy", "block")
+_METHODS = ("auto", "sp", "proxy")
 
 
 def compute_theta(
@@ -134,22 +135,15 @@ def compute_theta(
         Capacity normalizer (transceiver bandwidth ``b``).  Defaults to
         the topology's recorded ``reference_rate`` metadata.
     method:
-        * ``"auto"`` — closed form when available, else exact LP;
-        * ``"lp"`` — always the exact, certified
-          :func:`max_concurrent_flow` (path column generation);
-        * ``"lp-warm"`` — the same solver via the shared
-          :class:`WarmStartLPSolver` (identical values, seed paths
-          reused across capacity states of one fabric);
-        * ``"closed"`` — closed form only (raises if unavailable);
+        * ``"auto"`` — the exact theta, by the cheapest exact route:
+          the closed form when one exists, else the blockwise
+          decomposition (:func:`pod_theta`) when the topology has a
+          pod structure, else the certified :func:`max_concurrent_flow`;
         * ``"sp"`` — shortest-path feasible-routing lower bound;
-        * ``"proxy"`` — degree/flow-hop upper-bound proxy;
-        * ``"block"`` — exact blockwise decomposition for pod fabrics
-          (:func:`repro.flows.block.pod_theta`): one small LP per
-          distinct pod subproblem plus a coarse inter-pod LP, equal to
-          ``"lp"`` to 1e-9 on pod-structured topologies and falling
-          back to the flat LP on others.
+        * ``"proxy"`` — degree/flow-hop upper-bound proxy.
     cache:
-        Memo table; pass ``None`` to disable caching.
+        Memo table; pass ``None`` to disable caching.  Values are stored
+        under :func:`theta_tag`.
     """
     if method not in _METHODS:
         raise FlowError(f"unknown theta method {method!r}; choose from {_METHODS}")
@@ -164,40 +158,24 @@ def compute_theta(
     def evaluate() -> float:
         if len(matching) == 0:
             return float("inf")
-        if method == "closed":
-            value = try_closed_form_theta(topology, matching)
-            if value is None:
-                raise FlowError(
-                    f"no closed form for {topology.name!r} with this matching"
-                )
-            return value
         if method == "sp":
             return theta_lower_bound_shortest_path(
                 topology, matching, reference_rate
             )
         if method == "proxy":
             return theta_proxy(topology, matching, reference_rate)
-        if method == "auto":
-            value = try_closed_form_theta(topology, matching)
-            if value is not None:
-                return value
-        if method == "block":
+        value = try_closed_form_theta(topology, matching)
+        if value is not None:
+            return value * rate_factor(topology, reference_rate)
+        if pod_structure(topology) is not None:
             return pod_theta(topology, matching, reference_rate)
         commodities = commodities_from_matching(matching)
-        if method == "lp-warm":
-            return default_warm_solver().solve(
-                topology, commodities, reference_rate
-            ).theta
         return max_concurrent_flow(topology, commodities, reference_rate).theta
 
     if cache is None:
         return evaluate()
-    # The tag carries the reference rate: theta scales with
-    # capacity / reference_rate, so evaluations of one pattern under
-    # different normalizations must not share a cache entry (the tag
-    # also feeds the content-addressed disk digest).
     return cache.get_or_compute(
-        topology, matching, evaluate, tag=f"theta:{method}@{reference_rate!r}"
+        topology, matching, evaluate, tag=theta_tag(reference_rate, method)
     )
 
 

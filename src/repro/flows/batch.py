@@ -6,9 +6,8 @@ at a time; a figure grid or a service micro-batch asks thousands.
 grouped by topology (and reference rate), every group's closed-formable
 patterns are evaluated in a single vectorized numpy pass
 (:func:`repro.flows.closed_forms.closed_form_theta_batch`), and only
-the leftover rows fall back to per-item evaluation — the exact LP for
-``method="auto"``/``"lp"``, or the warm-started family solver for
-``method="lp-warm"``.
+the leftover rows fall back to per-item evaluation through the same
+exact route (pod blocks, else the LP).
 
 Values are published through the same
 :class:`~repro.flows.cache.ThroughputCache` keys and tags the scalar
@@ -26,9 +25,8 @@ import numpy as np
 from ..exceptions import FlowError
 from ..matching import Matching
 from ..topology.base import Topology
-from .block import _counters as _block_counters
-from .cache import ThroughputCache, default_cache
-from .closed_forms import closed_form_theta_batch
+from .cache import ThroughputCache, default_cache, theta_tag
+from .closed_forms import closed_form_theta_batch, rate_factor
 
 __all__ = ["theta_batch", "prewarm_closed_forms"]
 
@@ -73,11 +71,9 @@ def theta_batch(
         One normalizer for every row, a per-row sequence, or ``None``
         to read each topology's recorded ``reference_rate`` metadata.
     method:
-        ``"auto"`` (closed form, LP fallback), ``"lp"`` (exact LP for
-        every row), ``"lp-warm"`` (the warm-started family solver), or
-        ``"block"`` (blockwise pod decomposition, with duplicate rows
-        in a group priced once); the closed-form vector pass only
-        prices rows under ``"auto"``.
+        ``"auto"`` (exact), ``"sp"`` or ``"proxy"`` (bounds), as for
+        :func:`~repro.flows.compute_theta`; the closed-form vector pass
+        only prices rows under ``"auto"``.
     cache:
         Shared memo; every row is published under the scalar path's
         key and tag.  ``None`` disables caching.
@@ -113,6 +109,7 @@ def theta_batch(
             )
 
     out = np.empty(n_rows)
+    rate_arr = np.asarray(rates)
     # Group rows by structural identity so each distinct topology gets
     # one vectorized pass.  Rows are bucketed by object id — the
     # fingerprint (itself O(edges) to compute and O(size) to hash) is
@@ -138,8 +135,9 @@ def theta_batch(
         if closed is None:
             fallback = indices
         else:
-            priced = ~np.isnan(closed)
             index_arr = np.asarray(indices, dtype=np.intp)
+            closed = closed * rate_factor(topology, rate_arr[index_arr])
+            priced = ~np.isnan(closed)
             if cache is None:
                 # No publication step: scatter the whole vector at once.
                 out[index_arr[priced]] = closed[priced]
@@ -150,7 +148,7 @@ def theta_batch(
                     rate = rates[index]
                     tag = tags.get(rate)
                     if tag is None:
-                        tag = tags[rate] = f"theta:{method}@{rate!r}"
+                        tag = tags[rate] = theta_tag(rate)
                     out[index] = cache.get_or_compute(
                         topology,
                         matchings[index],
@@ -158,28 +156,6 @@ def theta_batch(
                         tag=tag,
                     )
             fallback = index_arr[~priced].tolist()
-        if method == "block":
-            # Pod-structured rows: duplicate (matching, rate) rows in a
-            # group are priced once even with cache=None — the block
-            # evaluation is deterministic, so the short-circuit is
-            # bit-identical to re-evaluating.
-            seen: dict[tuple[Matching, float], int] = {}
-            for index in fallback:
-                key = (matchings[index], rates[index])
-                prior = seen.get(key)
-                if prior is not None:
-                    _block_counters.bump("batch_dedup_hits")
-                    out[index] = out[prior]
-                    continue
-                out[index] = compute_theta(
-                    topology,
-                    matchings[index],
-                    reference_rate=rates[index],
-                    method=method,
-                    cache=cache,
-                )
-                seen[key] = index
-            continue
         for index in fallback:
             out[index] = compute_theta(
                 topology,
@@ -196,7 +172,6 @@ def prewarm_closed_forms(
     matchings: Sequence[Matching],
     reference_rate: float | None = None,
     cache: ThroughputCache | None = default_cache,
-    method: str = "auto",
 ) -> int:
     """Seed ``cache`` with every closed-formable pattern of a family.
 
@@ -213,6 +188,7 @@ def prewarm_closed_forms(
         return 0
     rate = _resolve_rate(topology, reference_rate)
     values = closed_form_theta_batch(topology, list(matchings))
+    values = values * rate_factor(topology, rate)
     seeded = 0
     for matching, value in zip(matchings, values):
         if np.isnan(value):
@@ -221,7 +197,7 @@ def prewarm_closed_forms(
             topology,
             matching,
             float(value),
-            tag=f"theta:{method}@{rate!r}",
+            tag=theta_tag(rate),
         )
         seeded += 1
     return seeded

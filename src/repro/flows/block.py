@@ -128,10 +128,7 @@ class BlockStats:
     bound met the running minimum; ``envelope_decided`` counts pods
     priced by a zero-width envelope; ``coarse_solves`` counts coarse
     inter-pod problems evaluated; ``flat_fallbacks`` counts
-    :func:`pod_theta` calls on topologies with no pod structure;
-    ``batch_dedup_hits`` counts duplicate rows that
-    :func:`repro.flows.theta_batch` served by copying an earlier row of
-    the same group instead of re-pricing.
+    :func:`pod_theta` calls on topologies with no pod structure.
     """
 
     pod_solves: int = 0
@@ -140,7 +137,6 @@ class BlockStats:
     envelope_decided: int = 0
     coarse_solves: int = 0
     flat_fallbacks: int = 0
-    batch_dedup_hits: int = 0
 
 
 class _Counters:
@@ -156,7 +152,6 @@ class _Counters:
             self.envelope_decided = 0
             self.coarse_solves = 0
             self.flat_fallbacks = 0
-            self.batch_dedup_hits = 0
 
     def bump(self, field: str, by: int = 1) -> None:
         with self.lock:
@@ -171,7 +166,6 @@ class _Counters:
                 envelope_decided=self.envelope_decided,
                 coarse_solves=self.coarse_solves,
                 flat_fallbacks=self.flat_fallbacks,
-                batch_dedup_hits=self.batch_dedup_hits,
             )
 
 

@@ -8,7 +8,7 @@ results by (topology fingerprint, matching) and is shared by default
 through a module-level instance.
 
 The cache is thread-safe *and* compute-once: when several of
-:func:`repro.planner.plan_many`'s worker threads race on the same key,
+:func:`repro.engine.plan_many`'s worker threads race on the same key,
 exactly one runs the LP solve while the others wait on it, so
 
 * no duplicate work is done (LP solves take milliseconds), and
@@ -52,6 +52,7 @@ __all__ = [
     "ThroughputCache",
     "default_cache",
     "theta_key_digest",
+    "theta_tag",
 ]
 
 
@@ -96,6 +97,19 @@ def theta_key_digest(key: tuple) -> str:
     fingerprint, matching, tag = key
     payload = ("theta-v1", fingerprint, matching.n, tuple(sorted(matching)), tag)
     return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
+
+
+def theta_tag(reference_rate: float, method: str = "auto") -> str:
+    """The cache tag of a :func:`~repro.flows.compute_theta` value.
+
+    Every exact theta — closed form, pod blocks, delta-priced or LP —
+    is stored under the ``auto`` tag, so however it was priced one
+    pattern has one entry.  The tag carries the reference rate: theta
+    scales with capacity / reference_rate, so evaluations of one
+    pattern under different normalizations must not share an entry (the
+    tag also feeds the content-addressed disk digest).
+    """
+    return f"theta:{method}@{reference_rate!r}"
 
 
 class ThetaStore:

@@ -110,6 +110,15 @@ def ring_shift_theta(
     return per_direction_fraction / k
 
 
+def rate_factor(topology: Topology, reference_rate):
+    """The factor taking a closed form, which is normalized by the
+    topology's recorded ``reference_rate``, to one normalized by
+    ``reference_rate`` (a float or an array of them).  Exactly ``1.0``
+    where the two agree, so rescaling never moves such a value."""
+    recorded = topology.metadata.get("reference_rate")
+    return 1.0 if recorded is None else float(recorded) / reference_rate
+
+
 def try_closed_form_theta(topology: Topology, matching: Matching) -> float | None:
     """Closed-form theta when topology metadata and pattern allow it.
 

@@ -29,22 +29,10 @@ result carries a :class:`ThetaCertificate` — the path flows and the
 best length function seen — that :func:`verify_certificate` rechecks
 with numpy alone.  The loop stops when no path undercuts its
 commodity's demand dual or the two bounds meet.
-
-Warm-started families
----------------------
-Grid sweeps solve *families* of near-identical instances: a degraded
-fabric is the pristine one with a perturbed capacity vector, and
-adjacent workload phases share the graph and commodity count with the
-demands moved.  The seed paths depend only on the graph and the
-demands, so :class:`WarmStartLPSolver` keeps them per family member
-and re-solves a capacity perturbation from them; its values,
-certificates included, are identical to :func:`max_concurrent_flow`'s.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from collections.abc import Sequence
 from itertools import chain
@@ -66,9 +54,6 @@ __all__ = [
     "verify_certificate",
     "commodities_from_matching",
     "commodities_from_matrix",
-    "WarmStartLPSolver",
-    "WarmStartStats",
-    "default_warm_solver",
 ]
 
 
@@ -304,15 +289,6 @@ class _PathMaster:
                 self._add(k, path)
         return dist[self.row_of, self.dst]
 
-    def seeds(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """The columns so far, to :meth:`reseed` a master that differs
-        only in capacities."""
-        return tuple(zip(self.col_comm, self.col_path))
-
-    def reseed(self, columns: Sequence[tuple[int, tuple[int, ...]]]) -> None:
-        for k, path in columns:
-            self._add(k, path)
-
     # -- the master LP -------------------------------------------------------
 
     def solve(self) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
@@ -480,43 +456,19 @@ def max_concurrent_flow(
         commodity is disconnected, and otherwise the certificate's
         ``theta_lo``.
     """
-    commodities, screened = _screen(
-        topology, commodities, reference_rate, return_flows
-    )
-    if screened is not None:
-        return screened
-    master = _PathMaster(topology, commodities, reference_rate)
-    return _solve(master, master.seed(), return_flows)
-
-
-def _screen(
-    topology: Topology,
-    commodities: Sequence[Commodity],
-    reference_rate: float,
-    return_flows: bool,
-) -> tuple[list[Commodity], ConcurrentFlowResult | None]:
-    """The commodities to route, and the result when no LP is needed
-    (no commodities, or a disconnected one)."""
     if reference_rate <= 0:
         raise FlowError(f"reference_rate must be positive, got {reference_rate}")
     commodities = [c for c in commodities if c.src != c.dst]
     if not commodities:
-        empty = ConcurrentFlowResult(
+        return ConcurrentFlowResult(
             theta=float("inf"), edge_flows=() if return_flows else None
         )
-        return commodities, empty
     # Quick reachability screen: a disconnected commodity pins theta at 0.
     for commodity in commodities:
         if not topology.has_path(commodity.src, commodity.dst):
-            return commodities, ConcurrentFlowResult(theta=0.0, edge_flows=None)
-    return commodities, None
-
-
-def _solve(
-    master: _PathMaster, hops: np.ndarray, return_flows: bool
-) -> ConcurrentFlowResult:
-    """Run column generation on a seeded master and package the result."""
-    theta, flows, theta_hi, lengths = master.run(hops)
+            return ConcurrentFlowResult(theta=0.0, edge_flows=None)
+    master = _PathMaster(topology, commodities, reference_rate)
+    theta, flows, theta_hi, lengths = master.run(master.seed())
     routes = master.routes(theta, flows)
     certificate = ThetaCertificate(
         theta_lo=theta,
@@ -647,126 +599,3 @@ def verify_certificate(
     weighted = float(np.array([c.demand for c in commodities]) @ reached)
     theta_hi = float(capacity @ lengths) / weighted if weighted > 0 else float("inf")
     return theta_lo, theta_hi
-
-
-# -- warm-started families ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WarmStartStats:
-    """Counters exposed by :class:`WarmStartLPSolver`.
-
-    ``cold_solves`` counts first solves of a family member (seed paths
-    searched); ``warm_solves`` counts re-solves of a known member, which
-    start pricing from its cached seed paths.
-    """
-
-    families: int
-    members: int
-    cold_solves: int
-    warm_solves: int
-
-
-class WarmStartLPSolver:
-    """:func:`max_concurrent_flow` with seed paths kept across LP families.
-
-    A *family* is the set of LPs sharing one structural fingerprint —
-    node set, edge endpoints, commodity count.  Degraded fabrics are the
-    pristine LP with perturbed capacities (same family, same member);
-    adjacent workload phases move the demands (same family, new member).
-    Column generation's seed paths depend on the member but not on its
-    capacities, so the solver keeps them per member and a re-solve
-    starts pricing from them.  Every result, certificate included, is
-    identical to :func:`max_concurrent_flow`'s.
-
-    Thread-safe; the lock guards the caches only, never a solve.
-    """
-
-    def __init__(self, max_families: int = 32, max_members: int = 64) -> None:
-        self._lock = threading.Lock()
-        self._max_families = max_families
-        self._max_members = max_members
-        self._families: OrderedDict = OrderedDict()
-        self._cold_solves = 0
-        self._warm_solves = 0
-
-    def solve(
-        self,
-        topology: Topology,
-        commodities: Sequence[Commodity],
-        reference_rate: float,
-        return_flows: bool = False,
-    ) -> ConcurrentFlowResult:
-        """Drop-in for :func:`max_concurrent_flow`, reusing the seed
-        paths of an earlier solve of the same member."""
-        commodities, screened = _screen(
-            topology, commodities, reference_rate, return_flows
-        )
-        if screened is not None:
-            return screened
-        master = _PathMaster(topology, commodities, reference_rate)
-        family_key = (tuple(master.node_list), master.edges, master.n_comm)
-        member_key = tuple((c.src, c.dst, c.demand) for c in commodities)
-
-        with self._lock:
-            members = self._families.get(family_key)
-            if members is None:
-                members = self._families[family_key] = OrderedDict()
-                while len(self._families) > self._max_families:
-                    self._families.popitem(last=False)
-            else:
-                self._families.move_to_end(family_key)
-            seeded = members.get(member_key)
-            if seeded is None:
-                self._cold_solves += 1
-            else:
-                members.move_to_end(member_key)
-                self._warm_solves += 1
-
-        if seeded is None:
-            hops = master.seed()
-            with self._lock:
-                members[member_key] = (master.seeds(), hops)
-                while len(members) > self._max_members:
-                    members.popitem(last=False)
-        else:
-            columns, hops = seeded
-            master.reseed(columns)
-        return _solve(master, hops, return_flows)
-
-    def solve_matching(
-        self, topology: Topology, matching: Matching, reference_rate: float
-    ) -> float:
-        """Theta for one permutation step (unit-demand commodities)."""
-        return self.solve(
-            topology, commodities_from_matching(matching), reference_rate
-        ).theta
-
-    def stats(self) -> WarmStartStats:
-        with self._lock:
-            return WarmStartStats(
-                families=len(self._families),
-                members=sum(len(m) for m in self._families.values()),
-                cold_solves=self._cold_solves,
-                warm_solves=self._warm_solves,
-            )
-
-    def clear(self) -> None:
-        """Drop every cached family and member, and zero the counters."""
-        with self._lock:
-            self._families.clear()
-            self._cold_solves = 0
-            self._warm_solves = 0
-
-
-_default_warm_solver: WarmStartLPSolver | None = None
-_default_warm_solver_lock = threading.Lock()
-
-
-def default_warm_solver() -> WarmStartLPSolver:
-    """Process-wide shared :class:`WarmStartLPSolver` (lazily created)."""
-    global _default_warm_solver
-    with _default_warm_solver_lock:
-        if _default_warm_solver is None:
-            _default_warm_solver = WarmStartLPSolver()
-        return _default_warm_solver

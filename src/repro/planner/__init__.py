@@ -6,9 +6,8 @@ decision through one declarative surface:
 
 * :class:`Scenario` — a frozen, dict-round-trippable description of a
   planning problem (topology + collective + cost scalars + knobs);
-* :func:`plan` — solve one scenario with any registered solver;
-* :func:`plan_many` — solve a batch, sharing the thread-safe theta
-  cache across requests and parallelizing with worker threads;
+* :func:`plan` — solve one scenario with any registered solver
+  (:func:`repro.engine.plan_many` solves a batch);
 * :func:`register_solver` / :func:`available_solvers` — the engine
   registry (built-ins: ``dp``, ``ilp``, ``pool``, ``overlap``,
   ``threshold``, ``greedy``, plus the ``static`` / ``bvn`` baselines).
@@ -27,7 +26,6 @@ Quickstart::
     print(result.schedule, result.total_time)
 """
 
-from .batch import plan_many
 from .registry import (
     SolverFn,
     available_solvers,
@@ -56,7 +54,6 @@ __all__ = [
     "PlanResult",
     "SolverFn",
     "plan",
-    "plan_many",
     "register_solver",
     "unregister_solver",
     "available_solvers",

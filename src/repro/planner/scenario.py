@@ -9,7 +9,7 @@ Scenarios round-trip through plain dicts (:meth:`Scenario.to_dict` /
 all drive the planner without touching library objects.
 
 Scenarios are hashable: equal specs compare equal, which lets
-:func:`repro.planner.plan_many` and the topology memo deduplicate work
+:func:`repro.engine.plan_many` and the topology memo deduplicate work
 across a grid sweep.
 """
 
@@ -72,7 +72,10 @@ def canonical_digest(tag: str, payload: object) -> str:
 
 Options = tuple[tuple[str, object], ...]
 
-_THETA_METHODS = ("auto", "lp", "lp-warm", "closed", "sp", "proxy", "block")
+_THETA_METHODS = ("auto", "sp", "proxy")
+#: Former spellings of the exact theta, read as ``"auto"`` so stored
+#: scenario dicts keep loading (and fingerprint as ``"auto"``).
+_EXACT_ALIASES = ("lp", "lp-warm", "block")
 
 
 def _freeze_options(options: object) -> Options:
@@ -345,7 +348,9 @@ class Scenario:
     cost:
         The alpha-beta-theta scalars, including ``alpha_r``.
     theta_method:
-        Theta estimator passed to :func:`repro.flows.compute_theta`.
+        Theta estimator passed to :func:`repro.flows.compute_theta`:
+        ``"auto"`` (exact), ``"sp"`` or ``"proxy"`` (bounds).  Former
+        spellings of the exact method are normalized to ``"auto"``.
     path_rule:
         How per-pair hop counts collapse into ``l_i``.
     multiport_radix:
@@ -379,6 +384,8 @@ class Scenario:
     health: FabricHealth | None = None
 
     def __post_init__(self) -> None:
+        if self.theta_method in _EXACT_ALIASES:
+            object.__setattr__(self, "theta_method", "auto")
         if self.theta_method not in _THETA_METHODS:
             raise ConfigurationError(
                 f"unknown theta method {self.theta_method!r}; choose from "
@@ -741,7 +748,7 @@ def scenario_grid(
     """The row-major (message size x alpha_r) sweep of ``base``.
 
     This is the grid behind every Figure 1 / Figure 2 heatmap; feed the
-    result to :func:`repro.planner.plan_many`.
+    result to :func:`repro.engine.plan_many`.
     """
     message_sizes = tuple(float(m) for m in message_sizes)
     alpha_rs = tuple(float(a) for a in alpha_rs)

@@ -18,10 +18,6 @@ bvn        reconfigure every step (baseline policy)
 avoid      the exact DP, but matched steps touching unhealthy ports
            (failed transceiver lanes, ports dimmed below
            ``min_health``) are forbidden — plan *around* the faults
-block      hierarchical pod-fabric planning: steps priced by the exact
-           blockwise theta decomposition (``theta_method="block"``),
-           schedule optimization delegated to any registered solver
-           via the ``inner`` option (default ``"dp"``)
 ========== ==========================================================
 
 The adapters are bit-faithful: for a given scenario they feed the
@@ -42,9 +38,9 @@ from ..core.overlap import optimize_with_overlap
 from ..core.schedule import Schedule, evaluate_schedule
 from ..exceptions import ConfigurationError
 from ..flows import ThroughputCache
-from .registry import get_solver, register_solver
+from .registry import register_solver
 from .result import PlanRequest, PlanResult
-from .scenario import TopologySpec, _freeze_options
+from .scenario import TopologySpec
 
 __all__ = ["register_builtin_solvers"]
 
@@ -248,46 +244,6 @@ def _solve_pool(request: PlanRequest, cache: ThroughputCache | None) -> PlanResu
     )
 
 
-def _solve_block(
-    request: PlanRequest, cache: ThroughputCache | None
-) -> PlanResult:
-    """Hierarchical planning for pod fabrics: block theta + any inner solver.
-
-    The scenario's theta estimator is rewired to ``"block"`` — every
-    step is priced by the exact blockwise decomposition of
-    :func:`repro.flows.block.pod_theta` (one small LP per distinct pod
-    subproblem, coarse inter-pod stitch, bounds pre-screen) instead of
-    the flat LP — and the schedule optimization itself is delegated to
-    any registered solver via the ``inner`` option (default ``"dp"``).
-    Because the decomposition is exact, the plan is identical to the
-    inner solver's plan under ``theta_method="lp"``, only cheaper; the
-    golden n=128 fixture pins this at 1e-9.
-
-    Works on flat fabrics too (the block method falls back to the flat
-    LP), so one solver name can serve mixed fleets.  Remaining options
-    pass through to the inner solver untouched.
-    """
-    options = request.options_dict
-    inner_name = str(options.pop("inner", "dp"))
-    if inner_name == "block":
-        raise ConfigurationError("the block solver cannot nest itself")
-    scenario = request.scenario
-    if scenario.theta_method != "block":
-        scenario = scenario.replace(theta_method="block")
-    inner_request = PlanRequest(
-        scenario=scenario,
-        solver=inner_name,
-        options=_freeze_options(options),
-    )
-    result = get_solver(inner_name)(inner_request, cache)
-    return dataclasses.replace(
-        result,
-        request=request,
-        solver=request.solver,
-        metadata=result.metadata + (("inner", inner_name),),
-    )
-
-
 def register_builtin_solvers(overwrite: bool = False) -> None:
     """Install the built-in solver set into the registry."""
     register_solver("dp", _solve_dp, overwrite=overwrite)
@@ -299,7 +255,6 @@ def register_builtin_solvers(overwrite: bool = False) -> None:
     register_solver("greedy", _heuristic(greedy_sequential_schedule), overwrite=overwrite)
     register_solver("static", _fixed_policy("static"), overwrite=overwrite)
     register_solver("bvn", _fixed_policy("bvn"), overwrite=overwrite)
-    register_solver("block", _solve_block, overwrite=overwrite)
 
 
 register_builtin_solvers()

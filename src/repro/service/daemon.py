@@ -389,9 +389,8 @@ class PlannerDaemon:
 
         Besides the daemon's own admission/latency counters and the
         resident cache statistics, the snapshot surfaces the block
-        solver's work-avoidance counters (``block``, including
-        ``batch_dedup_hits`` from :func:`repro.flows.theta_batch`) and
-        the delta path's (``incremental``, with the derived
+        solver's work-avoidance counters (``block``) and the delta
+        path's (``incremental``, with the derived
         ``reuse_ratio`` and the number of resident lineage contexts).
         Both are process-wide counters, shared with any in-process
         library callers.
@@ -570,10 +569,15 @@ class PlannerDaemon:
     def _context_for(self, scenario):
         """The resident :class:`~repro.engine.PlanContext` for a
         scenario's fabric lineage, or ``None`` for scenarios the delta
-        path does not cover (non-``block`` theta methods)."""
-        if scenario.theta_method != "block":
+        path does not cover (see :func:`repro.engine.delta_priced`)."""
+        from ..engine.incremental import (
+            PlanContext,
+            delta_priced,
+            scenario_lineage,
+        )
+
+        if not delta_priced(scenario):
             return None
-        from ..engine.incremental import PlanContext, scenario_lineage
 
         lineage = scenario_lineage(scenario)
         with self._plan_contexts_lock:
@@ -632,13 +636,12 @@ class PlannerDaemon:
 
         seeded = 0
         for scenario in scenarios:
-            context = self._context_for(scenario)
-            if context is None:
-                continue
             try:
-                seeded += prewarm_scenario_context(
-                    scenario, context, cache=self.cache
-                )
+                context = self._context_for(scenario)
+                if context is not None:
+                    seeded += prewarm_scenario_context(
+                        scenario, context, cache=self.cache
+                    )
             except Exception:
                 continue
         return seeded
@@ -766,11 +769,10 @@ class PlannerDaemon:
                 return ("ok", result.to_dict())
             if isinstance(body, WorkloadBody):
                 from ..sim.workload import simulate_workload
-                from ..workload.policies import _DELTA_POLICIES
 
                 options = dict(body.options)
-                if body.policy in _DELTA_POLICIES and body.workload.phases:
-                    # Delta policies prewarm through the lineage's
+                if body.workload.phases:
+                    # Exact pod workloads prewarm through the lineage's
                     # resident context, so successive workloads on the
                     # same (perturbed) fabric delta against each other.
                     context = self._context_for(body.workload.phases[0])

@@ -4,13 +4,13 @@ Two layers:
 
 * the simulator proper (:class:`FlowLevelSimulator`, :func:`simulate`)
   operating on library objects (collectives, topologies, schedules);
-* the planner-facing executor (:func:`simulate_plan`, :func:`sim_many`,
+* the planner-facing executor (:func:`simulate_plan`,
   :class:`SimResult`) that lowers declarative
   :class:`~repro.planner.Scenario` / :class:`~repro.planner.PlanResult`
-  items onto the simulator — plan it, then replay it.
+  items onto the simulator — plan it, then replay it
+  (:func:`repro.engine.sim_many` batches it).
 """
 
-from .batch import sim_many
 from .events import EventQueue
 from .executor import SimResult, SimStep, simulate_plan
 from .flowsim import FlowLevelSimulator, SimulationResult, StepTiming
@@ -45,7 +45,6 @@ __all__ = [
     "SimResult",
     "SimStep",
     "simulate_plan",
-    "sim_many",
     "PhaseSimResult",
     "WorkloadSimResult",
     "simulate_workload",

@@ -10,9 +10,9 @@ flow simulator and reporting what actually happened:
   with the measured completion time, per-step timing rows, link
   utilization on the base fabric, and the analytic prediction it was
   planned against;
-* :func:`repro.sim.sim_many` (in :mod:`repro.sim.batch`) batches the
+* :func:`repro.engine.sim_many` batches the
   same lowering over many scenarios, mirroring
-  :func:`repro.planner.plan_many`.
+  :func:`repro.engine.plan_many`.
 
 Under the idealized settings (``mcf`` rates, ``paper`` accounting) the
 measured total provably equals the analytic Eq. 7 objective, and
@@ -376,7 +376,7 @@ def _should_check_model(
         planned.cost is not None
         and rate_method == "mcf"
         and accounting == "paper"
-        and scenario.theta_method in ("auto", "lp", "lp-warm", "closed")
+        and scenario.theta_method == "auto"
         and not compute_overlap
         and "compute_times" not in planned.metadata_dict
         and not math.isinf(planned.total_time)

@@ -90,7 +90,7 @@ def simulate(
         check_model
         and rate_method == "mcf"
         and accounting == "paper"
-        and theta_method in ("auto", "lp", "lp-warm", "closed")
+        and theta_method == "auto"
         and not math.isinf(analytic.total)
     ):
         gap = abs(simulation.total_time - analytic.total)

@@ -14,7 +14,7 @@ that anchor — the workload-level analogue of ``simulate_plan``'s
 model check.
 
 :func:`workload_many` batches whole workload sweeps, mirroring
-:func:`~repro.planner.plan_many` / :func:`~repro.sim.sim_many`:
+:func:`~repro.engine.plan_many` / :func:`~repro.engine.sim_many`:
 one shared thread-safe theta cache, results in input order, parallel
 bit-identical to serial.  It is a shim over the unified evaluation
 engine (:func:`repro.engine.workload_many`), which adds the process
@@ -209,12 +209,7 @@ class WorkloadSimResult:
 def _should_check_phase(scenario, rate_method: str) -> bool:
     """Whether a phase's measured time must equal the physical analytic
     total (the same idealized-settings rule as ``simulate_plan``)."""
-    return rate_method == "mcf" and scenario.theta_method in (
-        "auto",
-        "lp",
-        "lp-warm",
-        "closed",
-    )
+    return rate_method == "mcf" and scenario.theta_method == "auto"
 
 
 def simulate_workload(
@@ -429,7 +424,7 @@ def workload_many(
 
     A shim over :func:`repro.engine.workload_many` — see that function
     for the full parameter documentation.  The workload twin of
-    :func:`~repro.planner.plan_many` and :func:`~repro.sim.sim_many`:
+    :func:`~repro.engine.plan_many` and :func:`~repro.engine.sim_many`:
     bare :class:`~repro.workload.Workload` items are planned with
     ``policy`` / ``solver`` / ``reconfiguration_model`` first, prepared
     :class:`~repro.workload.WorkloadPlan` items are executed as-is, and

@@ -285,13 +285,17 @@ class Topology:
     # -- derivation ---------------------------------------------------------------
 
     def scaled(self, factor: float, name: str | None = None) -> "Topology":
-        """A copy with every edge capacity multiplied by ``factor``."""
+        """A copy with every edge capacity multiplied by ``factor``.
+
+        The closed-form ``family`` hint is dropped: the formulas assume
+        the family's own capacities, so theta of the copy comes from the
+        LP."""
         factor = require_positive(factor, "scale factor", TopologyError)
         return Topology(
             self._n_ranks,
             ((u, v, c * factor) for u, v, c in self.edges()),
             name=name or f"{self._name}*{factor:g}",
-            metadata=self._metadata,
+            metadata={k: v for k, v in self._metadata.items() if k != "family"},
         )
 
     def union(self, other: "Topology", name: str | None = None) -> "Topology":

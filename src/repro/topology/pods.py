@@ -12,10 +12,11 @@ exactly what makes the blockwise theta decomposition in
 
 The flat :class:`~repro.topology.base.Topology` a fabric builds carries
 its pod structure in ``metadata["pods"]`` (rank ranges + the core
-label).  Everything downstream — the ``"block"`` theta method, the
-engine's ``block-lp`` backend, theta-affinity chunking — keys off that
-metadata, so a degraded fabric (``FabricHealth.apply`` preserves the
-key) still routes through the block path.
+label).  Everything downstream — exact theta pricing
+(:func:`repro.flows.compute_theta` takes the block route), delta
+pricing, theta-affinity chunking — keys off that metadata, so a
+degraded fabric (``FabricHealth.apply`` preserves the key) still
+routes through the block path.
 
 Uneven pod sizes, per-pod degraded uplinks (``uplink_multipliers``),
 and any registered pod family are supported; fabrics round-trip through
@@ -162,8 +163,8 @@ class PodFabric:
 
         The result carries ``metadata["pods"]`` (rank ranges and the
         core label) so :func:`repro.flows.block.pod_structure` — and
-        through it the ``"block"`` theta method — recognizes the
-        hierarchy even after :class:`FabricHealth` degradation.
+        through it exact theta pricing — recognizes the hierarchy even
+        after :class:`FabricHealth` degradation.
         """
         build = POD_FAMILIES[self.pod_family]
         uplink = (

@@ -282,32 +282,9 @@ def _oracle(context: PolicyContext) -> list[Schedule]:
     return schedules
 
 
-def _replan_delta(context: PolicyContext) -> list[Schedule]:
-    """``replan`` with delta-aware theta prewarming.
-
-    Decisions are identical to ``replan``: by the time this runs,
-    :func:`plan_workload` has already priced every block-method phase
-    incrementally through its :class:`~repro.engine.PlanContext` and
-    published the (exact) values into the shared cache, so the per-phase
-    planning below is pure lookups on the theta side.
-    """
-    return _replan(context)
-
-
-def _hysteresis_delta(context: PolicyContext) -> list[Schedule]:
-    """``hysteresis`` on delta-prewarmed theta values (same decisions)."""
-    return _hysteresis(context)
-
-
 register_policy("replan", _replan)
 register_policy("hysteresis", _hysteresis)
 register_policy("oracle", _oracle)
-register_policy("replan-delta", _replan_delta)
-register_policy("hysteresis-delta", _hysteresis_delta)
-
-#: Policies that request incremental (delta-aware) theta prewarming in
-#: :func:`plan_workload` before step costs are evaluated.
-_DELTA_POLICIES = ("replan-delta", "hysteresis-delta")
 
 
 # -- the front door ----------------------------------------------------------
@@ -346,13 +323,12 @@ def plan_workload(
     plan_context:
         A :class:`~repro.engine.PlanContext` carrying incremental theta
         state across phases (and across calls — the service daemon
-        passes its resident context).  Implied by the delta policies
-        (``replan-delta``, ``hysteresis-delta``): a fresh context is
-        created when none is given.  Phases using the ``block`` theta
-        method are then priced *incrementally*, phase k delta-solving
+        passes its resident context).  With one, exact phases on pod
+        fabrics are priced *incrementally*, phase k delta-solving
         against phase k-1 — health drift or demand drift re-solves only
         the pods that changed — before the step costs below are
         evaluated, so the policy's planning reads warm exact values.
+        Every policy accepts it; the values are the same as without.
     options:
         Policy-specific options (e.g. ``threshold`` for hysteresis) or,
         for ``replan``, solver options forwarded to the planner.
@@ -371,14 +347,12 @@ def plan_workload(
         )
     )
     base = workload.base_configuration()
-    if policy in _DELTA_POLICIES or plan_context is not None:
-        # Incremental prewarm before step costs: phase k's block-method
+    if plan_context is not None:
+        # Incremental prewarm before step costs: phase k's exact pod
         # theta values delta-solve against phase k-1's parts and land
         # in the cache the step-cost pass below reads.
-        from ..engine.incremental import PlanContext, prewarm_workload_context
+        from ..engine.incremental import prewarm_workload_context
 
-        if plan_context is None:
-            plan_context = PlanContext()
         prewarm_workload_context(workload, plan_context, cache=cache)
     phase_step_costs = tuple(
         scenario.step_costs(cache=cache) for scenario in workload.phases

@@ -5,7 +5,7 @@ rewrite against its reference implementation, pairwise, over *generated
 scenario families* rather than hand-picked cases:
 
 * scalar closed forms  vs  the vectorized batch kernels,
-* cold ``max_concurrent_flow``  vs  the warm-started family solver,
+* the blockwise decomposition  vs  the flat ``max_concurrent_flow``,
 * serial  vs  thread  vs  process execution backends.
 
 Every exact theta taken through :func:`certified_theta` also has its
@@ -29,6 +29,7 @@ from repro.fabric.degradation import (
 from repro.flows import max_concurrent_flow, verify_certificate
 from repro.matching import Matching
 from repro.topology import (
+    PodFabric,
     coprime_rings,
     full_mesh,
     hypercube,
@@ -123,13 +124,29 @@ def lp_only_families(n: int = 8) -> list[tuple[object, list[Matching]]]:
     ]
 
 
+def pod_families(n: int = 8) -> list[tuple[object, list[Matching]]]:
+    """Pod fabrics, whose exact theta is priced by pod blocks: two even
+    pods, and the same pods behind one dimmed uplink bundle."""
+    half = n // 2
+    even = PodFabric(pod_sizes=(half, n - half), bandwidth=RATE, uplinks_per_pod=2)
+    dimmed = PodFabric(
+        pod_sizes=(half, n - half),
+        bandwidth=RATE,
+        uplinks_per_pod=2,
+        uplink_multipliers=(1.0, 0.5),
+    )
+    return [
+        (even.flat_topology(), _mixed_patterns(n)),
+        (dimmed.flat_topology(), _mixed_patterns(n)),
+    ]
+
+
 def degraded_variants(topology, n: int):
     """The pristine fabric plus degraded conditions of the same graph.
 
-    Uniform dimming and hotspots keep every lane (same LP structure —
-    the warm solver's capacity-perturbation case); random failures
-    remove lanes (different structure — a new family, which the solver
-    must also get right).
+    Uniform dimming and hotspots keep every lane (same LP structure,
+    new capacities); random failures remove lanes (a different graph,
+    which every route must also get right).
     """
     healths = [
         None,

@@ -1,6 +1,6 @@
 """Block decomposition vs flat LP: exact agreement at 1e-9.
 
-The ``"block"`` theta method claims *exactness*, not approximation:
+The blockwise decomposition claims *exactness*, not approximation:
 for pods joined only through a non-blocking core switch,
 
     theta_flat = min(min_p phi_p, phi_coarse).
@@ -19,9 +19,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from families import RATE, agree, certified_theta
-from repro.engine import compute_theta_backend
 from repro.fabric.degradation import hotspot, uniform_degradation
-from repro.flows import commodities_from_matching, pod_theta
+from repro.flows import commodities_from_matching, compute_theta, pod_theta
 from repro.matching import Matching
 from repro.topology import PodFabric
 
@@ -105,17 +104,13 @@ def test_fabric_health_degradation():
             assert_block_equals_flat(topology, matching)
 
 
-def test_engine_backends_agree():
+def test_exact_theta_takes_the_block_route():
     fabric = PodFabric(pod_sizes=(6, 6), bandwidth=RATE, uplinks_per_pod=2)
     topology = fabric.flat_topology()
     matching = Matching.shift(12, 5)
-    block = compute_theta_backend(
-        topology, matching, RATE, backend="block-lp", cache=None
-    )
-    flat = compute_theta_backend(
-        topology, matching, RATE, backend="exact-lp", cache=None
-    )
-    assert agree(block, flat, TOL)
+    routed = compute_theta(topology, matching, RATE, cache=None)
+    assert routed == pod_theta(topology, matching, RATE)
+    assert agree(routed, flat_theta(topology, matching), TOL)
 
 
 @st.composite

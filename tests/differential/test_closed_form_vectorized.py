@@ -3,9 +3,9 @@
 The batch kernels must be *pointwise indistinguishable* from the scalar
 path: ``nan`` exactly where the scalar detector returns ``None``,
 ``inf`` exactly on empty matchings, and the same IEEE value everywhere a
-formula applies.  ``theta_batch`` / the ``closed-form`` backend's
-``theta_many`` must then agree with per-call ``compute_theta`` on every
-row — including the rows that fall back to the LP.
+formula applies.  ``theta_batch`` must then agree with per-call
+``compute_theta`` on every row — including the rows that fall back to
+the LP.
 """
 
 from __future__ import annotations
@@ -23,8 +23,13 @@ from families import (
     degraded_variants,
     lp_only_families,
 )
-from repro.engine import compute_theta_backend, compute_theta_backend_many
-from repro.flows import ThroughputCache, compute_theta, theta_batch
+from repro.flows import (
+    ThroughputCache,
+    commodities_from_matching,
+    compute_theta,
+    max_concurrent_flow,
+    theta_batch,
+)
 from repro.flows.closed_forms import (
     closed_form_theta_batch,
     detect_uniform_shift,
@@ -121,29 +126,22 @@ class TestThetaBatchMatchesComputeTheta:
         assert after.hits >= len(shifts)
 
 
-class TestBackendBatchEntryPoint:
-    def test_theta_many_agrees_with_scalar_backend(self):
+class TestCachedBatchEntryPoint:
+    def test_cached_batch_agrees_with_scalar(self):
         for topology, patterns in closed_form_families(8):
             cache = ThroughputCache()
-            many = compute_theta_backend_many(
-                topology, patterns, RATE, backend="closed-form", cache=cache
-            )
+            many = theta_batch(topology, patterns, RATE, cache=cache)
             for matching, value in zip(patterns, many):
-                scalar = compute_theta_backend(
-                    topology,
-                    matching,
-                    RATE,
-                    backend="closed-form",
-                    cache=ThroughputCache(),
+                scalar = compute_theta(
+                    topology, matching, RATE, cache=ThroughputCache()
                 )
                 assert agree(value, scalar), (topology.name, matching)
 
-    def test_default_theta_many_loop_for_lp_backend(self):
+    def test_lp_only_rows_agree_with_the_lp(self):
         topology, patterns = lp_only_families(6)[0]
-        many = compute_theta_backend_many(
-            topology, patterns, RATE, backend="exact-lp", cache=None
-        )
+        many = theta_batch(topology, patterns, RATE, cache=None)
         for matching, value in zip(patterns, many):
-            assert agree(
-                value, compute_theta(topology, matching, RATE, method="lp", cache=None)
-            )
+            lp = max_concurrent_flow(
+                topology, commodities_from_matching(matching), RATE
+            ).theta
+            assert agree(value, lp)

@@ -6,8 +6,8 @@ scientific payload: same plans, same simulated times, same workload
 phase results, whether the batch runs inline, on a thread pool, or
 through the shared-memory process pool.  Scenario families here include
 the cases the batch-first rewrite touches hardest — closed-form grids
-(prewarmed), degraded fabrics (LP families), and the ``exact-lp-warm``
-routed backend.
+(prewarmed), degraded fabrics (LP families), pod fabrics (the block
+route) and bound-priced cells.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ def base_scenario(n=8, algorithm="allreduce_recursive_doubling"):
 
 def mixed_scenarios():
     """A batch mixing pristine closed-form cells, degraded LP cells,
-    and per-method routed cells."""
+    a pod-fabric cell and a bound-priced cell."""
     base = base_scenario()
     return [
         base,
@@ -52,8 +52,18 @@ def mixed_scenarios():
         base.replace(message_size=MiB(16), name="large"),
         base.replace(health=uniform_degradation(8, 0.75), name="dim"),
         base.replace(health=random_failures(8, seed=5), name="faulty"),
-        base.replace(theta_method="lp", name="lp-routed"),
-        base.replace(theta_method="lp-warm", name="warm-routed"),
+        Scenario.create(
+            "allreduce_recursive_doubling",
+            n=8,
+            message_size=MiB(1),
+            alpha=ns(100),
+            delta=ns(100),
+            reconfiguration_delay=us(10),
+            topology="podfabric",
+            topology_options={"pods": 2, "uplinks_per_pod": 2},
+            name="pods",
+        ),
+        base.replace(theta_method="sp", name="sp-priced"),
     ]
 
 
@@ -102,39 +112,6 @@ class TestPlanManyBackendsAgree:
         )
         assert stripped(serial) == stripped(thread) == stripped(process)
         assert_thetas_close(serial, process)
-
-    @pytest.mark.parametrize("theta_backend", ["exact-lp", "exact-lp-warm"])
-    def test_routed_backends_match_across_execution(self, theta_backend):
-        scenarios = [base_scenario(), base_scenario().replace(message_size=MiB(4))]
-        serial = plan_many(
-            scenarios, theta_backend=theta_backend, cache=ThroughputCache()
-        )
-        thread = plan_many(
-            scenarios,
-            theta_backend=theta_backend,
-            parallel_backend="thread",
-            parallel=WORKERS,
-            cache=ThroughputCache(),
-        )
-        assert stripped(serial) == stripped(thread)
-
-    def test_warm_routing_equals_cold_routing(self):
-        scenarios = [
-            base_scenario(),
-            base_scenario().replace(health=uniform_degradation(8, 0.6)),
-        ]
-        cold = plan_many(
-            scenarios, theta_backend="exact-lp", cache=ThroughputCache()
-        )
-        warm = plan_many(
-            scenarios, theta_backend="exact-lp-warm", cache=ThroughputCache()
-        )
-        for a, b in zip(cold, warm):
-            da, db = a.to_dict(), b.to_dict()
-            for key in ("cache_stats", "scenario"):
-                da.pop(key, None)
-                db.pop(key, None)
-            assert da == db
 
 
 class TestSimAndWorkloadBackendsAgree:

@@ -3,9 +3,9 @@
 Hypothesis generates the scenario families the hand-written cases can't
 anticipate — random partial matchings, random permutations, random
 port-dimming and lane-failure states — and the differential contracts
-must hold on every draw: batch kernels equal scalar closed forms, the
-warm solver equals the cold LP, and degraded fabrics agree between
-both LP paths at 1e-9.
+must hold on every draw: batch kernels equal scalar closed forms, and
+degraded fabrics agree between the batch and scalar routes and the
+certified LP at 1e-9.
 """
 
 from __future__ import annotations
@@ -16,12 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from families import RATE, agree, certified_theta
 from repro.fabric import FabricHealth
-from repro.flows import (
-    WarmStartLPSolver,
-    commodities_from_matching,
-    compute_theta,
-    theta_batch,
-)
+from repro.flows import commodities_from_matching, compute_theta, theta_batch
 from repro.flows.closed_forms import (
     closed_form_theta_batch,
     try_closed_form_theta,
@@ -124,19 +119,20 @@ def test_theta_batch_equals_compute_theta_on_random_rows(data, n):
 
 @settings(max_examples=25, deadline=None)
 @given(data=st.data(), n=st.sampled_from(SIZES))
-def test_warm_solver_equals_cold_lp_on_random_states(data, n):
+def test_exact_route_equals_cold_lp_on_random_states(data, n):
     """The hardest mix: random health applied to a ring, random
-    matching — warm and cold must agree on every draw."""
-    topology = ring(n, RATE)
-    health = data.draw(health_states(n))
-    degraded = health.apply(topology)
+    matching — the exact route and the certified LP must agree on
+    every draw, and a cached re-read must return the same value."""
+    from repro.flows import ThroughputCache
+
+    degraded = data.draw(health_states(n)).apply(ring(n, RATE))
     matching = data.draw(matchings(n))
-    solver = WarmStartLPSolver()
     cold = certified_theta(degraded, commodities_from_matching(matching))
-    warm = solver.solve_matching(degraded, matching, RATE)
-    assert agree(cold, warm)
-    # A second solve of the same state is warm and still identical.
-    assert solver.solve_matching(degraded, matching, RATE) == warm
+    cache = ThroughputCache()
+    exact = compute_theta(degraded, matching, RATE, cache=cache)
+    assert agree(cold, exact)
+    assert compute_theta(degraded, matching, RATE, cache=cache) == exact
+    assert cache.stats().misses == 1
 
 
 @settings(max_examples=20, deadline=None)

@@ -13,6 +13,10 @@ report.
 python recipes already covered here and in the CI smoke steps).
 ``docs/paper_map.md``'s pod-fabric snippet runs here too — it pins the
 block-vs-flat exactness claim live on every suite run.
+
+Source anchors — ``src/…py:N``, and the short ``/ `:N``` form that
+reuses the previous anchor's file — must land on a ``def`` or
+``class`` line, so a reader following one lands on the symbol.
 """
 
 from __future__ import annotations
@@ -22,10 +26,12 @@ from pathlib import Path
 
 import pytest
 
-DOCS = Path(__file__).parent.parent / "docs"
+ROOT = Path(__file__).parent.parent
+DOCS = ROOT / "docs"
 DOC_FILES = ("architecture.md", "cookbook.md", "paper_map.md", "service.md")
 
 _FENCE = re.compile(r"```python\n(.*?)```", re.DOTALL)
+_ANCHOR = re.compile(r"`(src/[\w/]+\.py):(\d+)`|`:(\d+)`")
 
 
 def python_snippets(name: str) -> list[str]:
@@ -59,3 +65,31 @@ def test_snippets_execute(name):
                 f"docs/{name} snippet {index} ({first_line!r}) failed: "
                 f"{type(exc).__name__}: {exc}"
             )
+
+
+def source_anchors() -> list[tuple[str, str, int]]:
+    """``(where, path, line)`` for every source anchor in ``docs/``."""
+    anchors = []
+    for doc in sorted(DOCS.glob("*.md")):
+        for number, text in enumerate(doc.read_text().splitlines(), 1):
+            path = None
+            for match in _ANCHOR.finditer(text):
+                if match.group(1):
+                    path, line = match.group(1), match.group(2)
+                else:
+                    assert path, f"{doc.name}:{number}: `:N` with no file before it"
+                    line = match.group(3)
+                anchors.append((f"{doc.name}:{number}", path, int(line)))
+    return anchors
+
+
+def test_source_anchors_land_on_definitions():
+    anchors = source_anchors()
+    assert len(anchors) >= 40
+    wrong = []
+    for where, path, line in anchors:
+        lines = (ROOT / path).read_text().splitlines()
+        target = lines[line - 1].lstrip() if line <= len(lines) else ""
+        if not target.startswith(("def ", "class ")):
+            wrong.append(f"{where} -> {path}:{line}: {target!r}")
+    assert not wrong, "\n".join(wrong)

@@ -206,6 +206,41 @@ class TestProcessDeterminism:
         assert stats.disk_hits > 0
 
 
+class TestThetaMethodsAcrossThreads:
+    @pytest.mark.parametrize("theta_method", ["auto", "sp", "proxy"])
+    def test_thread_pool_matches_serial(self, theta_method):
+        """Each theta method plans the same on a thread pool as inline,
+        on closed-form cells and on a pod-fabric cell alike."""
+        pods = Scenario.create(
+            "allreduce_recursive_doubling",
+            n=8,
+            message_size=MiB(1),
+            alpha=ns(100),
+            delta=ns(100),
+            reconfiguration_delay=us(10),
+            topology="podfabric",
+            topology_options={"pods": 2, "uplinks_per_pod": 2},
+        )
+        scenarios = [
+            scenario.replace(theta_method=theta_method)
+            for scenario in (
+                base_scenario(),
+                base_scenario().replace(message_size=MiB(4)),
+                pods,
+            )
+        ]
+        serial = plan_many(scenarios, cache=ThroughputCache())
+        thread = plan_many(
+            scenarios,
+            parallel_backend="thread",
+            parallel=WORKERS,
+            cache=ThroughputCache(),
+        )
+        assert [_plan_dict(r) for r in thread] == [
+            _plan_dict(r) for r in serial
+        ]
+
+
 class TestBackendResolution:
     def test_legacy_contract_preserved(self):
         assert resolve_execution_backend(None, None, 10) == ("serial", 1)

@@ -178,8 +178,8 @@ class TestClosedForms:
 
         t = coprime_rings(8, (3,), B, bidirectional=bidirectional)
         m = Matching.shift(8, k)
-        lp = compute_theta(t, m, method="lp", cache=None)
-        cf = compute_theta(t, m, method="closed", cache=None)
+        lp = max_concurrent_flow(t, commodities_from_matching(m), B).theta
+        cf = try_closed_form_theta(t, m)
         assert cf == pytest.approx(lp, rel=1e-6)
 
     def test_hypercube_closed_form(self):
@@ -191,8 +191,8 @@ class TestClosedForms:
     def test_closed_form_agrees_with_lp_on_hypercube(self):
         t = hypercube(8, B)
         m = Matching.xor_exchange(8, 4)
-        lp = compute_theta(t, m, method="lp", cache=None)
-        cf = compute_theta(t, m, method="closed", cache=None)
+        lp = max_concurrent_flow(t, commodities_from_matching(m), B).theta
+        cf = try_closed_form_theta(t, m)
         assert lp == pytest.approx(cf, rel=1e-6)
 
 
@@ -209,7 +209,9 @@ class TestBounds:
     def test_sandwich(self, matching):
         t = ring(8, B)
         lower = theta_lower_bound_shortest_path(t, matching, B)
-        exact = compute_theta(t, matching, method="lp", cache=None)
+        exact = max_concurrent_flow(
+            t, commodities_from_matching(matching), B
+        ).theta
         upper = theta_proxy(t, matching, B)
         assert lower <= exact * (1 + 1e-9)
         assert exact <= upper * (1 + 1e-9)
@@ -310,11 +312,12 @@ class TestComputeTheta:
         with pytest.raises(FlowError, match="unknown theta method"):
             compute_theta(ring(4, B), Matching.shift(4, 1), method="magic")
 
-    def test_closed_method_raises_without_form(self):
-        with pytest.raises(FlowError, match="no closed form"):
-            compute_theta(
-                ring(8, B), Matching.xor_exchange(8, 1), method="closed", cache=None
-            )
+    def test_exact_theta_without_closed_form_is_the_lp(self):
+        t, m = ring(8, B), Matching.xor_exchange(8, 1)
+        assert try_closed_form_theta(t, m) is None
+        assert compute_theta(t, m, cache=None) == max_concurrent_flow(
+            t, commodities_from_matching(m), B
+        ).theta
 
     def test_empty_matching_infinite(self):
         value = compute_theta(ring(4, B), Matching.identity(4), cache=None)

@@ -3,9 +3,8 @@
 The exactness claim (delta == cold at 1e-9) is pinned against generated
 perturbation chains in ``tests/differential/test_delta_vs_cold.py``;
 these tests pin the surrounding machinery — the :class:`DeltaIndex`
-attribution rules, the :class:`PlanContext` reuse accounting, the
-``replan-delta`` / ``hysteresis-delta`` policies, the delta-aware
-engine entry, cache seeding, the simulator's fault-to-pod attribution,
+attribution rules, the :class:`PlanContext` reuse accounting, delta
+prewarming inside ``plan_workload``, the delta-aware engine entry, cache seeding, the simulator's fault-to-pod attribution,
 and the daemon's resident lineage contexts.
 """
 
@@ -41,7 +40,7 @@ from repro.planner import Scenario
 from repro.sim import FlowLevelSimulator, simulate_plan
 from repro.topology import PodFabric, ring
 from repro.units import Gbps, MiB
-from repro.workload import Workload, available_policies, plan_workload
+from repro.workload import Workload, plan_workload
 
 RATE = Gbps(800)
 TOL = 1e-9
@@ -56,7 +55,7 @@ def structure_of(f: PodFabric):
     return pod_structure(f.flat_topology())
 
 
-def pod_scenario(health=None, theta_method="block") -> Scenario:
+def pod_scenario(health=None, theta_method="auto") -> Scenario:
     return Scenario.create(
         "alltoall",
         n=12,
@@ -69,6 +68,18 @@ def pod_scenario(health=None, theta_method="block") -> Scenario:
         topology_options={"pods": 3},
         theta_method=theta_method,
         health=health,
+    )
+
+
+def flat_scenario() -> Scenario:
+    return Scenario.create(
+        "alltoall",
+        n=12,
+        message_size=MiB(4),
+        alpha=1e-6,
+        delta=5e-9,
+        reconfiguration_delay=10e-6,
+        bandwidth=RATE,
     )
 
 
@@ -239,10 +250,11 @@ class TestComputeThetaDelta:
         value = compute_theta_delta(
             topology, matching, RATE, context=context, state=state, cache=cache
         )
-        cold = compute_theta(
-            topology, matching, RATE, method="block", cache=cache
+        cold = compute_theta(topology, matching, RATE, cache=cache)
+        assert cold == value
+        assert math.isclose(
+            value, pod_theta(topology, matching, RATE), rel_tol=TOL
         )
-        assert math.isclose(value, cold, rel_tol=TOL)
         # The cold call above must have been a pure cache hit on the
         # delta-published entry.
         assert cache.stats().hits >= 1
@@ -291,22 +303,15 @@ class TestDeltaPolicies:
             )
         )
 
-    def test_policies_registered(self):
-        names = available_policies()
-        assert "replan-delta" in names
-        assert "hysteresis-delta" in names
-
-    @pytest.mark.parametrize(
-        "delta_policy,base_policy",
-        [("replan-delta", "replan"), ("hysteresis-delta", "hysteresis")],
-    )
-    def test_delta_policy_matches_base_policy(self, delta_policy, base_policy):
+    @pytest.mark.parametrize("policy", ["replan", "hysteresis"])
+    def test_plan_context_matches_plain_planning(self, policy):
         workload = self._workload()
-        base = plan_workload(
-            workload, policy=base_policy, cache=ThroughputCache()
-        )
+        base = plan_workload(workload, policy=policy, cache=ThroughputCache())
         delta = plan_workload(
-            workload, policy=delta_policy, cache=ThroughputCache()
+            workload,
+            policy=policy,
+            cache=ThroughputCache(),
+            plan_context=PlanContext(),
         )
         assert math.isclose(
             base.total_time, delta.total_time, rel_tol=TOL
@@ -315,10 +320,13 @@ class TestDeltaPolicies:
             p.decisions for p in delta.phases
         ]
 
-    def test_delta_policy_actually_delta_solves(self):
+    def test_plan_context_actually_delta_solves(self):
         reset_incremental_stats()
         plan_workload(
-            self._workload(), policy="replan-delta", cache=ThroughputCache()
+            self._workload(),
+            policy="replan",
+            cache=ThroughputCache(),
+            plan_context=PlanContext(),
         )
         stats = incremental_stats()
         assert stats.delta_solves > 0
@@ -361,7 +369,6 @@ class TestScenarioLineage:
             bandwidth=RATE,
             topology="podfabric",
             topology_options={"pods": 4},
-            theta_method="block",
         )
         assert scenario_lineage(a) != scenario_lineage(b)
 
@@ -372,18 +379,19 @@ class TestScenarioLineage:
         seeded = prewarm_scenario_context(scenario, context, cache=cache)
         assert seeded > 0
         assert len(context) == seeded
-        # Non-block scenarios are a no-op.
+        # Bound-priced scenarios and flat fabrics are a no-op.
         assert (
             prewarm_scenario_context(
-                pod_scenario(theta_method="lp"), PlanContext(), cache=cache
+                pod_scenario(theta_method="sp"), PlanContext(), cache=cache
             )
             == 0
         )
+        assert prewarm_scenario_context(flat_scenario(), PlanContext(), cache=cache) == 0
 
 
 class TestFaultPodAttribution:
     def _sim_pieces(self):
-        scenario = pod_scenario(theta_method="lp")
+        scenario = pod_scenario()
         from repro.planner.registry import plan
 
         planned = plan(scenario)
@@ -489,8 +497,74 @@ class TestDaemonIncrementalMetrics:
 
         metrics = asyncio.run(run())
         block = metrics["block"]
-        assert {"pod_solves", "batch_dedup_hits", "pods_screened"} <= set(block)
+        assert {"pod_solves", "memo_hits", "pods_screened"} <= set(block)
         incremental = metrics["incremental"]
         assert incremental["contexts"] == 1
         assert incremental["delta_solves"] > 0
         assert 0.0 <= incremental["reuse_ratio"] <= 1.0
+
+    def test_block_spelled_wire_requests_take_the_exact_route(self):
+        """Clients that still send ``"theta_method": "block"`` are
+        served the exact pod plan through the lineage's context."""
+        from repro.service import PlannerDaemon, ServiceRequest
+        from repro.service.schemas import PlanBody
+
+        dim = FabricHealth(port_multipliers={5: 0.5})
+
+        def request(health, spelling):
+            data = ServiceRequest(
+                body=PlanBody(scenario=pod_scenario(health))
+            ).to_dict()
+            data["body"]["scenario"]["theta_method"] = spelling
+            return ServiceRequest.from_dict(data)
+
+        async def run():
+            reset_incremental_stats()
+            results = []
+            async with PlannerDaemon() as daemon:
+                for health, spelling in (
+                    (None, "block"),
+                    (dim, "block"),
+                    (dim, "auto"),
+                ):
+                    response = await daemon.submit(request(health, spelling))
+                    assert response.ok, response.error
+                    result = dict(response.result)
+                    result.pop("cache_stats", None)
+                    results.append(result)
+                return results, daemon.metrics()["incremental"]
+
+        results, incremental = asyncio.run(run())
+        assert results[1] == results[2]
+        assert results[1]["scenario"]["theta_method"] == "auto"
+        assert incremental["contexts"] == 1
+        assert incremental["delta_solves"] > 0
+
+    def test_only_exact_pod_scenarios_take_a_context(self):
+        from repro.service import PlannerDaemon, ServiceRequest
+        from repro.service.schemas import PlanBody, WorkloadBody
+
+        flat = flat_scenario()
+
+        async def run() -> dict:
+            reset_incremental_stats()
+            async with PlannerDaemon() as daemon:
+                for scenario in (flat, pod_scenario(theta_method="sp")):
+                    response = await daemon.submit(
+                        ServiceRequest(body=PlanBody(scenario=scenario))
+                    )
+                    assert response.ok, response.error
+                assert daemon.metrics()["incremental"]["contexts"] == 0
+                dim = FabricHealth(port_multipliers={5: 0.5})
+                workload = Workload(phases=(pod_scenario(), pod_scenario(dim)))
+                response = await daemon.submit(
+                    ServiceRequest(body=WorkloadBody(workload=workload))
+                )
+                assert response.ok, response.error
+                return daemon.metrics()
+
+        incremental = asyncio.run(run())["incremental"]
+        # A plain replan workload on a pod fabric delta-prices through
+        # the lineage's resident context.
+        assert incremental["contexts"] == 1
+        assert incremental["delta_solves"] > 0

@@ -11,7 +11,8 @@ random topologies, commodity sets, and demands:
 * **monotonicity** — adding capacity can never decrease theta, and
   adding a commodity can never increase it.
 
-These hold for both the cold path and the warm-started family solver.
+The scale law also holds for ``compute_theta``'s exact route, whichever
+of the closed form, the pod blocks or the LP prices the step.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.flows import (
     Commodity,
-    WarmStartLPSolver,
     commodities_from_matching,
+    compute_theta,
     max_concurrent_flow,
 )
 from repro.matching import Matching
-from repro.topology import coprime_rings, full_mesh, ring
+from repro.topology import PodFabric, coprime_rings, full_mesh, ring
 from repro.units import Gbps
 
 RATE = Gbps(800)
@@ -144,18 +145,31 @@ def test_adding_a_commodity_never_increases_theta(instance):
 
 
 @settings(max_examples=20, deadline=None)
-@given(instance=lp_instances(), factor=st.sampled_from([0.5, 2.0]))
-def test_warm_solver_inherits_the_invariants(instance, factor):
-    """The warm path satisfies the same scale law as the cold path —
-    on the same instance, not merely in distribution."""
-    topology, commodities = instance
-    solver = WarmStartLPSolver()
-    base = solver.solve(topology, commodities, RATE).theta
-    alone = solver.solve(topology.scaled(factor), commodities, RATE).theta
-    if math.isinf(base):
-        assert math.isinf(alone)
+@given(
+    n=st.sampled_from([4, 6, 8]),
+    kind=st.sampled_from(["ring", "uniring", "mesh", "coprime", "pods"]),
+    k=st.integers(1, 7),
+    factor=st.sampled_from([0.5, 2.0]),
+)
+def test_exact_route_inherits_the_scale_law(n, kind, k, factor):
+    """``compute_theta`` satisfies the LP's scale law on every route —
+    closed form (rings), pod blocks (pod fabrics) and LP (the rest) —
+    and stays equal to the LP on the scaled fabric."""
+    if kind == "pods":
+        topology = PodFabric(
+            pod_sizes=(n // 2, n - n // 2), bandwidth=RATE, uplinks_per_pod=2
+        ).flat_topology()
     else:
-        assert math.isclose(alone, base * factor, rel_tol=1e-7, abs_tol=1e-9)
+        topology = _topology(kind, n)
+    matching = Matching.shift(n, 1 + (k - 1) % (n - 1))
+    scaled = topology.scaled(factor)
+    base = compute_theta(topology, matching, RATE, cache=None)
+    alone = compute_theta(scaled, matching, RATE, cache=None)
+    assert math.isclose(alone, base * factor, rel_tol=1e-9, abs_tol=1e-12)
+    lp = max_concurrent_flow(
+        scaled, commodities_from_matching(matching), RATE
+    ).theta
+    assert math.isclose(alone, lp, rel_tol=1e-9, abs_tol=1e-12)
 
 
 def test_shift_on_ring_matches_known_closed_form():

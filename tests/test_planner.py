@@ -70,7 +70,7 @@ def paper_scenario(
 class TestScenario:
     def test_dict_round_trip(self):
         scenario = paper_scenario().replace(
-            theta_method="lp",
+            theta_method="proxy",
             path_rule=PathLengthRule.MEAN_PAIR_HOPS,
             name="round-trip",
         )
@@ -492,9 +492,9 @@ class TestScenarioReplace:
 
     def test_top_level_fields(self):
         scenario = paper_scenario()
-        renamed = scenario.replace(name="swept", theta_method="lp")
+        renamed = scenario.replace(name="swept", theta_method="sp")
         assert renamed.name == "swept"
-        assert renamed.theta_method == "lp"
+        assert renamed.theta_method == "sp"
         assert renamed.topology == scenario.topology
 
     def test_nested_convenience_keys(self):

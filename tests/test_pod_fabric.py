@@ -14,28 +14,33 @@ import math
 
 import pytest
 
-from repro.engine import (
-    available_throughput_backends,
-    compute_theta_backend,
-    scenario_theta_method,
-)
 from repro.exceptions import ConfigurationError, FlowError, TopologyError
 from repro.fabric.degradation import uniform_degradation
 from repro.flows import (
+    ThroughputCache,
     block_stats,
+    commodities_from_matching,
     compute_theta,
+    max_concurrent_flow,
     pod_structure,
     pod_theta,
     reset_block_stats,
     theta_batch,
+    theta_tag,
 )
 from repro.matching import Matching
-from repro.planner import PlanRequest, plan
+from repro.planner import plan
 from repro.planner.scenario import Scenario
 from repro.topology import CORE, PodFabric, pod_fabric, ring
 from repro.units import Gbps
 
 RATE = Gbps(800)
+
+
+def flat_lp(topology, matching) -> float:
+    return max_concurrent_flow(
+        topology, commodities_from_matching(matching), RATE
+    ).theta
 
 
 def fabric(sizes=(8, 8), **kwargs) -> PodFabric:
@@ -165,10 +170,7 @@ class TestBlockTheta:
         reset_block_stats()
         value = pod_theta(topology, matching, RATE)
         assert block_stats().flat_fallbacks == 1
-        assert value == pytest.approx(
-            compute_theta(topology, matching, RATE, method="lp", cache=None),
-            rel=1e-9,
-        )
+        assert value == pytest.approx(flat_lp(topology, matching), rel=1e-9)
 
     def test_empty_matching_is_inf(self):
         topology = fabric((4, 4)).flat_topology()
@@ -199,16 +201,13 @@ class TestBlockTheta:
         threaded = pod_theta(topology, matching, RATE, parallel=3)
         assert threaded == pytest.approx(serial, rel=1e-9)
 
-    def test_parallel_pods_skip_the_shared_warm_solver(self):
+    def test_parallel_pods_match_serial_from_cold_memos(self):
         # Pod LPs go through max_concurrent_flow, which holds no lock,
-        # instead of the process-wide warm solver whose lock made
-        # parallel pods solve one at a time.
-        from repro.flows import default_warm_solver
+        # so parallel pods really solve side by side.
         from repro.flows.block import _clear_block_memos
 
         topology = fabric((6, 8, 10)).flat_topology()
         matching = Matching.shift(24, 5)
-        default_warm_solver().clear()
         _clear_block_memos()
         serial = pod_theta(topology, matching, RATE)
         _clear_block_memos()
@@ -216,28 +215,26 @@ class TestBlockTheta:
         threaded = pod_theta(topology, matching, RATE, parallel=2)
         assert block_stats().pod_solves >= 2
         assert threaded == pytest.approx(serial, rel=1e-12)
-        assert default_warm_solver().stats().cold_solves == 0
 
-    def test_compute_theta_block_method_and_cache(self):
-        from repro.flows import ThroughputCache
-
+    def test_compute_theta_prices_pods_and_caches(self):
         topology = fabric((4, 4)).flat_topology()
         matching = Matching.shift(8, 2)
         cache = ThroughputCache()
-        first = compute_theta(topology, matching, RATE, method="block", cache=cache)
-        second = compute_theta(topology, matching, RATE, method="block", cache=cache)
-        assert first == second
+        reset_block_stats()
+        first = compute_theta(topology, matching, RATE, cache=cache)
+        assert block_stats().coarse_solves == 1
+        second = compute_theta(topology, matching, RATE, cache=cache)
+        assert first == second == pod_theta(topology, matching, RATE)
         assert cache.stats().hits >= 1
 
-    def test_theta_batch_block_dedups_duplicate_rows(self):
+    def test_theta_batch_duplicate_rows_hit_the_cache(self):
         topology = fabric((4, 4)).flat_topology()
         rows = [Matching.shift(8, 1), Matching.shift(8, 2), Matching.shift(8, 1)]
-        values = theta_batch(topology, rows, RATE, method="block", cache=None)
+        cache = ThroughputCache()
+        values = theta_batch(topology, rows, RATE, cache=cache)
         assert values[0] == values[2]
-        assert values[0] == pytest.approx(
-            compute_theta(topology, rows[0], RATE, method="lp", cache=None),
-            rel=1e-9,
-        )
+        assert (cache.stats().misses, cache.stats().hits) == (2, 1)
+        assert values[0] == pytest.approx(flat_lp(topology, rows[0]), rel=1e-9)
 
 
 class TestEngineAndPlannerIntegration:
@@ -255,51 +252,29 @@ class TestEngineAndPlannerIntegration:
             theta_method=theta_method,
         )
 
-    def test_block_lp_backend_is_registered(self):
-        assert "block-lp" in available_throughput_backends()
-        assert scenario_theta_method("block-lp") == "block"
-
-    def test_block_lp_backend_matches_exact_lp(self):
-        topology = fabric((4, 4)).flat_topology()
-        matching = Matching.shift(8, 3)
-        assert compute_theta_backend(
-            topology, matching, RATE, backend="block-lp", cache=None
-        ) == pytest.approx(
-            compute_theta_backend(
-                topology, matching, RATE, backend="exact-lp", cache=None
-            ),
-            rel=1e-9,
-        )
-
-    def test_block_solver_matches_dp_on_flat_lp(self):
-        blocked = plan(
-            PlanRequest(scenario=self.scenario("block"), solver="block")
-        )
-        flat = plan(PlanRequest(scenario=self.scenario("lp"), solver="dp"))
+    def test_block_priced_plan_matches_the_flat_lp_plan(self):
+        scenario = self.scenario()
+        topology = scenario.build_topology()
+        # Seed a cache with flat-LP thetas under the exact tag: planning
+        # from it is planning on the flat LP.
+        flat_cache = ThroughputCache()
+        for step in scenario.build_collective().steps:
+            flat_cache.seed(
+                topology,
+                step.matching,
+                flat_lp(topology, step.matching),
+                tag=theta_tag(RATE),
+            )
+        seeded = flat_cache.stats().misses
+        blocked = plan(scenario, cache=ThroughputCache())
+        flat = plan(scenario, cache=flat_cache)
+        assert flat_cache.stats().misses == seeded
         assert blocked.total_time == pytest.approx(flat.total_time, rel=1e-9)
         assert blocked.schedule == flat.schedule
-        assert blocked.solver == "block"
-        assert dict(blocked.metadata)["inner"] == "dp"
 
-    def test_block_solver_inner_option_passthrough(self):
-        result = plan(
-            PlanRequest(
-                scenario=self.scenario("block"),
-                solver="block",
-                options=(("inner", "greedy"),),
-            )
-        )
-        assert dict(result.metadata)["inner"] == "greedy"
-
-    def test_block_solver_rejects_nesting(self):
+    def test_block_solver_is_gone(self):
         with pytest.raises(ConfigurationError):
-            plan(
-                PlanRequest(
-                    scenario=self.scenario("block"),
-                    solver="block",
-                    options=(("inner", "block"),),
-                )
-            )
+            plan(self.scenario(), solver="block")
 
 
 class TestHealthCompositionOnPodFabrics:

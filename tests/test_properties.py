@@ -21,7 +21,6 @@ from repro.core import (
 from repro.core.schedule import count_reconfigurations
 from repro.flows import (
     commodities_from_matching,
-    compute_theta,
     max_concurrent_flow,
     theta_lower_bound_shortest_path,
     theta_proxy,
@@ -174,8 +173,9 @@ class TestFlowProperties:
             return
         topology = ring(m.n, B)
         doubled = topology.scaled(2.0)
-        base = compute_theta(topology, m, reference_rate=B, method="lp", cache=None)
-        scaled = compute_theta(doubled, m, reference_rate=B, method="lp", cache=None)
+        commodities = commodities_from_matching(m)
+        base = max_concurrent_flow(topology, commodities, B).theta
+        scaled = max_concurrent_flow(doubled, commodities, B).theta
         assert scaled == pytest.approx(2 * base, rel=1e-6)
 
 

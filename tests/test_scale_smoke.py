@@ -35,7 +35,6 @@ def test_n256_block_battery_is_subsecond():
         topology,
         [Matching.shift(256, k) for k in (1, 64, 128)],
         RATE,
-        method="block",
         cache=None,
     )
     elapsed = time.perf_counter() - start
@@ -56,7 +55,7 @@ def test_n1024_theta_end_to_end_under_budget():
     matchings += [Matching.xor_exchange(n, 1 << d) for d in range(0, 10, 3)]
     reset_block_stats()
     start = time.perf_counter()
-    values = theta_batch(topology, matchings, RATE, method="block", cache=None)
+    values = theta_batch(topology, matchings, RATE, cache=None)
     elapsed = time.perf_counter() - start
     assert all(v > 0 for v in values)
     # The acceptance criterion: the whole battery (9 patterns), not

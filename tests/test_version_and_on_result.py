@@ -1,9 +1,5 @@
-"""Satellites: shim deprecations, version single-sourcing, on_result.
+"""Satellites: version single-sourcing and on_result.
 
-* the legacy ``repro.planner.plan_many`` / ``repro.sim.sim_many``
-  import paths still work but emit :class:`DeprecationWarning` at call
-  time; the canonical ``repro.engine`` (and top-level ``repro``) paths
-  stay warning-free;
 * ``repro.__version__`` is single-sourced from ``pyproject.toml`` and
   surfaces in every service response;
 * the engine's ``on_result`` hook delivers batch results incrementally,
@@ -13,7 +9,6 @@
 from __future__ import annotations
 
 import re
-import warnings
 from pathlib import Path
 
 import pytest
@@ -40,45 +35,6 @@ def base_scenario(n=8):
 
 def small_grid():
     return scenario_grid(base_scenario(), [KiB(64), MiB(1)], [us(1), us(100)])
-
-
-class TestShimDeprecations:
-    def test_planner_plan_many_warns(self):
-        from repro.planner import plan_many as shim
-
-        with pytest.warns(DeprecationWarning, match="repro.engine"):
-            results = shim([base_scenario()], cache=ThroughputCache())
-        assert len(results) == 1
-
-    def test_sim_sim_many_warns(self):
-        from repro.sim import sim_many as shim
-
-        with pytest.warns(DeprecationWarning, match="repro.engine"):
-            results = shim([base_scenario(n=4)], cache=ThroughputCache())
-        assert len(results) == 1
-
-    def test_import_alone_does_not_warn(self):
-        # Only *calling* the shim warns; importing it (e.g. via
-        # ``import repro``) must stay silent so downstream code sees
-        # the warning exactly where the deprecated call happens.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            from repro.planner import plan_many  # noqa: F401
-            from repro.sim import sim_many, workload_many  # noqa: F401
-
-    def test_canonical_paths_are_warning_free(self):
-        cache = ThroughputCache()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            plan_many([base_scenario()], cache=cache)
-            sim_many([base_scenario(n=4)], cache=cache)
-            workload_many(
-                [steady_trace(base_scenario(n=4), phases=2)], cache=cache
-            )
-            repro.plan_many([base_scenario()], cache=cache)
-            repro.workload_many(
-                [steady_trace(base_scenario(n=4), phases=2)], cache=cache
-            )
 
 
 class TestVersionSingleSourcing:

@@ -18,6 +18,7 @@ per case, which is exactly the smoke-mode baseline CI records.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import statistics
@@ -83,6 +84,13 @@ def pytest_sessionfinish(session, exitstatus):
             data["extra"] = extra
         path = RESULTS_DIR / f"BENCH_{name}.json"
         path.write_text(json.dumps(data, indent=2) + "\n")
+
+
+@pytest.fixture(autouse=True)
+def _collected_heap():
+    """Start every case from a collected heap, so a case's wall time
+    never includes a full collection of garbage earlier cases left."""
+    gc.collect()
 
 
 @pytest.fixture(scope="session")

@@ -55,12 +55,17 @@ class CostParameters:
     reconfiguration_delay: float
 
     def __post_init__(self) -> None:
-        require_non_negative(self.alpha, "alpha", ScheduleError)
-        require_positive(self.bandwidth, "bandwidth", ScheduleError)
-        require_non_negative(self.delta, "delta", ScheduleError)
-        require_non_negative(
-            self.reconfiguration_delay, "reconfiguration_delay", ScheduleError
-        )
+        # Each field is stored as the float its check returns, so int
+        # and float spellings of one value serialize alike.
+        for name, check in (
+            ("alpha", require_non_negative),
+            ("bandwidth", require_positive),
+            ("delta", require_non_negative),
+            ("reconfiguration_delay", require_non_negative),
+        ):
+            object.__setattr__(
+                self, name, check(getattr(self, name), name, ScheduleError)
+            )
 
     @property
     def beta(self) -> float:

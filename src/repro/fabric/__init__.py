@@ -5,7 +5,6 @@ from .degradation import (
     PRISTINE,
     FabricHealth,
     FaultEvent,
-    degraded_matched_topology,
     hotspot,
     random_failures,
     uniform_degradation,
@@ -31,7 +30,6 @@ __all__ = [
     "uniform_degradation",
     "random_failures",
     "hotspot",
-    "degraded_matched_topology",
     "OpticalCircuitSwitch",
     "WavelengthSwitchedFabric",
     "SwitchStatistics",

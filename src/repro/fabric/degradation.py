@@ -53,7 +53,6 @@ __all__ = [
     "uniform_degradation",
     "random_failures",
     "hotspot",
-    "degraded_matched_topology",
 ]
 
 
@@ -501,29 +500,3 @@ def hotspot(
         name=name or f"hotspot(center={center}, radius={radius})",
     )
 
-
-def degraded_matched_topology(
-    matching: Matching, circuit_rate: float, health: FabricHealth
-) -> Topology:
-    """The matched configuration for one step on a degraded fabric.
-
-    Each pair's dedicated circuit runs at
-    ``circuit_rate * health.pair_multiplier(src, dst)``: the switch can
-    always *establish* the circuit, but it terminates in the same
-    imperfect optics the base fabric has.  The ``matched`` closed form
-    still applies (each pair owns its edge), so theta evaluates to the
-    slowest pair's multiplier — exactly the analytic
-    :meth:`~repro.core.cost_model.StepCost.matched_cost` denominator.
-    """
-    if len(matching) == 0:
-        raise FabricError("cannot build a matched topology for an empty matching")
-    edges = [
-        (src, dst, circuit_rate * health.pair_multiplier(src, dst))
-        for src, dst in matching
-    ]
-    return Topology(
-        matching.n,
-        edges,
-        name=f"matched({len(matching)} circuits)~{health.name or 'degraded'}",
-        metadata={"family": "matched", "reference_rate": circuit_rate},
-    )

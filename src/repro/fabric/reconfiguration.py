@@ -151,6 +151,11 @@ class ConstantReconfigurationDelay(ReconfigurationModel):
             return 0.0
         return self.alpha_r
 
+    def delay(self, previous: Configuration, target: Configuration) -> float:
+        # Any change touches at least two ports and the price ignores
+        # how many, so the touched-port set is never built.
+        return 0.0 if previous == target else self.alpha_r
+
     def to_dict(self) -> dict[str, object]:
         return {"kind": "constant", "alpha_r": self.alpha_r}
 

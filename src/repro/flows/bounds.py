@@ -76,6 +76,8 @@ def theta_upper_bound_flowhops(
     ``theta * sum_k w_k * dist_k``:
 
         theta <= total_capacity / sum_k (w_k * dist_k).
+
+    A commodity with no path bounds theta at 0.0.
     """
     commodities = _as_commodities(demand)
     if not commodities:
@@ -83,6 +85,8 @@ def theta_upper_bound_flowhops(
     total_capacity = sum(c for _, _, c in topology.edges()) / reference_rate
     flow_hops = 0.0
     for commodity in commodities:
+        if not topology.has_path(commodity.src, commodity.dst):
+            return 0.0
         flow_hops += commodity.demand * topology.hop_distance(
             commodity.src, commodity.dst
         )

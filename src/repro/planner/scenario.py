@@ -202,6 +202,8 @@ class TopologySpec:
             raise ConfigurationError(f"n must be >= 1, got {self.n}")
         if self.bandwidth <= 0:
             raise ConfigurationError("bandwidth must be positive")
+        # Stored as from_dict reads it back, so equal specs digest alike.
+        object.__setattr__(self, "bandwidth", float(self.bandwidth))
         object.__setattr__(self, "options", _freeze_options(self.options))
 
     def build(self) -> Topology:
@@ -270,6 +272,8 @@ class CollectiveSpec:
             )
         if self.message_size < 0:
             raise ConfigurationError("message_size must be non-negative")
+        # Stored as from_dict reads it back, so equal specs digest alike.
+        object.__setattr__(self, "message_size", float(self.message_size))
         object.__setattr__(self, "options", _freeze_options(self.options))
 
     def build(self, n: int) -> Collective:

@@ -34,11 +34,7 @@ from ..collectives.base import Collective
 from ..core.cost_model import CostParameters
 from ..core.schedule import Decision, Schedule
 from ..exceptions import SimulationError
-from ..fabric.degradation import (
-    FabricHealth,
-    FaultEvent,
-    degraded_matched_topology,
-)
+from ..fabric.degradation import FabricHealth, FaultEvent
 from ..fabric.reconfiguration import (
     Configuration,
     ConstantReconfigurationDelay,
@@ -49,10 +45,9 @@ from ..fabric.reconfiguration import (
 from ..flows import ThroughputCache, default_cache
 from ..matching import Matching
 from ..topology.base import Topology
-from ..topology.matched import matched_topology
 from .events import EventQueue
 from .observation import RateObservation
-from .rates import allocate_rates
+from .rates import FlowRate, allocate_rates
 from .trace import EventKind, Trace
 
 __all__ = ["StepTiming", "SimulationResult", "FlowLevelSimulator"]
@@ -207,21 +202,14 @@ class FlowLevelSimulator:
         health: FabricHealth | None,
     ):
         if decision is Decision.MATCHED:
-            if health is not None:
-                circuit_topology = degraded_matched_topology(
-                    matching, self.params.bandwidth, health
-                )
-            else:
-                circuit_topology = matched_topology(
-                    matching, self.params.bandwidth
-                )
-            return allocate_rates(
-                circuit_topology,
-                matching,
-                self.params.bandwidth,
-                method="mcf",
-                cache=None,
+            # Paper §3.3: every pair owns a dedicated circuit, so l = 1
+            # and theta = 1, gated on a degraded fabric by the slowest
+            # circuit's optics -- StepCost.matched_cost's pricing.
+            multiplier = (
+                1.0 if health is None else health.matched_multiplier(matching)
             )
+            rate = self.params.bandwidth * multiplier
+            return tuple(FlowRate(src, dst, rate, 1.0) for src, dst in matching)
         return allocate_rates(
             live_topology,
             matching,

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import enum
+from bisect import insort
 from dataclasses import dataclass, field
 from collections.abc import Iterator
+from operator import attrgetter
 
 from ..units import format_time
 
@@ -43,11 +45,19 @@ class TraceEvent:
         return f"[{format_time(self.time):>10}] {self.kind.value}{step}{detail}"
 
 
+_event_time = attrgetter("time")
+
+
 @dataclass
 class Trace:
     """An append-only, time-ordered event log."""
 
     events: list[TraceEvent] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        # record() inserts into a sorted list; a stable sort keeps
+        # equal-time events in the order given.
+        self.events.sort(key=_event_time)
 
     def record(
         self,
@@ -56,16 +66,16 @@ class Trace:
         step: int | None = None,
         detail: str = "",
     ) -> None:
-        """Append one event.
+        """Insert one event in time order.
 
         Events may be recorded slightly out of order (overlapped
         reconfiguration starts before the preceding compute window
-        ends); readers see them time-sorted.
+        ends); readers see them time-sorted, and events with equal
+        timestamps in recording order.
         """
         if time < 0:
             raise ValueError(f"negative event time {time}")
-        self.events.append(TraceEvent(time, kind, step, detail))
-        self.events.sort(key=lambda e: e.time)
+        insort(self.events, TraceEvent(time, kind, step, detail), key=_event_time)
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events)

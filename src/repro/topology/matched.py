@@ -3,8 +3,8 @@
 When the fabric reconfigures for step ``i``, every pair of ``M_i`` gets a
 dedicated full-rate circuit: path length and congestion factor both
 collapse to 1.  :func:`matched_topology` materializes that configuration
-as a :class:`~repro.topology.base.Topology` so the same flow machinery
-can analyze matched and base topologies uniformly.
+as a :class:`~repro.topology.base.Topology` for the flow machinery; the
+cost model and the flow simulator price matched steps without building it.
 """
 
 from __future__ import annotations

@@ -21,7 +21,10 @@ from __future__ import annotations
 
 import math
 
+from hypothesis import strategies as st
+
 from repro.fabric.degradation import (
+    FabricHealth,
     hotspot,
     random_failures,
     uniform_degradation,
@@ -156,3 +159,64 @@ def degraded_variants(topology, n: int):
         random_failures(n, seed=7, failures=2),
     ]
     return [(h, topology if h is None else h.apply(topology)) for h in healths]
+
+
+@st.composite
+def matchings(draw, n: int) -> Matching:
+    """A random matching on ``n`` ranks: full permutations (shifted,
+    shuffled) and random partial matchings, biased toward the shapes
+    with closed forms so both sides of the dispatch get exercised."""
+    kind = draw(st.sampled_from(["shift", "perm", "partial", "empty"]))
+    if kind == "shift":
+        return Matching.shift(n, draw(st.integers(1, n - 1)))
+    if kind == "perm":
+        perm = draw(st.permutations(range(n)))
+        return Matching(
+            n, [(i, p) for i, p in enumerate(perm) if i != p]
+        )
+    if kind == "partial":
+        srcs = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+        dsts = draw(
+            st.lists(
+                st.integers(0, n - 1),
+                unique=True,
+                min_size=len(srcs),
+                max_size=len(srcs),
+            )
+        )
+        return Matching(
+            n, [(s, d) for s, d in zip(srcs, dsts) if s != d]
+        )
+    return Matching(n, [])
+
+
+@st.composite
+def health_states(draw, n: int) -> FabricHealth:
+    """A random fabric condition: dim a few ports, fail a ring lane or
+    two, drop a wavelength — anything apply() accepts."""
+    dimmed = draw(
+        st.dictionaries(
+            st.integers(0, n - 1),
+            st.floats(0.3, 1.0, allow_nan=False),
+            max_size=3,
+        )
+    )
+    n_failures = draw(st.integers(0, 2))
+    failures = [
+        (r, (r + 1) % n)
+        for r in draw(
+            st.lists(
+                st.integers(0, n - 1),
+                unique=True,
+                min_size=n_failures,
+                max_size=n_failures,
+            )
+        )
+    ]
+    dead = draw(st.integers(0, 1))
+    return FabricHealth(
+        port_multipliers=tuple(dimmed.items()),
+        failed_transceivers=tuple(failures),
+        dead_wavelengths=dead,
+        total_wavelengths=4,
+    )

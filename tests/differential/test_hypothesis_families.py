@@ -14,79 +14,16 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from families import RATE, agree, certified_theta
-from repro.fabric import FabricHealth
+from families import RATE, agree, certified_theta, health_states, matchings
 from repro.flows import commodities_from_matching, compute_theta, theta_batch
 from repro.flows.closed_forms import (
     closed_form_theta_batch,
     try_closed_form_theta,
 )
-from repro.matching import Matching
 from repro.topology import hypercube, ring
 
 #: Domain sizes: small enough for fast LPs, varied enough to matter.
 SIZES = (4, 8)
-
-
-@st.composite
-def matchings(draw, n: int) -> Matching:
-    """A random matching on ``n`` ranks: full permutations (shifted,
-    shuffled) and random partial matchings, biased toward the shapes
-    with closed forms so both sides of the dispatch get exercised."""
-    kind = draw(st.sampled_from(["shift", "perm", "partial", "empty"]))
-    if kind == "shift":
-        return Matching.shift(n, draw(st.integers(1, n - 1)))
-    if kind == "perm":
-        perm = draw(st.permutations(range(n)))
-        return Matching(
-            n, [(i, p) for i, p in enumerate(perm) if i != p]
-        )
-    if kind == "partial":
-        srcs = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
-        dsts = draw(
-            st.lists(
-                st.integers(0, n - 1),
-                unique=True,
-                min_size=len(srcs),
-                max_size=len(srcs),
-            )
-        )
-        return Matching(
-            n, [(s, d) for s, d in zip(srcs, dsts) if s != d]
-        )
-    return Matching(n, [])
-
-
-@st.composite
-def health_states(draw, n: int) -> FabricHealth:
-    """A random fabric condition: dim a few ports, fail a ring lane or
-    two, drop a wavelength — anything apply() accepts."""
-    dimmed = draw(
-        st.dictionaries(
-            st.integers(0, n - 1),
-            st.floats(0.3, 1.0, allow_nan=False),
-            max_size=3,
-        )
-    )
-    n_failures = draw(st.integers(0, 2))
-    failures = [
-        (r, (r + 1) % n)
-        for r in draw(
-            st.lists(
-                st.integers(0, n - 1),
-                unique=True,
-                min_size=n_failures,
-                max_size=n_failures,
-            )
-        )
-    ]
-    dead = draw(st.integers(0, 1))
-    return FabricHealth(
-        port_multipliers=tuple(dimmed.items()),
-        failed_transceivers=tuple(failures),
-        dead_wavelengths=dead,
-        total_wavelengths=4,
-    )
 
 
 @settings(max_examples=40, deadline=None)

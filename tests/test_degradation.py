@@ -26,7 +26,6 @@ from repro.fabric import (
     PRISTINE,
     FabricHealth,
     FaultEvent,
-    degraded_matched_topology,
     hotspot,
     random_failures,
     uniform_degradation,

@@ -1,6 +1,7 @@
 """Fabric models: reconfiguration delays, OCS, wavelength fabric."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import FabricError
 from repro.fabric import (
@@ -222,6 +223,23 @@ class TestZeroDeltaConfigurations:
         assert model.delay(config, config) == 0.0
         assert model.delay(frozenset(), frozenset()) == 0.0
         assert model.delay_for_ports(0) == 0.0
+
+
+_circuits = st.frozensets(
+    st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=6
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(previous=_circuits, target=_circuits, same=st.booleans())
+def test_constant_delay_equals_its_touched_port_price(previous, target, same):
+    """The constant model's shortcut (any change costs ``alpha_r``)
+    prices every transition as the touched-port route does."""
+    model = ConstantReconfigurationDelay(us(10))
+    if same:
+        target = previous
+    for a, b in ((previous, target), (target, previous)):
+        assert model.delay(a, b) == model.delay_for_ports(len(touched_ports(a, b)))
 
 
 class TestPerPortOverlappingMatchings:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     CostParameters,
@@ -104,6 +105,42 @@ class TestScenario:
     def test_multiport_round_trip(self):
         scenario = paper_scenario("alltoall", n=8).replace(multiport_radix=4)
         assert Scenario.from_dict(scenario.to_dict()) == scenario
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        values=st.tuples(
+            st.integers(0, 1 << 40),  # message_size
+            st.integers(1, 1 << 40),  # bandwidth (topology and cost)
+            st.integers(0, 100),  # alpha
+            st.integers(0, 100),  # delta
+            st.integers(0, 100),  # reconfiguration_delay
+        ),
+        as_float=st.lists(st.booleans(), min_size=6, max_size=6),
+    )
+    def test_int_and_float_spellings_fingerprint_alike(self, values, as_float):
+        """Every field ``from_dict`` reads with ``float()`` may be given
+        as an int: the scenario equals, and fingerprints like, its float
+        spelling and its own round trip."""
+        message_size, bandwidth, alpha, delta, alpha_r = values
+
+        def spell(spelling):
+            cast = [float if f else int for f in spelling]
+            return Scenario(
+                topology=TopologySpec("ring", 8, cast[0](bandwidth)),
+                collective=CollectiveSpec("alltoall", cast[1](message_size)),
+                cost=CostParameters(
+                    alpha=cast[2](alpha),
+                    bandwidth=cast[3](bandwidth),
+                    delta=cast[4](delta),
+                    reconfiguration_delay=cast[5](alpha_r),
+                ),
+            )
+
+        scenario = spell(as_float)
+        floats = spell([True] * 6)
+        loaded = Scenario.from_dict(scenario.to_dict())
+        assert scenario == floats == loaded
+        assert scenario.fingerprint() == floats.fingerprint() == loaded.fingerprint()
 
     def test_from_dict_rejects_unknown_keys(self):
         data = paper_scenario().to_dict()

@@ -14,7 +14,7 @@ from repro.core import (
     optimize_schedule,
 )
 from repro.exceptions import SimulationError
-from repro.fabric import PerPortReconfigurationDelay
+from repro.fabric import FabricHealth, PerPortReconfigurationDelay
 from repro.matching import Matching
 from repro.sim import (
     EventKind,
@@ -23,7 +23,7 @@ from repro.sim import (
     allocate_rates,
     simulate,
 )
-from repro.topology import ring, star
+from repro.topology import Topology, ring, star
 from repro.units import Gbps, MiB, ns, us
 
 B = Gbps(800)
@@ -258,3 +258,47 @@ class TestSimulatorBehaviour:
         # barrier time = steps * alpha + propagation only
         assert report.simulation.total_time > 0
         assert math.isfinite(report.simulation.total_time)
+
+
+class TestMatchedStepsBuildNoGraph:
+    """A matched step is priced by the §3.3 closed form: no circuit
+    topology is built and no shortest path is searched."""
+
+    @pytest.mark.parametrize("accounting", ["paper", "physical"])
+    @pytest.mark.parametrize("degraded", [False, True], ids=["pristine", "degraded"])
+    def test_all_matched_run(self, monkeypatch, accounting, degraded):
+        health = (
+            FabricHealth(
+                port_multipliers=((3, 0.5),),
+                dead_wavelengths=1,
+                total_wavelengths=4,
+            )
+            if degraded
+            else None
+        )
+        collective = make_collective("alltoall", 8, MiB(1))
+        simulator = FlowLevelSimulator(
+            ring(8, B), make_params(), accounting=accounting, health=health
+        )
+        counts = {"topologies": 0, "hop_distance": 0}
+        init, hop_distance = Topology.__init__, Topology.hop_distance
+
+        def counting_init(self, *args, **kwargs):
+            counts["topologies"] += 1
+            init(self, *args, **kwargs)
+
+        def counting_hop_distance(self, src, dst):
+            counts["hop_distance"] += 1
+            return hop_distance(self, src, dst)
+
+        monkeypatch.setattr(Topology, "__init__", counting_init)
+        monkeypatch.setattr(Topology, "hop_distance", counting_hop_distance)
+        result = simulator.run(
+            collective,
+            Schedule.always_reconfigure(collective.num_steps),
+            observe_rates=True,
+        )
+        assert counts == {"topologies": 0, "hop_distance": 0}
+        rate = B * (0.375 if degraded else 1.0)
+        assert {o.rate for o in result.rate_observations} == {rate}
+        assert {o.hops for o in result.rate_observations} == {1.0}

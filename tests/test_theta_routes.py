@@ -196,7 +196,7 @@ class TestEdgeCases:
         )
         assert math.isinf(value)
 
-    @pytest.mark.parametrize("method", ["auto", "sp"])
+    @pytest.mark.parametrize("method", METHODS)
     def test_fully_failed_ports_zero_out_theta(self, method):
         from repro.fabric import FabricHealth
 
@@ -286,9 +286,8 @@ class TestOneCacheEntryOnPodFabrics:
     def test_stored_dicts_load_former_spellings_as_auto(self, spelling):
         """Scenario dicts written before the exact spellings merged
         (and clients that still send them) load as ``auto``."""
-        data = _pod_scenario("auto").to_dict()
-        exact = Scenario.from_dict(data)
-        loaded = Scenario.from_dict({**data, "theta_method": spelling})
+        exact = _pod_scenario("auto")
+        loaded = Scenario.from_dict({**exact.to_dict(), "theta_method": spelling})
         assert loaded.theta_method == "auto"
         assert loaded == exact
         assert loaded.fingerprint() == exact.fingerprint()

@@ -1,6 +1,7 @@
 """Trace bookkeeping, event-queue edge cases, and experiment IO."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.trace import EventKind, Trace, TraceEvent
 
@@ -64,6 +65,31 @@ class TestTrace:
         assert "step=3" in str(event)
         assert "hello" in str(event)
         assert "1us" in str(event)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        events=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 1.0, 1.5, 2.0, 3.0]),
+                st.sampled_from(list(EventKind)),
+            ),
+            max_size=30,
+        ),
+        given_count=st.integers(0, 30),
+    )
+    def test_order_is_append_then_stable_sort(self, events, given_count):
+        """Out-of-order and equal timestamps, some passed to the
+        constructor, the rest recorded: the log is ordered as appending
+        each event and stable-sorting by time orders it."""
+        events = [TraceEvent(t, kind, i) for i, (t, kind) in enumerate(events)]
+        initial, recorded = events[:given_count], events[given_count:]
+        trace = Trace(events=list(initial))
+        reference = sorted(initial, key=lambda e: e.time)
+        for event in recorded:
+            trace.record(event.time, event.kind, event.step)
+            reference.append(event)
+            reference.sort(key=lambda e: e.time)
+        assert trace.events == reference
 
 
 class TestScheduleCostHelpers:

@@ -5,16 +5,16 @@ Records the n in {64, 256, 512, 1024} story behind the scale rewrite:
 * **block vs flat theta** — the blockwise pod decomposition against the
   flat concurrent flow (path column generation) on a cross-pod shift,
   priced up to n=512; at n=1024 only the block value is recorded;
-* **sparse vs dense rate kernels** — the progressive-filling max-min
-  allocator on both sides of the ``SPARSE_CROSSOVER`` knob;
+* **sparse rate kernel** — the progressive-filling max-min allocator
+  from a cold incidence memo;
 * **peak RSS** — the high-water resident set after each stage, so a
   memory blow-up in either path shows in the trajectory.
 
 Everything lands in ``BENCH_scale.json`` (via ``--bench-json``) and is
 gated by ``check_regression.py`` against the checked-in, CPU-tagged
-baseline.  Both pairs must agree numerically (block and flat theta at
-1e-9); the block-vs-flat ratio is recorded, not asserted, since it sits
-near the 5x the flat path is meant to stay within at n=512.
+baseline.  Block and flat theta must agree at 1e-9; the block-vs-flat
+ratio is recorded, not asserted, since it sits near the 5x the flat
+path is meant to stay within at n=512.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from repro.flows import (
     reset_block_stats,
 )
 from repro.matching import Matching
-from repro.sim import rates as rates_mod
 from repro.sim.rates import allocate_rates, clear_incidence_cache
 from repro.topology import PodFabric
 from repro.units import Gbps
@@ -80,21 +79,13 @@ def test_scaling_curve(results_dir, bench_record):
             entry["block_vs_flat_speedup"] = entry["flat_lp_s"] / block_s
             assert block == pytest.approx(flat, rel=1e-9)
 
-        # Sparse vs dense max-min rates on the same fabric/pattern.
-        original = rates_mod.SPARSE_CROSSOVER
-        try:
-            for label, crossover in (("dense", 10**9), ("sparse", 1)):
-                rates_mod.SPARSE_CROSSOVER = crossover
-                clear_incidence_cache()
-                start = time.perf_counter()
-                rates = allocate_rates(
-                    topology, matching, RATE, method="maxmin", cache=None
-                )
-                entry[f"maxmin_{label}_s"] = time.perf_counter() - start
-                assert len(rates) == len(matching)
-        finally:
-            rates_mod.SPARSE_CROSSOVER = original
-            clear_incidence_cache()
+        # Max-min rates on the same fabric/pattern, incidence built cold.
+        clear_incidence_cache()
+        start = time.perf_counter()
+        rates = allocate_rates(topology, matching, RATE, method="maxmin", cache=None)
+        entry["maxmin_sparse_s"] = time.perf_counter() - start
+        assert len(rates) == len(matching)
+        clear_incidence_cache()
 
         entry["peak_rss_mib"] = _peak_rss_mib()
         curve[str(n)] = entry

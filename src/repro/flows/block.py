@@ -53,13 +53,11 @@ Cheap screens before any LP
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from ..exceptions import FlowError
 from ..matching import Matching
+from ..memo import BoundedMemo, Counters
 from ..topology.base import Topology
 from .bounds import theta_lower_bound_shortest_path, theta_proxy
 from .concurrent_flow import (
@@ -139,42 +137,12 @@ class BlockStats:
     flat_fallbacks: int = 0
 
 
-class _Counters:
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.reset()
-
-    def reset(self) -> None:
-        with getattr(self, "lock", threading.Lock()):
-            self.pod_solves = 0
-            self.memo_hits = 0
-            self.pods_screened = 0
-            self.envelope_decided = 0
-            self.coarse_solves = 0
-            self.flat_fallbacks = 0
-
-    def bump(self, field: str, by: int = 1) -> None:
-        with self.lock:
-            setattr(self, field, getattr(self, field) + by)
-
-    def snapshot(self) -> BlockStats:
-        with self.lock:
-            return BlockStats(
-                pod_solves=self.pod_solves,
-                memo_hits=self.memo_hits,
-                pods_screened=self.pods_screened,
-                envelope_decided=self.envelope_decided,
-                coarse_solves=self.coarse_solves,
-                flat_fallbacks=self.flat_fallbacks,
-            )
-
-
-_counters = _Counters()
+_counters = Counters(*(f.name for f in fields(BlockStats)))
 
 
 def block_stats() -> BlockStats:
     """Snapshot of the block solver's work-avoidance counters."""
-    return _counters.snapshot()
+    return BlockStats(**_counters.snapshot())
 
 
 def reset_block_stats() -> None:
@@ -182,35 +150,8 @@ def reset_block_stats() -> None:
     _counters.reset()
 
 
-class _LRU:
-    """Tiny thread-safe LRU used for subgraphs and subproblem values."""
-
-    def __init__(self, maxsize: int) -> None:
-        self._maxsize = maxsize
-        self._lock = threading.Lock()
-        self._memo: OrderedDict = OrderedDict()
-
-    def get(self, key):
-        with self._lock:
-            hit = self._memo.get(key)
-            if hit is not None:
-                self._memo.move_to_end(key)
-            return hit
-
-    def put(self, key, value) -> None:
-        with self._lock:
-            self._memo[key] = value
-            self._memo.move_to_end(key)
-            while len(self._memo) > self._maxsize:
-                self._memo.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._memo.clear()
-
-
-_subgraph_memo = _LRU(_SUBGRAPH_MEMO_MAX)
-_solution_memo = _LRU(_SOLUTION_MEMO_MAX)
+_subgraph_memo: BoundedMemo[tuple[Topology, ...]] = BoundedMemo(_SUBGRAPH_MEMO_MAX)
+_solution_memo: BoundedMemo[float] = BoundedMemo(_SOLUTION_MEMO_MAX)
 
 
 def _clear_block_memos() -> None:
@@ -269,21 +210,19 @@ def _pod_subgraphs(
     produce fingerprint-identical subgraphs, which is what the
     subproblem dedup keys on.
     """
-    key = (topology.fingerprint(), structure)
-    cached = _subgraph_memo.get(key)
-    if cached is not None:
-        return cached
-    pod_edges = _collect_pod_edges(topology, structure)
-    subgraphs = tuple(
-        Topology(
-            size,
-            pod_edges[p],
-            name=f"{topology.name}|pod{p}",
+
+    def build() -> tuple[Topology, ...]:
+        pod_edges = _collect_pod_edges(topology, structure)
+        return tuple(
+            Topology(
+                size,
+                pod_edges[p],
+                name=f"{topology.name}|pod{p}",
+            )
+            for p, (_, size) in enumerate(structure.ranges)
         )
-        for p, (_, size) in enumerate(structure.ranges)
-    )
-    _subgraph_memo.put(key, subgraphs)
-    return subgraphs
+
+    return _subgraph_memo.get_or_compute((topology.fingerprint(), structure), build)
 
 
 def _pod_subgraphs_subset(
@@ -322,18 +261,21 @@ def _solve_subproblem(
 
     The memo key is (subgraph fingerprint, commodity multiset, rate):
     on uniform patterns every equal pod collapses onto one solve, and
-    repeated collective steps reuse values across calls.  Misses run
-    :func:`~repro.flows.max_concurrent_flow`, which shares no state
-    between calls, so parallel pods never wait on a solver lock.
+    repeated collective steps reuse values across calls.  The memo is
+    compute-once, so threads pricing the same pod run one LP between
+    them.
     """
+    solved = False
+
+    def solve() -> float:
+        nonlocal solved
+        value = max_concurrent_flow(topology, commodities, reference_rate).theta
+        solved = True
+        return value
+
     key = (topology.fingerprint(), _commodity_key(commodities), reference_rate)
-    hit = _solution_memo.get(key)
-    if hit is not None:
-        _counters.bump("memo_hits")
-        return hit
-    value = max_concurrent_flow(topology, commodities, reference_rate).theta
-    _counters.bump("pod_solves")
-    _solution_memo.put(key, value)
+    value = _solution_memo.get_or_compute(key, solve)
+    _counters.bump("pod_solves" if solved else "memo_hits")
     return value
 
 
@@ -443,20 +385,15 @@ def pod_theta(
     topology: Topology,
     matching: Matching,
     reference_rate: float,
-    parallel: int | None = None,
 ) -> float:
     """Exact ``theta(G, M)`` of a pod fabric via blockwise decomposition.
 
     Equals the flat LP to 1e-9 (see the module docstring for the
     argument and the differential suite for the pins) at a fraction of
     its cost: one coarse inter-pod LP plus at most one small LP per
-    *distinct* pod subproblem, with bounds-based screening skipping
-    pods that provably cannot set the minimum.
-
-    ``parallel`` > 1 solves the surviving pod subproblems in a thread
-    pool (no lock is held across a solve); the default solves serially in
-    ascending-lower-bound order, which maximizes screening.  Values are
-    identical either way.
+    *distinct* pod subproblem, solved in ascending-lower-bound order
+    so bounds-based screening skips pods that provably cannot set the
+    minimum.
 
     Topologies without pod structure fall back to the flat exact LP.
     """
@@ -494,20 +431,6 @@ def pod_theta(
         upper = theta_proxy(subgraph, commodities, reference_rate)
         entries.append((lower, upper, p, subgraph, commodities))
     entries.sort(key=lambda e: e[0])
-
-    if parallel is not None and parallel > 1:
-        survivors = [e for e in entries if e[0] < current]
-        _counters.bump("pods_screened", len(entries) - len(survivors))
-        if survivors:
-            with ThreadPoolExecutor(max_workers=parallel) as pool:
-                values = list(
-                    pool.map(
-                        lambda e: _solve_subproblem(e[3], e[4], reference_rate),
-                        survivors,
-                    )
-                )
-            current = min([current, *values])
-        return current
 
     for lower, upper, _, subgraph, commodities in entries:
         if lower >= current:

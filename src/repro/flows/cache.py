@@ -7,15 +7,12 @@ handful of distinct theta computations.  :class:`ThroughputCache` keys
 results by (topology fingerprint, matching) and is shared by default
 through a module-level instance.
 
-The cache is thread-safe *and* compute-once: when several of
-:func:`repro.engine.plan_many`'s worker threads race on the same key,
-exactly one runs the LP solve while the others wait on it, so
-
-* no duplicate work is done (LP solves take milliseconds), and
-* the statistics are deterministic — ``misses`` equals the number of
-  distinct keys computed and ``hits`` equals every other lookup,
-  regardless of thread interleaving.  The concurrency test suite pins
-  this exactness.
+The cache is a :class:`repro.memo.BoundedMemo` — thread-safe *and*
+compute-once: when several of :func:`repro.engine.plan_many`'s worker
+threads race on the same key, exactly one runs the LP solve while the
+others wait on it, so no duplicate work is done and ``misses`` equals
+the number of distinct keys computed, regardless of thread
+interleaving.  The concurrency test suite pins this exactness.
 
 The cache is *two-tier*.  Tier 1 is the in-process memo table; tier 2
 is an optional content-addressed **store** (see
@@ -23,12 +20,8 @@ is an optional content-addressed **store** (see
 every fresh computation, so repeated grid runs across processes and CI
 jobs pay zero LP solves after the first.  Lookups served by tier 2 are
 counted as ``disk_hits`` — a ``miss`` always means the value was
-actually computed in this process.
-
-Tier 1 can be bounded with ``maxsize``: completed entries are evicted
-least-recently-used first (in-flight computations are never evicted),
-and :class:`CacheStats` reports the eviction count, so a long
-multi-tenant workload sweep cannot grow the table without limit.
+actually computed in this process.  Tier 1 can be bounded with
+``maxsize`` (LRU; in-flight computations are never evicted).
 
 :meth:`ThroughputCache.stats` returns a consistent :class:`CacheStats`
 snapshot for reporting.
@@ -37,13 +30,10 @@ snapshot for reporting.
 from __future__ import annotations
 
 import hashlib
-import threading
-from concurrent.futures import Future
-from dataclasses import dataclass
 from collections.abc import Callable, Iterable
 
-from ..exceptions import ConfigurationError
 from ..matching import Matching
+from ..memo import BoundedMemo, CacheStats
 from ..topology.base import Topology
 
 __all__ = [
@@ -54,34 +44,6 @@ __all__ = [
     "theta_key_digest",
     "theta_tag",
 ]
-
-
-@dataclass(frozen=True)
-class CacheStats:
-    """A consistent snapshot of a cache's counters.
-
-    ``hits`` are tier-1 (in-memory) hits, ``disk_hits`` are lookups
-    served by the attached tier-2 store or a merged worker delta, and
-    ``misses`` are values actually computed in this process.
-    ``evictions`` counts completed entries dropped by the LRU bound.
-    """
-
-    hits: int
-    misses: int
-    size: int
-    disk_hits: int = 0
-    evictions: int = 0
-
-    @property
-    def lookups(self) -> int:
-        """Total number of ``get_or_compute`` calls observed."""
-        return self.hits + self.misses + self.disk_hits
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served without computing (0.0 when idle)."""
-        lookups = self.lookups
-        return (self.hits + self.disk_hits) / lookups if lookups else 0.0
 
 
 def theta_key_digest(key: tuple) -> str:
@@ -127,14 +89,7 @@ class ThetaStore:
         raise NotImplementedError
 
 
-# Compute-once memos (this module's ThroughputCache and the planner's
-# step-cost memo) store a bare concurrent.futures.Future as the
-# in-flight marker: the claiming thread computes and publishes via
-# set_result / set_exception while the rest block on .result(), which
-# re-raises the owner's exception in every waiter.
-
-
-class ThroughputCache:
+class ThroughputCache(BoundedMemo[float]):
     """A keyed, thread-safe, compute-once memo table for theta values.
 
     Parameters
@@ -159,24 +114,11 @@ class ThroughputCache:
         store: ThetaStore | None = None,
         track_delta: bool = False,
     ) -> None:
-        if maxsize is not None and maxsize < 1:
-            raise ConfigurationError(f"maxsize must be >= 1 or None, got {maxsize}")
-        self._table: dict[tuple, float | Future] = {}
-        self._lock = threading.Lock()
-        self._maxsize = maxsize
+        super().__init__(maxsize)
         self._store = store
         self._overlay: dict[str, float] = {}
         self._delta: list[tuple[str, float]] | None = [] if track_delta else None
-        self._n_values = 0
-        self.hits = 0
-        self.misses = 0
         self.disk_hits = 0
-        self.evictions = 0
-
-    @property
-    def maxsize(self) -> int | None:
-        """The tier-1 LRU bound (``None`` when unbounded)."""
-        return self._maxsize
 
     @property
     def store(self) -> ThetaStore | None:
@@ -188,26 +130,11 @@ class ThroughputCache:
         with self._lock:
             self._store = store
 
-    def __len__(self) -> int:
-        with self._lock:
-            return self._n_values
-
-    def clear(self) -> None:
-        """Drop all tier-1 entries and reset statistics.
-
-        In-flight computations are left to finish and still serve their
-        waiters, but they detect the eviction and do not resurrect
-        their entries into the cleared table.  The tier-2 store and the
-        merged overlay are knowledge about *content*, not per-process
-        state, and are kept.
-        """
-        with self._lock:
-            self._table.clear()
-            self._n_values = 0
-            self.hits = 0
-            self.misses = 0
-            self.disk_hits = 0
-            self.evictions = 0
+    def _clear_locked(self) -> None:
+        # clear() keeps the tier-2 store and the merged overlay: they
+        # are knowledge about *content*, not per-process state.
+        super()._clear_locked()
+        self.disk_hits = 0
 
     def stats(self) -> CacheStats:
         """Hits / misses / size as one consistent snapshot."""
@@ -243,24 +170,6 @@ class ThroughputCache:
             self._delta.clear()
             return out
 
-    def _key(self, topology: Topology, matching: Matching, tag: str) -> tuple:
-        return (topology.fingerprint(), matching, tag)
-
-    def _evict_locked(self) -> None:
-        """Drop least-recently-used completed entries past ``maxsize``
-        (callers hold the lock; in-flight Futures are never evicted)."""
-        if self._maxsize is None:
-            return
-        while self._n_values > self._maxsize:
-            for key, value in self._table.items():
-                if not isinstance(value, Future):
-                    del self._table[key]
-                    self._n_values -= 1
-                    self.evictions += 1
-                    break
-            else:  # pragma: no cover - only Futures left
-                break
-
     def _digest_for(self, key: tuple) -> str | None:
         """The key's content digest, or ``None`` when no tier-2
         machinery (store / overlay / delta log) would consume it."""
@@ -285,17 +194,6 @@ class ThroughputCache:
         if store is None:
             return None
         return store.load(digest)
-
-    def _publish(self, key: tuple, cell: Future, value: float) -> None:
-        """Install a completed value and wake the waiters."""
-        with self._lock:
-            # clear() may have evicted our in-flight cell; don't
-            # resurrect the entry, but still serve current waiters.
-            if self._table.get(key) is cell:
-                self._table[key] = value
-                self._n_values += 1
-                self._evict_locked()
-        cell.set_result(value)
 
     def seed(
         self,
@@ -327,61 +225,33 @@ class ThroughputCache:
         """Return the cached value or compute, store, and return it.
 
         ``tag`` separates entries produced by different estimators (the
-        exact LP vs. proxies) for the same pattern.  ``compute`` runs
-        outside the lock (LP solves can take milliseconds); when threads
-        race on one key, the first claims it and computes while the rest
-        block on the result, so each key is computed exactly once and
-        counted as exactly one miss.  If ``compute`` raises, the error
-        propagates to the owner and every waiter, and the key is
-        released for a later retry.
+        exact LP vs. proxies) for the same pattern.  Compute-once
+        semantics are :class:`~repro.memo.BoundedMemo`'s: ``compute``
+        runs outside the lock, racing threads wait for the one owner, and
+        a failed compute re-raises in every waiter and releases the key.
 
         With a tier-2 store attached, a tier-1 miss first consults the
         store; a found value is promoted into tier 1 and counted as a
         ``disk_hit`` — ``misses`` stays an exact count of computations
         actually performed in this process.
         """
-        key = self._key(topology, matching, tag)
-        with self._lock:
-            entry = self._table.get(key)
-            if entry is None:
-                cell = Future()
-                self._table[key] = cell
-            else:
-                self.hits += 1
-                if not isinstance(entry, Future):
-                    if self._maxsize is not None:
-                        # Recency bookkeeping only matters when the
-                        # LRU bound can actually evict.
-                        self._table[key] = self._table.pop(key)
-                    return entry
-        if entry is not None:
-            # Another thread owns the computation; wait for its result.
-            return entry.result()
-        try:
-            # One digest serves the overlay check, the store lookup,
-            # and the fresh-value record (it hashes the repr of the
-            # whole topology fingerprint — not something to redo).
-            digest = self._digest_for(key)
-            value = self._tier2_lookup(digest)
-            if value is not None:
-                with self._lock:
-                    self.disk_hits += 1
-                self._publish(key, cell, value)
-                return value
+        return super().get_or_compute(
+            (topology.fingerprint(), matching, tag), compute
+        )
+
+    def _fill(self, key: tuple, compute: Callable[[], float]) -> float:
+        """Tier 2 first, then compute and feed tier 2."""
+        # One digest serves the overlay check, the store lookup, and the
+        # fresh-value record (it hashes the repr of the whole topology
+        # fingerprint — not something to redo).
+        digest = self._digest_for(key)
+        value = self._tier2_lookup(digest)
+        if value is not None:
             with self._lock:
-                self.misses += 1
-            value = float(compute())
-            self._record_fresh(digest, value)
-        except BaseException as exc:
-            # Tier-2 I/O failures and compute failures alike must
-            # release the key and wake the waiters — an unresolved
-            # in-flight cell would block them forever.
-            with self._lock:
-                if self._table.get(key) is cell:
-                    del self._table[key]
-            cell.set_exception(exc)
-            raise
-        self._publish(key, cell, value)
+                self.disk_hits += 1
+            return value
+        value = float(super()._fill(key, compute))
+        self._record_fresh(digest, value)
         return value
 
     def _record_fresh(self, digest: str | None, value: float) -> None:

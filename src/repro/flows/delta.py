@@ -40,12 +40,12 @@ perturbation chains.
 from __future__ import annotations
 
 import math
-import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 from ..exceptions import FlowError
 from ..matching import Matching
+from ..memo import Counters
 from ..topology.base import Topology
 from .block import (
     PodStructure,
@@ -113,42 +113,12 @@ class IncrementalStats:
         return (self.clean_pods_reused + self.pods_screened) / considered
 
 
-class _IncCounters:
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.reset()
-
-    def reset(self) -> None:
-        with getattr(self, "lock", threading.Lock()):
-            self.delta_solves = 0
-            self.full_solves = 0
-            self.context_hits = 0
-            self.dirty_pods_solved = 0
-            self.clean_pods_reused = 0
-            self.pods_screened = 0
-
-    def bump(self, field: str, by: int = 1) -> None:
-        with self.lock:
-            setattr(self, field, getattr(self, field) + by)
-
-    def snapshot(self) -> IncrementalStats:
-        with self.lock:
-            return IncrementalStats(
-                delta_solves=self.delta_solves,
-                full_solves=self.full_solves,
-                context_hits=self.context_hits,
-                dirty_pods_solved=self.dirty_pods_solved,
-                clean_pods_reused=self.clean_pods_reused,
-                pods_screened=self.pods_screened,
-            )
-
-
-_counters = _IncCounters()
+_counters = Counters(*(f.name for f in fields(IncrementalStats)))
 
 
 def incremental_stats() -> IncrementalStats:
     """Snapshot of the delta path's work-avoidance counters."""
-    return _counters.snapshot()
+    return IncrementalStats(**_counters.snapshot())
 
 
 def reset_incremental_stats() -> None:

@@ -20,7 +20,6 @@ import json
 import math
 import threading
 import weakref
-from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
 from collections.abc import Mapping, Sequence
 
@@ -35,6 +34,7 @@ from ..core.multiport import (
 from ..exceptions import ConfigurationError
 from ..fabric.degradation import FabricHealth
 from ..flows import PathLengthRule, ThroughputCache, default_cache
+from ..memo import BoundedMemo
 from ..topology import (
     Topology,
     coprime_rings,
@@ -144,29 +144,11 @@ def available_topology_families() -> tuple[str, ...]:
 
 # One built Topology per distinct spec: grid sweeps produce hundreds of
 # scenarios over the same fabric, and a shared instance also shares its
-# internal hop-distance cache.  Guarded for plan_many's worker threads
-# and FIFO-bounded so long-lived processes sweeping n or bandwidth do
-# not accumulate topologies (and their hop caches) forever.
-_TOPOLOGY_MEMO: dict["TopologySpec", Topology] = {}
-_TOPOLOGY_MEMO_LOCK = threading.Lock()
+# internal hop-distance cache.  Bounded so long-lived processes sweeping
+# n or bandwidth do not accumulate topologies (and their hop caches)
+# forever.
 _TOPOLOGY_MEMO_LIMIT = 256
-
-
-def _memoized_build(memo: dict, lock: threading.Lock, limit: int, key, build):
-    """Shared get-or-build for the topology memos: check under the
-    lock, build outside it (builders may be slow), publish with
-    ``setdefault`` so racing threads converge on one instance, and
-    FIFO-evict past ``limit``."""
-    with lock:
-        cached = memo.get(key)
-    if cached is not None:
-        return cached
-    value = build()
-    with lock:
-        kept = memo.setdefault(key, value)
-        while len(memo) > limit:
-            memo.pop(next(iter(memo)))
-        return kept
+_TOPOLOGY_MEMO: BoundedMemo[Topology] = BoundedMemo(_TOPOLOGY_MEMO_LIMIT)
 
 
 @dataclass(frozen=True)
@@ -220,13 +202,7 @@ class TopologySpec:
                     f"bad options for topology family {self.family!r}: {exc}"
                 ) from exc
 
-        return _memoized_build(
-            _TOPOLOGY_MEMO,
-            _TOPOLOGY_MEMO_LOCK,
-            _TOPOLOGY_MEMO_LIMIT,
-            self,
-            construct,
-        )
+        return _TOPOLOGY_MEMO.get_or_compute(self, construct)
 
     def to_dict(self) -> dict[str, object]:
         """Plain-dict form (JSON-serializable)."""
@@ -314,18 +290,13 @@ def _check_keys(
 
 
 # Step-cost evaluations keyed by (scenario facts that matter, cache):
-# the WeakKeyDictionary ties each memo's lifetime to its cache, and the
-# per-cache tables are FIFO-bounded.  Entries never go stale — step
-# costs are a pure function of the key — so clearing the theta cache
-# does not require clearing this memo.
-#
-# The memo is compute-once, like the ThroughputCache itself: when
-# plan_many worker threads race on one key, a single thread evaluates
-# while the rest wait on its in-flight Future marker.  That keeps the
-# shared theta cache's hit/miss statistics exact (each step-cost
-# evaluation — and hence each theta lookup — happens exactly once per
-# key, for any interleaving).
-_STEP_COSTS_MEMO: "weakref.WeakKeyDictionary[ThroughputCache, dict]" = (
+# the WeakKeyDictionary ties each memo's lifetime to its cache.  Entries
+# never go stale — step costs are a pure function of the key — so
+# clearing the theta cache does not require clearing this memo.  Being
+# compute-once keeps the shared theta cache's hit/miss statistics exact
+# under plan_many's worker threads (each step-cost evaluation, and hence
+# each theta lookup, happens exactly once per key).
+_STEP_COSTS_MEMO: "weakref.WeakKeyDictionary[ThroughputCache, BoundedMemo]" = (
     weakref.WeakKeyDictionary()
 )
 _STEP_COSTS_MEMO_LOCK = threading.Lock()
@@ -334,9 +305,8 @@ _STEP_COSTS_MEMO_LIMIT = 4096
 # One degraded Topology per (spec, health fingerprint): grid sweeps and
 # workload phases re-reference the same condition constantly, and a
 # shared instance shares its hop-distance cache, like _TOPOLOGY_MEMO.
-_DEGRADED_MEMO: dict[tuple, Topology] = {}
-_DEGRADED_MEMO_LOCK = threading.Lock()
 _DEGRADED_MEMO_LIMIT = 256
+_DEGRADED_MEMO: BoundedMemo[Topology] = BoundedMemo(_DEGRADED_MEMO_LIMIT)
 
 
 @dataclass(frozen=True)
@@ -560,10 +530,7 @@ class Scenario:
         base = self.topology.build()
         if self.health is None:
             return base
-        return _memoized_build(
-            _DEGRADED_MEMO,
-            _DEGRADED_MEMO_LOCK,
-            _DEGRADED_MEMO_LIMIT,
+        return _DEGRADED_MEMO.get_or_compute(
             (self.topology, self.health.fingerprint()),
             lambda: self.health.apply(base),
         )
@@ -617,36 +584,10 @@ class Scenario:
             None if self.health is None else self.health.fingerprint(),
         )
         with _STEP_COSTS_MEMO_LOCK:
-            table = _STEP_COSTS_MEMO.get(cache)
-            if table is None:
-                table = {}
-                _STEP_COSTS_MEMO[cache] = table
-            entry = table.get(key)
-            if entry is None:
-                cell = Future()
-                table[key] = cell
-        if entry is not None:
-            if not isinstance(entry, Future):
-                return entry
-            return entry.result()
-        try:
-            costs = self._compute_step_costs(cache)
-        except BaseException as exc:
-            with _STEP_COSTS_MEMO_LOCK:
-                if table.get(key) is cell:
-                    del table[key]
-            cell.set_exception(exc)
-            raise
-        with _STEP_COSTS_MEMO_LOCK:
-            if table.get(key) is cell:
-                table[key] = costs
-            completed = [
-                k for k, v in table.items() if not isinstance(v, Future)
-            ]
-            for stale in completed[: max(len(completed) - _STEP_COSTS_MEMO_LIMIT, 0)]:
-                table.pop(stale)
-        cell.set_result(costs)
-        return costs
+            memo = _STEP_COSTS_MEMO.get(cache)
+            if memo is None:
+                memo = _STEP_COSTS_MEMO[cache] = BoundedMemo(_STEP_COSTS_MEMO_LIMIT)
+        return memo.get_or_compute(key, lambda: self._compute_step_costs(cache))
 
     def _compute_step_costs(
         self, cache: ThroughputCache | None

@@ -40,13 +40,13 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
-from collections import OrderedDict
 from collections.abc import AsyncIterator, Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 from ..exceptions import ConfigurationError, ReproError
 from ..flows import ThroughputCache
+from ..memo import BoundedMemo
 from .._version import detect_version
 from .metrics import DaemonMetrics
 from .schemas import (
@@ -68,6 +68,16 @@ __all__ = ["PlannerDaemon"]
 
 #: An outcome is ("ok", payload dict) or ("error", ServiceError).
 Outcome = tuple[str, object]
+
+#: Bound on the resident theta cache's entries when the daemon builds
+#: its own: a daemon fed never-repeating faults would otherwise grow it
+#: for its whole life.
+_RESIDENT_CACHE_MAX = 4096
+#: Resident incremental-pricing contexts (one per scenario lineage) and
+#: online-control sessions (one per streaming client), least recently
+#: used evicted first.
+_PLAN_CONTEXTS_MAX = 16
+_ONLINE_SESSIONS_MAX = 32
 
 
 def _error_outcome(exc: BaseException) -> Outcome:
@@ -106,7 +116,8 @@ class PlannerDaemon:
     ----------
     cache:
         The resident theta cache; a fresh private
-        :class:`~repro.flows.ThroughputCache` by default.  Explicitly
+        :class:`~repro.flows.ThroughputCache` bounded to
+        ``_RESIDENT_CACHE_MAX`` entries (LRU) by default.  Explicitly
         passing one lets tests (and embedders) observe hit/miss
         statistics directly.
     cache_dir:
@@ -142,7 +153,9 @@ class PlannerDaemon:
             raise ConfigurationError(f"max_batch must be >= 1, got {max_batch}")
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        self.cache = cache if cache is not None else ThroughputCache()
+        self.cache = (
+            cache if cache is not None else ThroughputCache(maxsize=_RESIDENT_CACHE_MAX)
+        )
         from ..engine.store import activate_disk_cache
 
         self.store = activate_disk_cache(directory=cache_dir, cache=self.cache)
@@ -164,19 +177,13 @@ class PlannerDaemon:
         # request that is a small perturbation of a seen condition is
         # delta-priced against the lineage's previous parts instead of
         # cold-solved.  Worker threads share them (PlanContext is
-        # thread-safe); the dict itself is guarded by its own lock.
-        self._plan_contexts: OrderedDict[tuple, object] = OrderedDict()
-        self._plan_contexts_lock = threading.Lock()
-        self._max_contexts = 16
+        # thread-safe).
+        self._plan_contexts: BoundedMemo = BoundedMemo(_PLAN_CONTEXTS_MAX)
         # Resident online-control sessions: one OnlineController (plus
         # its serializing lock — a session's observe/decide must not
-        # interleave across worker threads) per streaming client.  LRU
-        # like the plan contexts; an evicted session replans from its
-        # prior on its next step.
-        self._online_sessions: OrderedDict[str, tuple[object, threading.Lock]]
-        self._online_sessions = OrderedDict()
-        self._online_sessions_lock = threading.Lock()
-        self._max_online_sessions = 32
+        # interleave across worker threads) per streaming client.  An
+        # evicted session replans from its prior on its next step.
+        self._online_sessions: BoundedMemo = BoundedMemo(_ONLINE_SESSIONS_MAX)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -400,10 +407,8 @@ class PlannerDaemon:
         snapshot = self.metrics_.snapshot()
         stats = self.cache.stats()
         inc = incremental_stats()
-        with self._plan_contexts_lock:
-            n_contexts = len(self._plan_contexts)
-        with self._online_sessions_lock:
-            n_sessions = len(self._online_sessions)
+        n_contexts = len(self._plan_contexts)
+        n_sessions = len(self._online_sessions)
         snapshot.update(
             version=self.version,
             uptime_s=time.time() - self._started_at,
@@ -579,15 +584,9 @@ class PlannerDaemon:
         if not delta_priced(scenario):
             return None
 
-        lineage = scenario_lineage(scenario)
-        with self._plan_contexts_lock:
-            context = self._plan_contexts.get(lineage)
-            if context is None:
-                context = self._plan_contexts[lineage] = PlanContext()
-            self._plan_contexts.move_to_end(lineage)
-            while len(self._plan_contexts) > self._max_contexts:
-                self._plan_contexts.popitem(last=False)
-            return context
+        return self._plan_contexts.get_or_compute(
+            scenario_lineage(scenario), PlanContext
+        )
 
     def _online_session_for(self, body) -> "tuple[object, threading.Lock]":
         """The resident :class:`~repro.control.OnlineController` (and its
@@ -596,34 +595,25 @@ class PlannerDaemon:
         from ..control.controller import OnlineController
         from ..control.policy import ONLINE_POLICIES
 
-        with self._online_sessions_lock:
-            entry = self._online_sessions.get(body.session)
-            if entry is None:
-                estimator, default_trigger = ONLINE_POLICIES[body.policy]
-                options = dict(body.options)
-                kwargs = {}
-                if options.get("prior_message_size") is not None:
-                    kwargs["prior_message_size"] = float(
-                        options["prior_message_size"]
-                    )
-                controller = OnlineController(
-                    estimator=estimator,
-                    trigger=str(options.get("trigger", default_trigger)),
-                    beta=float(options.get("beta", 0.5)),
-                    window=int(options.get("window", 4)),
-                    drift_threshold=float(
-                        options.get("drift_threshold", 0.1)
-                    ),
-                    replan_every=int(options.get("replan_every", 4)),
-                    cache=self.cache,
-                    **kwargs,
-                )
-                entry = (controller, threading.Lock())
-                self._online_sessions[body.session] = entry
-            self._online_sessions.move_to_end(body.session)
-            while len(self._online_sessions) > self._max_online_sessions:
-                self._online_sessions.popitem(last=False)
-            return entry
+        def start() -> "tuple[object, threading.Lock]":
+            estimator, default_trigger = ONLINE_POLICIES[body.policy]
+            options = dict(body.options)
+            kwargs = {}
+            if options.get("prior_message_size") is not None:
+                kwargs["prior_message_size"] = float(options["prior_message_size"])
+            controller = OnlineController(
+                estimator=estimator,
+                trigger=str(options.get("trigger", default_trigger)),
+                beta=float(options.get("beta", 0.5)),
+                window=int(options.get("window", 4)),
+                drift_threshold=float(options.get("drift_threshold", 0.1)),
+                replan_every=int(options.get("replan_every", 4)),
+                cache=self.cache,
+                **kwargs,
+            )
+            return (controller, threading.Lock())
+
+        return self._online_sessions.get_or_compute(body.session, start)
 
     def _prewarm_incremental(self, scenarios) -> int:
         """Delta-price every step of the given scenarios into the

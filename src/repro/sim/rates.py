@@ -12,28 +12,19 @@ the simulator can quantify the gap (ablation bench ``bench_sim``):
   under shortest-path routing (TCP-like static fair share).
 
 The max-min and equal-share allocators run over a (flow x edge)
-shortest-path incidence structure with two interchangeable kernels:
-
-* a **dense** boolean matrix for small problems (masked numpy
-  reductions, exactly the historical code path), and
-* a **sparse** kernel (``scipy.sparse`` CSR/CSC index structure plus
-  ``np.bincount``/``np.minimum.reduceat`` over the nonzeros) once
-  ``flows * edges`` crosses :data:`SPARSE_CROSSOVER` — progressive
-  filling then costs ``O(nnz)`` per saturation round instead of
-  ``O(F * E)``, which is what keeps n=1024 fabrics tractable.
-
-Both kernels operate on the same integer edge-pressure counts and the
-same float shares, so their outputs are bit-identical; the differential
-suite pins this.  The incidence structure itself is memoized per
-``(topology fingerprint, matching)`` (it used to be rebuilt on every
-call), with :func:`incidence_build_count` exposing the build counter so
-tests can assert one build per key.
+shortest-path incidence held as sparse index arrays (``scipy.sparse``
+CSR/CSC structure, walked with ``np.bincount`` /
+``np.minimum.reduceat`` over the nonzeros), so progressive filling
+costs ``O(nnz)`` per saturation round instead of ``O(F * E)`` — what
+keeps n=1024 fabrics tractable.  The differential suite pins both
+allocators bit for bit against a dense masked-numpy oracle.  The
+incidence structure is memoized per ``(topology fingerprint,
+matching)``, with :func:`incidence_build_count` exposing the build
+counter so tests can assert one build per key.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,25 +39,18 @@ from ..flows import (
     route_shortest_paths,
 )
 from ..matching import Matching
+from ..memo import BoundedMemo, Counters
 from ..topology.base import Topology
 
 __all__ = [
     "FlowRate",
     "allocate_rates",
     "RATE_METHODS",
-    "SPARSE_CROSSOVER",
     "incidence_build_count",
     "clear_incidence_cache",
 ]
 
 RATE_METHODS = ("mcf", "maxmin", "equal")
-
-#: Dense/sparse crossover: the dense kernel is kept while
-#: ``flows * edges`` stays below this (n<=64 rings and friends keep
-#: their current speed and exact numerics); bigger problems route
-#: through the sparse kernel.  Both kernels are bit-identical, so the
-#: threshold is purely a performance knob.
-SPARSE_CROSSOVER = 32768
 
 _INCIDENCE_MEMO_MAX = 256
 
@@ -83,27 +67,17 @@ class FlowRate:
 
 @dataclass(frozen=True)
 class _Incidence:
-    """Memoized shortest-path routing state for one (topology, matching).
-
-    ``dense`` holds the boolean (flow x edge) matrix for small problems;
-    large problems carry only the sparse index structure (CSR for
-    row-major walks, CSC companions for column membership).  Exactly one
-    of the two representations is populated.
-    """
+    """Memoized shortest-path routing state for one (topology, matching):
+    the (flow x edge) incidence as CSR arrays for row-major walks plus
+    CSC companions for column membership."""
 
     pairs: tuple[tuple[int, int], ...]
     capacities: np.ndarray  # (E,) float
-    dense: np.ndarray | None  # (F, E) bool, or None on the sparse path
-    # Sparse structure (all None on the dense path):
-    entry_row: np.ndarray | None  # (nnz,) row id of each nonzero, CSR order
-    entry_col: np.ndarray | None  # (nnz,) column id of each nonzero, CSR order
-    row_indptr: np.ndarray | None  # (F+1,) CSR row pointers
-    col_entry: np.ndarray | None  # (nnz,) row id of each nonzero, CSC order
-    col_indptr: np.ndarray | None  # (E+1,) CSC column pointers
-
-    @property
-    def is_sparse(self) -> bool:
-        return self.dense is None
+    entry_row: np.ndarray  # (nnz,) row id of each nonzero, CSR order
+    entry_col: np.ndarray  # (nnz,) column id of each nonzero, CSR order
+    row_indptr: np.ndarray  # (F+1,) CSR row pointers
+    col_entry: np.ndarray  # (nnz,) row id of each nonzero, CSC order
+    col_indptr: np.ndarray  # (E+1,) CSC column pointers
 
     @property
     def n_flows(self) -> int:
@@ -114,64 +88,41 @@ class _Incidence:
         return len(self.capacities)
 
 
-class _IncidenceCache:
-    """Thread-safe bounded LRU over (topology fingerprint, matching)."""
-
-    def __init__(self, maxsize: int = _INCIDENCE_MEMO_MAX) -> None:
-        self._maxsize = maxsize
-        self._lock = threading.Lock()
-        self._memo: OrderedDict[tuple, _Incidence] = OrderedDict()
-        self.builds = 0
-
-    def get(self, topology: Topology, matching: Matching) -> _Incidence:
-        key = (topology.fingerprint(), matching)
-        with self._lock:
-            hit = self._memo.get(key)
-            if hit is not None:
-                self._memo.move_to_end(key)
-                return hit
-        built = _build_incidence(topology, matching)
-        with self._lock:
-            # Another thread may have raced us; keep the first build so
-            # callers always share one structure per key.
-            hit = self._memo.get(key)
-            if hit is not None:
-                self._memo.move_to_end(key)
-                return hit
-            self.builds += 1
-            self._memo[key] = built
-            while len(self._memo) > self._maxsize:
-                self._memo.popitem(last=False)
-        return built
-
-    def clear(self) -> None:
-        with self._lock:
-            self._memo.clear()
-
-
-_incidence_cache = _IncidenceCache()
+_INCIDENCE_MEMO: BoundedMemo[_Incidence] = BoundedMemo(_INCIDENCE_MEMO_MAX)
+_builds = Counters("incidence")
 
 
 def incidence_build_count() -> int:
-    """How many times the shortest-path incidence was actually built.
+    """How many times the shortest-path incidence was actually built
+    since process start.
 
     The structure is memoized per (topology fingerprint, matching);
     repeated allocations against the same key must not increment this.
     """
-    return _incidence_cache.builds
+    return _builds.snapshot()["incidence"]
 
 
 def clear_incidence_cache() -> None:
     """Drop every memoized incidence structure (test isolation hook)."""
-    _incidence_cache.clear()
+    _INCIDENCE_MEMO.clear()
+
+
+def _incidence(topology: Topology, matching: Matching) -> _Incidence:
+    """The memoized incidence of ``matching`` routed on ``topology``."""
+
+    def build() -> _Incidence:
+        built = _build_incidence(topology, matching)
+        _builds.bump("incidence")
+        return built
+
+    return _INCIDENCE_MEMO.get_or_compute((topology.fingerprint(), matching), build)
 
 
 def _build_incidence(topology: Topology, matching: Matching) -> _Incidence:
     """Route the matching over shortest paths and freeze the incidence.
 
     The (flow x edge) structure is assembled as a ``scipy.sparse`` COO
-    and converted once; below :data:`SPARSE_CROSSOVER` it is densified
-    so small fabrics keep the historical masked-numpy kernels.
+    and converted once to CSR and CSC.
     """
     commodities = commodities_from_matching(matching)
     routing = route_shortest_paths(topology, commodities, reference_rate=1.0)
@@ -194,9 +145,6 @@ def _build_incidence(topology: Topology, matching: Matching) -> _Incidence:
         shape=(max(n_flows, 1), max(n_edges, 1)),
     )
     cap = np.array(capacities, dtype=float)
-    if n_flows * n_edges < SPARSE_CROSSOVER:
-        dense = coo.toarray().astype(bool)[:n_flows, :n_edges]
-        return _Incidence(pairs, cap, dense, None, None, None, None, None)
     csr = coo.tocsr()
     csc = coo.tocsc()
     entry_col = csr.indices.astype(np.int64)
@@ -207,7 +155,7 @@ def _build_incidence(topology: Topology, matching: Matching) -> _Incidence:
     col_entry = csc.indices.astype(np.int64)
     col_indptr = csc.indptr.astype(np.int64)
     return _Incidence(
-        pairs, cap, None, entry_row, entry_col, row_indptr, col_entry, col_indptr
+        pairs, cap, entry_row, entry_col, row_indptr, col_entry, col_indptr
     )
 
 
@@ -220,35 +168,9 @@ def _maxmin_rates(
     capacity-per-active-flow, freezes every flow crossing it at that
     fair share, and subtracts the frozen bandwidth.  The fixed point is
     the (unique) max-min fair allocation over the shortest-path routes.
-    Edge pressures are exact integer counts on both kernels, so the
-    dense and sparse paths agree bit for bit.
+    Edge pressures are exact integer counts.
     """
-    inc = _incidence_cache.get(topology, matching)
-    if inc.is_sparse:
-        return dict(zip(inc.pairs, _maxmin_sparse(inc)))
-    return dict(zip(inc.pairs, _maxmin_dense(inc)))
-
-
-def _maxmin_dense(inc: _Incidence) -> np.ndarray:
-    incidence = inc.dense
-    rates = np.zeros(inc.n_flows)
-    active = np.ones(inc.n_flows, dtype=bool)
-    remaining = inc.capacities.copy()
-    while active.any():
-        pressure = incidence[active].sum(axis=0)
-        share = np.where(pressure > 0, remaining / np.maximum(pressure, 1), np.inf)
-        bottleneck = int(np.argmin(share))
-        fair_share = float(share[bottleneck])
-        saturated = active & incidence[:, bottleneck]
-        rates[saturated] = fair_share
-        remaining -= fair_share * incidence[saturated].sum(axis=0)
-        # Guard against float drift leaving tiny negative capacities.
-        np.maximum(remaining, 0.0, out=remaining)
-        active &= ~saturated
-    return rates
-
-
-def _maxmin_sparse(inc: _Incidence) -> np.ndarray:
+    inc = _incidence(topology, matching)
     entry_row, entry_col = inc.entry_row, inc.entry_col
     n_flows, n_edges = inc.n_flows, inc.n_edges
     rates = np.zeros(n_flows)
@@ -269,28 +191,23 @@ def _maxmin_sparse(inc: _Incidence) -> np.ndarray:
         rates[saturated] = fair_share
         frozen = np.bincount(entry_col[saturated[entry_row]], minlength=n_edges)
         remaining -= fair_share * frozen
+        # Guard against float drift leaving tiny negative capacities.
         np.maximum(remaining, 0.0, out=remaining)
         active &= ~saturated
-    return rates
+    return dict(zip(inc.pairs, rates))
 
 
 def _equal_share_rates(
     topology: Topology, matching: Matching
 ) -> dict[tuple[int, int], float]:
     """Each flow: min over its path of capacity / flows-on-edge."""
-    inc = _incidence_cache.get(topology, matching)
-    if inc.is_sparse:
-        load = np.bincount(inc.entry_col, minlength=inc.n_edges)
-        share = np.where(load > 0, inc.capacities / np.maximum(load, 1), np.inf)
-        lengths = np.diff(inc.row_indptr)[: inc.n_flows]
-        if (lengths == 0).any():
-            raise SimulationError("flow with empty shortest path")
-        rates = np.minimum.reduceat(share[inc.entry_col], inc.row_indptr[:-1])
-        return dict(zip(inc.pairs, rates))
-    incidence = inc.dense
-    load = incidence.sum(axis=0)
+    inc = _incidence(topology, matching)
+    load = np.bincount(inc.entry_col, minlength=inc.n_edges)
     share = np.where(load > 0, inc.capacities / np.maximum(load, 1), np.inf)
-    rates = np.where(incidence, share[np.newaxis, :], np.inf).min(axis=1)
+    lengths = np.diff(inc.row_indptr)[: inc.n_flows]
+    if (lengths == 0).any():
+        raise SimulationError("flow with empty shortest path")
+    rates = np.minimum.reduceat(share[inc.entry_col], inc.row_indptr[:-1])
     return dict(zip(inc.pairs, rates))
 
 

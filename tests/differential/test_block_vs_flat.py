@@ -176,16 +176,3 @@ def test_block_equals_flat_on_random_fabrics(data):
     if len(matching) == 0:
         return
     assert_block_equals_flat(topology, matching)
-
-
-@settings(max_examples=15, deadline=None)
-@given(data=st.data())
-def test_parallel_block_equals_serial_on_random_fabrics(data):
-    fabric = data.draw(pod_fabrics())
-    topology = fabric.flat_topology()
-    matching = data.draw(fabric_matchings(fabric.n))
-    if len(matching) == 0:
-        return
-    serial = pod_theta(topology, matching, RATE)
-    threaded = pod_theta(topology, matching, RATE, parallel=4)
-    assert agree(serial, threaded, TOL)

@@ -194,28 +194,6 @@ class TestBlockTheta:
         assert stats.pod_solves <= 2
         assert stats.memo_hits + stats.pods_screened >= 2
 
-    def test_parallel_path_matches_serial(self):
-        topology = fabric((4, 6, 8)).flat_topology()
-        matching = Matching.shift(18, 5)
-        serial = pod_theta(topology, matching, RATE)
-        threaded = pod_theta(topology, matching, RATE, parallel=3)
-        assert threaded == pytest.approx(serial, rel=1e-9)
-
-    def test_parallel_pods_match_serial_from_cold_memos(self):
-        # Pod LPs go through max_concurrent_flow, which holds no lock,
-        # so parallel pods really solve side by side.
-        from repro.flows.block import _clear_block_memos
-
-        topology = fabric((6, 8, 10)).flat_topology()
-        matching = Matching.shift(24, 5)
-        _clear_block_memos()
-        serial = pod_theta(topology, matching, RATE)
-        _clear_block_memos()
-        reset_block_stats()
-        threaded = pod_theta(topology, matching, RATE, parallel=2)
-        assert block_stats().pod_solves >= 2
-        assert threaded == pytest.approx(serial, rel=1e-12)
-
     def test_compute_theta_prices_pods_and_caches(self):
         topology = fabric((4, 4)).flat_topology()
         matching = Matching.shift(8, 2)

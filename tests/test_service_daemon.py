@@ -23,6 +23,7 @@ from repro.exceptions import ConfigurationError, ScheduleError
 from repro.flows import ThroughputCache
 from repro.planner import Scenario, plan, register_solver
 from repro.planner.registry import unregister_solver
+from repro.service import daemon as daemon_mod
 from repro.service import (
     DegradationBody,
     MetricsBody,
@@ -188,6 +189,37 @@ class TestCacheResidency:
         assert response.ok
         assert cache["misses"] == 0  # every theta came from the store
         assert cache["disk_hits"] >= 1
+
+
+    def test_own_cache_is_bounded(self, monkeypatch):
+        # A daemon fed never-repeating work must not grow its resident
+        # cache for its whole life; eviction must not change answers.
+        monkeypatch.setattr(daemon_mod, "_RESIDENT_CACHE_MAX", 4)
+        scenarios = [
+            scenario(n=n, algorithm=algorithm)
+            for n in (8, 16, 32)
+            for algorithm in ("allreduce_ring", "allreduce_recursive_doubling")
+        ]
+
+        async def serve(daemon):
+            async with daemon:
+                results, sizes = [], []
+                for sc in scenarios:
+                    response = await daemon.submit(plan_request(sc))
+                    assert response.ok
+                    # Everything but the cache's own counters.
+                    response.result.pop("cache_stats")
+                    results.append(response.result)
+                    sizes.append(len(daemon.cache))
+                return results, sizes, daemon.metrics()["cache"]
+
+        capped, sizes, stats = run(serve(PlannerDaemon(batch_window_s=0.0)))
+        uncapped, _, _ = run(
+            serve(PlannerDaemon(cache=ThroughputCache(), batch_window_s=0.0))
+        )
+        assert max(sizes) <= 4
+        assert stats["evictions"] > 0
+        assert capped == uncapped
 
 
 class TestErrorIsolation:

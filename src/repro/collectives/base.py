@@ -117,6 +117,18 @@ class Step:
         """Rank count of the domain."""
         return self.matching.n
 
+    def with_volume(self, volume: float) -> "Step":
+        """A copy carrying ``volume``, sharing this step's matching,
+        transfers and label without validating them again (they were
+        validated when this step was built)."""
+        step = Step.__new__(Step)
+        step.matching = self.matching
+        step.volume = volume
+        step.transfers = self.transfers
+        step.compute_time = self.compute_time
+        step.label = self.label
+        return step
+
     def __repr__(self) -> str:
         return (
             f"Step(label={self.label!r}, pairs={len(self.matching)}, "

@@ -102,12 +102,11 @@ def _prewarm_plan_batch(requests, cache) -> int:
         try:
             topology = scenario.build_topology()
             if topology.metadata.get("family") not in CLOSED_FORM_FAMILIES:
-                # Nothing to seed: skip building the collective.
+                # Nothing to seed: skip reading the step patterns.
                 continue
             matchings = []
             seen_matchings: set = set()
-            for step in scenario.build_collective().steps:
-                matching = step.matching
+            for matching in scenario.collective.step_matchings(scenario.n):
                 if (
                     len(matching) == 0
                     or matching in seen_matchings

@@ -272,8 +272,7 @@ def prewarm_scenario_context(
     topology = scenario.build_topology()
     state = fabric_state_for(scenario)
     rate = float(scenario.cost.bandwidth)
-    collective = scenario.build_collective()
-    step_matchings = tuple(step.matching for step in collective.steps)
+    step_matchings = scenario.collective.step_matchings(scenario.n)
     previous = context.last_matchings
     seeded = 0
     for i, matching in enumerate(step_matchings):

@@ -15,6 +15,7 @@ across a grid sweep.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
@@ -31,9 +32,10 @@ from ..core.multiport import (
     evaluate_multiport_step_costs,
     multiport_alltoall,
 )
-from ..exceptions import ConfigurationError
+from ..exceptions import CollectiveError, ConfigurationError
 from ..fabric.degradation import FabricHealth
 from ..flows import PathLengthRule, ThroughputCache, default_cache
+from ..matching import Matching
 from ..memo import BoundedMemo
 from ..topology import (
     Topology,
@@ -150,6 +152,69 @@ def available_topology_families() -> tuple[str, ...]:
 _TOPOLOGY_MEMO_LIMIT = 256
 _TOPOLOGY_MEMO: BoundedMemo[Topology] = BoundedMemo(_TOPOLOGY_MEMO_LIMIT)
 
+# One step skeleton per (algorithm, n, options).  By Observation 1 a
+# collective is its sequence of (m_i, M_i): the matchings, transfers and
+# labels do not depend on the message size and every volume is linear
+# in it, so the registry factory runs once per skeleton and each size
+# only rescales the volumes.  perfbench's largest workload uses 4.
+_SKELETON_MEMO_LIMIT = 8
+_SKELETON_MEMO: BoundedMemo["_Skeleton"] = BoundedMemo(_SKELETON_MEMO_LIMIT)
+
+
+def _unit_law(unit_value: float, n: int) -> tuple[int, int]:
+    """The integers ``(k, d)`` of the factory expression ``k * (m / d)``
+    that gave ``unit_value`` at ``m = 1``: ``(1, 1)`` for the full
+    vector ``m``, else ``k`` blocks of ``m / n``."""
+    if unit_value == 1.0:
+        return 1, 1
+    k = round(unit_value * n)
+    if k * (1.0 / n) != unit_value:
+        raise CollectiveError(
+            f"{unit_value!r} at unit message size is neither m nor a whole "
+            f"number of m/{n} blocks"
+        )
+    return k, n
+
+
+@dataclass(frozen=True)
+class _Skeleton:
+    """A registry collective built at unit message size, with the
+    ``(k, d)`` law of its chunk size and of each step volume, so that
+    :meth:`scaled` repeats the factory's own ``k * (m / d)`` for any
+    ``m`` (bit for bit)."""
+
+    unit: Collective
+    matchings: tuple[Matching, ...]
+    chunk_law: tuple[int, int]
+    step_laws: tuple[tuple[int, int], ...]
+
+    @classmethod
+    def of(cls, unit: Collective) -> "_Skeleton":
+        return cls(
+            unit,
+            tuple(step.matching for step in unit.steps),
+            _unit_law(unit.chunk_size, unit.n),
+            tuple(_unit_law(step.volume, unit.n) for step in unit.steps),
+        )
+
+    def scaled(self, message_size: float) -> Collective:
+        """Fresh steps and a fresh collective at ``message_size``."""
+        unit = self.unit
+        chunks, divisor = self.chunk_law
+        return Collective(
+            name=unit.name,
+            kind=unit.kind,
+            n=unit.n,
+            message_size=message_size,
+            steps=[
+                step.with_volume(k * (message_size / d))
+                for step, (k, d) in zip(unit.steps, self.step_laws)
+            ],
+            chunk_size=chunks * (message_size / divisor),
+            n_chunks=unit.n_chunks,
+            metadata=copy.deepcopy(unit.metadata),
+        )
+
 
 @dataclass(frozen=True)
 class TopologySpec:
@@ -246,16 +311,39 @@ class CollectiveSpec:
                 f"unknown collective {self.algorithm!r}; available: "
                 f"{available_collectives()}"
             )
-        if self.message_size < 0:
-            raise ConfigurationError("message_size must be non-negative")
         # Stored as from_dict reads it back, so equal specs digest alike.
-        object.__setattr__(self, "message_size", float(self.message_size))
+        size = float(self.message_size)
+        if not (math.isfinite(size) and size >= 0):
+            raise ConfigurationError(
+                f"message_size must be finite and non-negative, got {size!r}"
+            )
+        object.__setattr__(self, "message_size", size)
         object.__setattr__(self, "options", _freeze_options(self.options))
 
     def build(self, n: int) -> Collective:
-        """Instantiate the collective for an ``n``-rank domain."""
-        return make_collective(
-            self.algorithm, n, self.message_size, **_thaw_options(self.options)
+        """Instantiate the collective for an ``n``-rank domain: its
+        memoized skeleton, scaled to this spec's message size."""
+        return self._skeleton(n).scaled(self.message_size)
+
+    def step_matchings(self, n: int) -> tuple[Matching, ...]:
+        """The step patterns ``M_i`` for an ``n``-rank domain (they do
+        not depend on the message size), without building a collective."""
+        return self._skeleton(n).matchings
+
+    def _skeleton(self, n: int) -> _Skeleton:
+        def construct() -> _Skeleton:
+            try:
+                unit = make_collective(
+                    self.algorithm, n, 1.0, **_thaw_options(self.options)
+                )
+            except TypeError as exc:
+                raise ConfigurationError(
+                    f"bad options for collective {self.algorithm!r}: {exc}"
+                ) from exc
+            return _Skeleton.of(unit)
+
+        return _SKELETON_MEMO.get_or_compute(
+            (self.algorithm, n, self.options), construct
         )
 
     def to_dict(self) -> dict[str, object]:

@@ -172,6 +172,25 @@ class TestScenario:
                 topology=TopologySpec(family="ring", n=64, bandwidth=Gbps(400))
             )
 
+    @pytest.mark.parametrize("size", [float("nan"), float("inf"), -float("inf"), -1.0])
+    def test_message_size_must_be_finite_and_non_negative(self, size):
+        with pytest.raises(ConfigurationError, match="message_size"):
+            CollectiveSpec("alltoall", size)
+        with pytest.raises(ConfigurationError, match="message_size"):
+            paper_scenario("alltoall", n=8).replace(message_size=size)
+        data = paper_scenario("alltoall", n=8).to_dict()
+        data["collective"]["message_size"] = size
+        with pytest.raises(ConfigurationError, match="message_size"):
+            Scenario.from_dict(data)
+
+    def test_bad_collective_option_is_a_configuration_error(self):
+        spec = CollectiveSpec("allreduce_ring", 1.0, {"root": 1})
+        with pytest.raises(ConfigurationError, match="bad options.*root"):
+            spec.build(8)
+        scenario = paper_scenario("allreduce_ring", n=8).replace(collective=spec)
+        with pytest.raises(ConfigurationError, match="bad options"):
+            plan(scenario, cache=ThroughputCache())
+
     def test_build_topology_matches_family(self):
         assert "ring" in available_topology_families()
         spec = TopologySpec(family="ring", n=8, bandwidth=Gbps(800))

@@ -21,7 +21,7 @@ import pytest
 
 from repro.exceptions import ConfigurationError, ScheduleError
 from repro.flows import ThroughputCache
-from repro.planner import Scenario, plan, register_solver
+from repro.planner import CollectiveSpec, Scenario, plan, register_solver
 from repro.planner.registry import unregister_solver
 from repro.service import daemon as daemon_mod
 from repro.service import (
@@ -266,6 +266,36 @@ class TestErrorIsolation:
         assert fail4.error.code == "solver"
         assert "injected mid-batch failure" in fail4.error.message
         assert metrics["solver_errors"] == 1
+
+    def test_bad_collective_option_is_a_solver_error(self):
+        bad = scenario(n=8).replace(
+            collective=CollectiveSpec("allreduce_ring", KiB(64), {"root": 1})
+        )
+
+        async def main():
+            async with PlannerDaemon(batch_window_s=0.0) as daemon:
+                return await daemon.submit(plan_request(bad))
+
+        response = run(main())
+        assert not response.ok
+        assert response.error.code == "solver"
+        assert "bad options" in response.error.message
+
+    def test_non_finite_message_size_is_rejected(self):
+        requests = []
+        for size in (float("nan"), float("inf")):
+            data = plan_request(scenario(n=8, algorithm="alltoall")).to_dict()
+            data["body"]["scenario"]["collective"]["message_size"] = size
+            requests.append(data)
+
+        async def main():
+            async with PlannerDaemon(batch_window_s=0.0) as daemon:
+                return await asyncio.gather(*map(daemon.submit, requests))
+
+        for response in run(main()):
+            assert not response.ok
+            assert response.error.code == "validation"
+            assert "message_size" in response.error.message
 
     def test_internal_error_code_for_unexpected_exceptions(self):
         def broken(request, cache):

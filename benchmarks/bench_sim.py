@@ -70,7 +70,7 @@ def test_sim_event_throughput(benchmark, shared_cache):
 
 @pytest.mark.benchmark(group="sim")
 def test_sim_many_grid(benchmark, shared_cache, results_dir):
-    """Plan + execute a 4x4 sweep through sim_many(parallel=4)."""
+    """Plan + execute a 4x4 sweep through sim_many."""
     base = Scenario.create(
         "allreduce_swing",
         n=16,
@@ -86,7 +86,7 @@ def test_sim_many_grid(benchmark, shared_cache, results_dir):
         [us(1), us(10), us(100), us(1000)],
     )
     results = benchmark.pedantic(
-        lambda: sim_many(grid, parallel=4, cache=shared_cache),
+        lambda: sim_many(grid, cache=shared_cache),
         rounds=1,
         iterations=1,
     )

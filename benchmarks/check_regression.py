@@ -22,9 +22,9 @@ CPU count (the ``machine.cpu_count`` field ``--bench-json`` writes,
 falling back to ``os.cpu_count()``) and prefers the matching tagged
 baseline; when no tag matches it falls back — with a warning — to the
 untagged ``BENCH_<name>.json``, or failing that to the nearest tagged
-one.  Parallel-speedup cases (thread pools, process pools) scale with
-cores, so comparing them against a baseline from a like-for-like
-machine removes a whole class of false alarms the median trick cannot.
+one.  Cases whose timing scales with the core count are then compared
+against a baseline from a like-for-like machine, which removes a whole
+class of false alarms the median trick cannot.
 
 Usage::
 

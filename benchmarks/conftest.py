@@ -9,8 +9,8 @@ Machine-readable baselines: passing ``--bench-json`` additionally
 writes one ``benchmarks/results/BENCH_<name>.json`` per bench module
 (``bench_planner.py`` -> ``BENCH_planner.json``) with the mean/median
 wall time of every case, plus any extra metrics a bench recorded
-through the ``bench_record`` fixture (e.g. the planner's
-process-vs-thread speedup).  CI uploads these as artifacts on every
+through the ``bench_record`` fixture (e.g. the theta benchmark's
+vectorized-vs-scalar speedup).  CI uploads these as artifacts on every
 run, so the repo accumulates a perf trajectory.  The flag composes
 with ``--benchmark-disable``: wall times then cover one untimed pass
 per case, which is exactly the smoke-mode baseline CI records.
@@ -110,7 +110,7 @@ def shared_cache() -> ThroughputCache:
 def bench_record(request):
     """Record extra metrics into this module's ``BENCH_<name>.json``.
 
-    Usage: ``bench_record(process_speedup_vs_thread=2.1)``.  Values
+    Usage: ``bench_record(vectorized_speedup=9.3)``.  Values
     land under the file's ``extra`` key (only when ``--bench-json`` is
     active at session end).
     """

@@ -10,7 +10,7 @@ optimized schedule — and prints the best plan per buffer.
 
 The whole (algorithm x buffer x policy) cube is a single batched
 `plan_many` call over declarative scenarios: 48 plans, one shared
-thread-safe theta cache, four worker threads.
+theta cache.
 
 Run:  python examples/allreduce_planner.py
 """
@@ -70,7 +70,7 @@ def main() -> None:
         for algorithm in ALGORITHMS
         for policy in POLICIES
     ]
-    results = plan_many(requests, parallel=4, cache=cache)
+    results = plan_many(requests, cache=cache)
     by_key = {
         (r.scenario.collective.message_size, r.scenario.collective.algorithm, r.solver): r
         for r in results

@@ -10,7 +10,7 @@ by event.  This example closes that loop three ways:
 2. the ablation — with max-min fair rates (a TCP-like transport) the
    measurement quantifies how optimistic the model is;
 3. the batch — ``sim_many`` executes a whole (message x alpha_r) sweep
-   through one shared theta cache, in parallel, bit-identical to serial.
+   through one shared theta cache.
 
 Run:  python examples/sim_in_the_loop.py
 """
@@ -56,10 +56,10 @@ def main() -> None:
     (u, v), utilization = busiest
     print(f"busiest base link:   {u}->{v} at {utilization:.0%} utilization")
 
-    # 3. Execute a whole sweep: one shared theta cache, four workers.
+    # 3. Execute a whole sweep through one shared theta cache.
     grid = scenario_grid(scenario, [KiB(64), MiB(1), MiB(16)],
                          [us(1), us(100), us(10000)])
-    results = sim_many(grid, solver="dp", parallel=4)
+    results = sim_many(grid, solver="dp")
     print("\nsweep (rows: message size, cols: alpha_r, cell: simulated time)")
     for row in range(3):
         cells = results[row * 3:(row + 1) * 3]

@@ -24,7 +24,7 @@ Batch a whole parameter sweep through the shared theta cache::
 
     grid = scenario_grid(scenario, message_sizes=[MiB(1), MiB(64)],
                          alpha_rs=[us(1), us(100)])
-    results = plan_many(grid, solver="dp", parallel=4)
+    results = plan_many(grid, solver="dp")
 
 The legacy imperative entry points (``optimize_schedule`` and friends)
 remain available and are what the solver registry adapts.

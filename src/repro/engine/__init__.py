@@ -3,10 +3,9 @@
 Every layer of the reproduction (planner solvers, the flow simulator,
 the adaptive workload engine, the figure experiments) bottoms out in
 the same expensive operation: evaluating the congestion factor
-``theta(G, M)`` via the max-concurrent-flow LP.  The paper's vision of
-fabrics that adapt per collective (§3, Eq. 7) demands sweeping far
-larger grids than a single GIL-bound process can evaluate, so this
-subsystem owns the whole evaluation path:
+``theta(G, M)`` via the max-concurrent-flow LP.  Theta depends only on
+the fabric and the step patterns, so this subsystem owns the whole
+evaluation path around one shared memo:
 
 * **Theta envelopes** (:mod:`~repro.engine.envelope`) — the cheap
   :class:`ThetaEnvelope` sandwich for coarse grid pre-screening before
@@ -17,16 +16,14 @@ subsystem owns the whole evaluation path:
   memo backed by a content-addressed on-disk :class:`DiskStore`
   (``REPRO_CACHE_DIR``, JSON lines, safe under concurrent writers), so
   repeated grid runs across processes and CI jobs pay zero LP solves
-  after the first.
-* **Execution backends** (:mod:`~repro.engine.parallel`) —
-  ``parallel_backend="serial" | "thread" | "process"`` for the batch
-  entry points; the process pool ships picklable scenario/workload
-  dicts, shares theta values through the store, and merges per-worker
-  cache deltas back, breaking the GIL ceiling on the pure-python
-  schedule DP and LP assembly.
+  after the first.  Separate processes sharing one store are how a
+  grid uses more than one core.
+* **Incremental pricing** (:mod:`~repro.engine.incremental`) — the
+  delta-aware :class:`PlanContext` carried across phases and requests.
 
 The batch entry points are :func:`plan_many`, :func:`sim_many`,
-:func:`workload_many` and :func:`plan_workload_many`.
+:func:`workload_many` and :func:`plan_workload_many`; each runs its
+items in one serial loop, in input order.
 """
 
 from .api import plan_many, plan_workload_many, sim_many, workload_many
@@ -40,7 +37,6 @@ from .incremental import (
     prewarm_workload_context,
     scenario_lineage,
 )
-from .parallel import EXECUTION_BACKENDS, resolve_execution_backend
 from .store import (
     ENV_CACHE_DIR,
     DiskStore,
@@ -70,7 +66,4 @@ __all__ = [
     "activate_disk_cache",
     "resolve_cache_dir",
     "ENV_CACHE_DIR",
-    # execution backends
-    "EXECUTION_BACKENDS",
-    "resolve_execution_backend",
 ]

@@ -10,8 +10,12 @@ planning), ``sim_many`` (sim-in-the-loop execution), ``workload_many``
   (:class:`~repro.engine.DiskStore`, ``REPRO_CACHE_DIR``), activated
   automatically for the default cache so repeated grid runs across
   processes pay zero LP solves after the first;
-* the **execution backends** — ``parallel_backend="serial" | "thread"
-  | "process"`` (:mod:`repro.engine.parallel`).
+* one **serial loop** that runs the items in input order and fires
+  the ``on_result`` hook after each.
+
+A grid's theta values depend only on its step patterns, so a batch is
+a handful of LP solves plus cache hits and the pure-python DP; more
+cores help through separate processes sharing one ``REPRO_CACHE_DIR``.
 
 The heavier layers (planner, sim, workload) are imported lazily inside
 the functions: the engine orchestrates them, so importing it must not
@@ -20,11 +24,9 @@ drag them in (or create import cycles).
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Sequence
 
-from ..exceptions import ConfigurationError, SimulationError
 from ..flows import ThroughputCache, default_cache
-from .parallel import execute_batch, resolve_execution_backend
 from .store import activate_disk_cache
 
 __all__ = ["plan_many", "sim_many", "workload_many", "plan_workload_many"]
@@ -53,18 +55,31 @@ def _theta_affinity(scenario):
         scenario.theta_method,
         scenario.path_rule,
         scenario.multiport_radix,
-        # A degraded fabric has its own theta values: keep its cells in
-        # one process-pool chunk and out of pristine cells' chunks.
+        # A degraded fabric has its own theta values: keep its cells
+        # out of pristine cells' groups.
         None if scenario.health is None else scenario.health.fingerprint(),
     )
 
 
-def _workload_affinity(workload):
-    """A workload's theta-reuse group: the deduplicated phase
-    signatures (workloads expanded from the same trace share one)."""
-    return tuple(
-        dict.fromkeys(_theta_affinity(phase) for phase in workload.phases)
-    )
+def _run_batch(
+    run_one: Callable, items: Sequence, on_result: Callable | None
+) -> list:
+    """Run ``items`` one after another, in input order.
+
+    ``on_result(index, result)`` is the incremental-delivery hook: it
+    fires once per item as soon as that item's result exists — before
+    later items run — so a long batch can be streamed (the
+    :mod:`repro.service` daemon bridges it onto an asyncio queue).
+    Exceptions it raises abort the batch; items an aborted batch never
+    reached produce no callback.
+    """
+    results = []
+    for index, item in enumerate(items):
+        result = run_one(item)
+        results.append(result)
+        if on_result is not None:
+            on_result(index, result)
+    return results
 
 
 def _prewarm_plan_batch(requests, cache) -> int:
@@ -136,13 +151,11 @@ def _prewarm_plan_batch(requests, cache) -> int:
 def plan_many(
     scenarios: Iterable,
     solver: str = "dp",
-    parallel: int | None = None,
     cache: "ThroughputCache | None" = default_cache,
-    parallel_backend: str | None = None,
     on_result=None,
     **options,
 ) -> list:
-    """Plan a batch of scenarios, optionally in parallel.
+    """Plan a batch of scenarios.
 
     Parameters
     ----------
@@ -153,35 +166,26 @@ def plan_many(
         fine).
     solver:
         Solver name applied to bare scenarios.
-    parallel:
-        Worker count; with the legacy ``parallel_backend=None``,
-        ``None`` or ``1`` plans serially and larger values use threads.
     cache:
         Shared theta memo.  The default module-level cache is shared
         with everything else in the process (and gains the persistent
         disk tier when ``REPRO_CACHE_DIR`` is set); pass a fresh
         :class:`~repro.flows.ThroughputCache` to isolate a batch, or
         ``None`` to disable caching.
-    parallel_backend:
-        ``"serial"``, ``"thread"``, or ``"process"``.  The process pool
-        ships picklable scenario dicts, shares theta values through the
-        on-disk store, and merges per-worker cache deltas back into
-        ``cache``; its results carry no per-call cache statistics.
     on_result:
         Optional ``(index, result)`` callback fired once per item, in
         input order, as soon as that item's result exists — the
         incremental-delivery hook the service daemon uses to stream
-        long batches (see :func:`repro.engine.parallel.execute_batch`).
-        Every batch entry point in this module accepts it.
+        long batches.  An exception it raises aborts the batch.  Every
+        batch entry point in this module accepts it.
 
     Returns
     -------
     list[PlanResult]
-        One result per input, in input order; bit-identical across
-        execution backends.
+        One result per input, in input order.
     """
     from ..planner.registry import plan
-    from ..planner.result import PlanRequest, PlanResult
+    from ..planner.result import PlanRequest
     from ..planner.scenario import _freeze_options
 
     cache = _session_cache(cache)
@@ -192,68 +196,38 @@ def plan_many(
         else PlanRequest(scenario=item, solver=solver, options=frozen)
         for item in scenarios
     ]
-    backend, _ = resolve_execution_backend(
-        parallel_backend, parallel, len(requests), error=ConfigurationError
-    )
-    if cache is not None and backend != "process":
-        # Process batches do their theta work in the workers (the
-        # parent cache takes no misses); everything else gets the
-        # vectorized closed-form prewarm.
+    if cache is not None:
         _prewarm_plan_batch(requests, cache)
-    return execute_batch(
-        lambda request: plan(request, cache=cache),
-        requests,
-        task_name="plan",
-        make_payload=lambda request: {
-            "scenario": request.scenario.to_dict(),
-            "solver": request.solver,
-            "options": request.options_dict,
-        },
-        task_kwargs={},
-        rebuild=PlanResult.from_dict,
-        parallel_backend=parallel_backend,
-        parallel=parallel,
-        cache=cache,
-        on_result=on_result,
-        affinity=lambda request: _theta_affinity(request.scenario),
-        error=ConfigurationError,
+    return _run_batch(
+        lambda request: plan(request, cache=cache), requests, on_result
     )
 
 
 def sim_many(
     items: Iterable,
     solver: str = "dp",
-    parallel: int | None = None,
     cache: "ThroughputCache | None" = default_cache,
     rate_method: str = "mcf",
     accounting: str = "paper",
     compute_overlap: bool = False,
     collect_utilization: bool = False,
     check_model: bool = True,
-    parallel_backend: str | None = None,
     on_result=None,
     observe_rates: bool = False,
     **options,
 ) -> list:
-    """Simulate a batch of planned collectives, optionally in parallel.
+    """Simulate a batch of planned collectives.
 
     The simulation twin of :func:`plan_many`: bare
     :class:`~repro.planner.Scenario` items are planned with ``solver``
     / ``options`` first, prepared :class:`~repro.planner.PlanResult`
     items are executed as-is, and mixed batches are fine.
     ``rate_method`` / ``accounting`` / ``compute_overlap`` /
-    ``collect_utilization`` / ``check_model`` are forwarded to
-    :func:`~repro.sim.simulate_plan` for every item.
-
-    Under ``parallel_backend="process"`` results round-trip through
-    their dict forms, so the per-event ``trace`` (which is deliberately
-    not serialized) comes back empty; every serialized field is
-    bit-identical to a serial run.  Rate observations requested with
-    ``observe_rates=True`` *are* serialized, so the controller-facing
-    telemetry survives the process backend intact.
+    ``collect_utilization`` / ``check_model`` / ``observe_rates`` are
+    forwarded to :func:`~repro.sim.simulate_plan` for every item.
     """
     from ..planner.result import PlanResult
-    from ..sim.executor import SimResult, simulate_plan
+    from ..sim.executor import simulate_plan
 
     cache = _session_cache(cache)
     sim_kwargs = {
@@ -272,60 +246,32 @@ def sim_many(
             item, solver=solver, cache=cache, **sim_kwargs, **options
         )
 
-    def make_payload(item):
-        if isinstance(item, PlanResult):
-            return {"kind": "plan", "item": item.to_dict()}
-        return {"kind": "scenario", "item": item.to_dict()}
-
-    return execute_batch(
-        run_one,
-        list(items),
-        task_name="sim",
-        make_payload=make_payload,
-        task_kwargs={
-            "solver": solver,
-            "options": dict(options),
-            "sim": sim_kwargs,
-        },
-        rebuild=SimResult.from_dict,
-        parallel_backend=parallel_backend,
-        parallel=parallel,
-        cache=cache,
-        on_result=on_result,
-        affinity=lambda item: _theta_affinity(
-            item.scenario if isinstance(item, PlanResult) else item
-        ),
-        error=ConfigurationError,
-    )
+    return _run_batch(run_one, list(items), on_result)
 
 
 def workload_many(
     items: Iterable,
     policy: str = "replan",
     solver: str = "dp",
-    parallel: int | None = None,
     cache: "ThroughputCache | None" = default_cache,
     rate_method: str = "mcf",
     reconfiguration_model=None,
     collect_utilization: bool = False,
     check_model: bool = True,
-    parallel_backend: str | None = None,
     on_result=None,
     observe_rates: bool = False,
     **options,
 ) -> list:
-    """Plan and execute a batch of workloads, optionally in parallel.
+    """Plan and execute a batch of workloads.
 
     The workload twin of :func:`plan_many` / :func:`sim_many`: bare
     :class:`~repro.workload.Workload` items are planned with ``policy``
     / ``solver`` / ``reconfiguration_model`` first, prepared
     :class:`~repro.workload.WorkloadPlan` items are executed as-is, and
-    mixed batches are fine.  All items share one thread-safe theta
-    cache; results come back in input order and are bit-identical
-    across execution backends (process-backend results carry an empty
-    event trace, which is never serialized).
+    mixed batches are fine.  All items share one theta cache; results
+    come back in input order.
     """
-    from ..sim.workload import WorkloadSimResult, simulate_workload
+    from ..sim.workload import simulate_workload
     from ..workload.result import WorkloadPlan
 
     cache = _session_cache(cache)
@@ -349,51 +295,19 @@ def workload_many(
             **options,
         )
 
-    def make_payload(item):
-        if isinstance(item, WorkloadPlan):
-            return {"kind": "plan", "item": item.to_dict()}
-        return {"kind": "workload", "item": item.to_dict()}
-
-    return execute_batch(
-        run_one,
-        list(items),
-        task_name="workload",
-        make_payload=make_payload,
-        task_kwargs={
-            "policy": policy,
-            "solver": solver,
-            "model": (
-                None
-                if reconfiguration_model is None
-                else reconfiguration_model.to_dict()
-            ),
-            "options": dict(options),
-            "sim": sim_kwargs,
-        },
-        rebuild=WorkloadSimResult.from_dict,
-        parallel_backend=parallel_backend,
-        parallel=parallel,
-        cache=cache,
-        on_result=on_result,
-        affinity=lambda item: _workload_affinity(
-            item.workload if isinstance(item, WorkloadPlan) else item
-        ),
-        error=SimulationError,
-    )
+    return _run_batch(run_one, list(items), on_result)
 
 
 def plan_workload_many(
     items: Iterable,
     policy: str = "replan",
     solver: str = "dp",
-    parallel: int | None = None,
     cache: "ThroughputCache | None" = default_cache,
     reconfiguration_model=None,
-    parallel_backend: str | None = None,
     on_result=None,
     **options,
 ) -> list:
-    """Plan a batch of workloads (no execution), optionally in parallel.
+    """Plan a batch of workloads (no execution).
 
     Each item is a :class:`~repro.workload.Workload` planned with the
     shared ``policy`` / ``options``, or a ``(workload, policy)`` /
@@ -403,7 +317,6 @@ def plan_workload_many(
     in input order.
     """
     from ..workload.policies import plan_workload
-    from ..workload.result import WorkloadPlan
     from ..workload.spec import Workload
 
     cache = _session_cache(cache)
@@ -428,32 +341,4 @@ def plan_workload_many(
             **job_options,
         )
 
-    def make_payload(job):
-        workload, job_policy, job_options = job
-        return {
-            "workload": workload.to_dict(),
-            "policy": job_policy,
-            "options": job_options,
-        }
-
-    return execute_batch(
-        run_one,
-        jobs,
-        task_name="workload-plan",
-        make_payload=make_payload,
-        task_kwargs={
-            "solver": solver,
-            "model": (
-                None
-                if reconfiguration_model is None
-                else reconfiguration_model.to_dict()
-            ),
-        },
-        rebuild=WorkloadPlan.from_dict,
-        parallel_backend=parallel_backend,
-        parallel=parallel,
-        cache=cache,
-        on_result=on_result,
-        affinity=lambda job: _workload_affinity(job[0]),
-        error=ConfigurationError,
-    )
+    return _run_batch(run_one, jobs, on_result)

@@ -14,13 +14,14 @@ writer processes is safe — at worst two workers racing on the same key
 append the same (content-addressed, hence identical) value twice, and
 the loader keeps the last occurrence.  Readers tail the file
 incrementally: a lookup that misses the in-memory view re-reads only
-the bytes appended since the last refresh, which is how the engine's
-process-pool workers pick up each other's LP solves mid-batch.
+the bytes appended since the last refresh, which is how separate
+processes sharing one cache directory pick up each other's LP solves
+mid-run.  A file that was truncated or replaced under a reader is
+tailed again from its start.
 
 Set ``REPRO_CACHE_DIR`` to enable the persistent tier for the default
 cache (see :func:`activate_disk_cache`); without it, stores are only
-created explicitly (or as transient per-batch scratch by the process
-execution backend).
+created explicitly.
 """
 
 from __future__ import annotations
@@ -53,13 +54,16 @@ class DiskStore:
     between processes.
     """
 
-    def __init__(self, directory: str | Path, filename: str = STORE_FILENAME):
+    def __init__(self, directory: str | Path):
         self._directory = Path(directory)
         self._directory.mkdir(parents=True, exist_ok=True)
-        self._path = self._directory / filename
+        self._path = self._directory / STORE_FILENAME
         self._lock = threading.Lock()
         self._entries: dict[str, float] = {}
         self._offset = 0
+        # The file's first line as read at offset 0: an append-only
+        # file never changes it, so a mismatch means a new file.
+        self._head = b""
         with self._lock:
             self._refresh_locked()
 
@@ -86,13 +90,18 @@ class DiskStore:
 
         Only complete lines are consumed — a concurrent writer may be
         mid-append — and malformed lines (torn by a crash) are skipped
-        rather than poisoning the store.
+        rather than poisoning the store.  A file shorter than the read
+        offset, or whose first line changed, was truncated or replaced
+        (say, the cache directory was removed under a running daemon):
+        it is read again from byte 0, keeping the entries already held.
         """
         try:
             size = self._path.stat().st_size
-            if size <= self._offset:
+            if size == self._offset:
                 return
             with open(self._path, "rb") as fh:
+                if size < self._offset or fh.readline() != self._head:
+                    self._offset = 0
                 fh.seek(self._offset)
                 chunk = fh.read()
         except OSError:
@@ -102,6 +111,8 @@ class DiskStore:
         end = chunk.rfind(b"\n")
         if end < 0:
             return
+        if self._offset == 0:
+            self._head = chunk[: chunk.index(b"\n") + 1]
         self._offset += end + 1
         for line in chunk[:end].splitlines():
             try:
@@ -138,6 +149,7 @@ class DiskStore:
             with open(self._path, "a", encoding="utf-8") as fh:
                 fh.write(line)
             self._entries[str(digest)] = value
+
 
 def resolve_cache_dir() -> Path | None:
     """The persistent cache directory from ``REPRO_CACHE_DIR`` (or None)."""

@@ -2,9 +2,8 @@
 
 Subcommands:
 
-* ``figure1 [--panel a..h] [--n N] [--csv DIR] [--parallel N]
-  [--parallel-backend serial|thread|process]`` — Figure 1.
-* ``figure2 [--n N] [--csv DIR] [--parallel N] [...]``  — Figure 2.
+* ``figure1 [--panel a..h] [--n N] [--csv DIR]`` — Figure 1.
+* ``figure2 [--n N] [--csv DIR]``  — Figure 2.
 * ``plan [...]``      — plan one scenario through the unified planner.
 * ``simulate [...]``  — plan a scenario, then *execute* the plan on the
   flow-level simulator and report measured vs analytic time.
@@ -40,8 +39,8 @@ tooling.
 
 All grid subcommands evaluate through :mod:`repro.engine`: set
 ``REPRO_CACHE_DIR`` to persist theta values across runs (the second
-``figure1`` run of a CI job performs zero LP solves), and pick the
-execution backend with ``--parallel`` / ``--parallel-backend``.
+``figure1`` run of a CI job performs zero LP solves).  Separate runs
+sharing one ``REPRO_CACHE_DIR`` also share their LP solves as they go.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from pathlib import Path
 
 from ..analysis.adaptivity import compare_policies
 from ..collectives.registry import available_collectives
-from ..engine import EXECUTION_BACKENDS, activate_disk_cache
+from ..engine import activate_disk_cache
 from ..fabric.reconfiguration import (
     ConstantReconfigurationDelay,
     PerPortReconfigurationDelay,
@@ -97,12 +96,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     fig1.add_argument("--n", type=int, default=None, help="override GPU count")
     fig1.add_argument("--csv", type=Path, default=None, help="CSV output directory")
-    _add_parallel_flags(fig1)
 
     fig2 = sub.add_parser("figure2", help="the Figure 2 best-of-both heatmap")
     fig2.add_argument("--n", type=int, default=None, help="override GPU count")
     fig2.add_argument("--csv", type=Path, default=None, help="CSV output directory")
-    _add_parallel_flags(fig2)
 
     plan_cmd = sub.add_parser(
         "plan", help="plan one scenario with a registered solver"
@@ -193,7 +190,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run the full traces x policies workload grid instead "
         "(covers every trace and policy; --trace/--policy do not apply)",
     )
-    _add_parallel_flags(workload_cmd)
     workload_cmd.add_argument(
         "--json",
         type=Path,
@@ -219,7 +215,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=7,
         help="seed for the random-failure condition",
     )
-    _add_parallel_flags(degradation_cmd)
     degradation_cmd.add_argument(
         "--json",
         type=Path,
@@ -327,20 +322,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="list available collectives, solvers, policies, and traces",
     )
     return parser
-
-
-def _add_parallel_flags(command: argparse.ArgumentParser) -> None:
-    """The execution-backend flags of the grid-shaped subcommands."""
-    command.add_argument(
-        "--parallel", type=int, default=None, help="evaluation worker count"
-    )
-    command.add_argument(
-        "--parallel-backend",
-        default=None,
-        choices=EXECUTION_BACKENDS,
-        help="execution backend for the grid (default: serial, or "
-        "threads when --parallel > 1)",
-    )
 
 
 def _add_scenario_flags(command: argparse.ArgumentParser) -> None:
@@ -519,15 +500,6 @@ def _run_workload(args: argparse.Namespace) -> int:
     if args.dump_scenario:
         print(json.dumps(base.to_dict(), indent=2))
         return 0
-    if not args.grid and (
-        args.parallel is not None or args.parallel_backend is not None
-    ):
-        # A single workload is one sequential phase chain; pretending
-        # to parallelize it would silently run serially.
-        raise SystemExit(
-            "--parallel/--parallel-backend apply to the workload "
-            "subcommand only together with --grid"
-        )
     model = _workload_model(args)
 
     if args.grid:
@@ -537,8 +509,6 @@ def _run_workload(args: argparse.Namespace) -> int:
             solver=args.solver,
             threshold=args.threshold,
             base=base,
-            parallel=args.parallel,
-            parallel_backend=args.parallel_backend,
         )
         print(workload_grid_report(cells))
         if args.json is not None:
@@ -678,12 +648,7 @@ def _run_degradation(args: argparse.Namespace) -> int:
     if args.dump_scenario:
         print(json.dumps(base.to_dict(), indent=2))
         return 0
-    cells = run_degradation_grid(
-        base=base,
-        seed=args.seed,
-        parallel=args.parallel,
-        parallel_backend=args.parallel_backend,
-    )
+    cells = run_degradation_grid(base=base, seed=args.seed)
     print(
         f"degradation grid: {base.collective.algorithm}, n={base.n}, "
         f"alpha_r={format_time(base.cost.reconfiguration_delay)}"
@@ -748,20 +713,9 @@ def main(argv: list[str] | None = None) -> int:
         config = replace(config, n=args.n)
 
     if args.command == "figure1":
-        results = run_figure1(
-            config,
-            panels=args.panel,
-            parallel=args.parallel,
-            parallel_backend=args.parallel_backend,
-        )
+        results = run_figure1(config, panels=args.panel)
     else:
-        results = [
-            run_figure2(
-                config,
-                parallel=args.parallel,
-                parallel_backend=args.parallel_backend,
-            )
-        ]
+        results = [run_figure2(config)]
 
     for result in results:
         print(panel_report(result))

@@ -15,7 +15,7 @@ the base fabric, as with the default high ``alpha_r``).
 
 The whole grid is two engine batches (:func:`repro.engine.plan_many`
 then :func:`repro.engine.sim_many`), so it inherits the shared two-tier
-theta cache and the thread/process execution backends.
+theta cache.
 """
 
 from __future__ import annotations
@@ -133,8 +133,6 @@ def run_degradation_grid(
     base: "Scenario | None" = None,
     seed: int = 7,
     cache: "ThroughputCache | None" = default_cache,
-    parallel: "int | None" = None,
-    parallel_backend: "str | None" = None,
 ) -> list[DegradationCell]:
     """Evaluate every (condition, solver) cell, planned *and* simulated.
 
@@ -167,19 +165,8 @@ def run_degradation_grid(
         for name, health in conditions
         for solver in solvers
     ]
-    plans = plan_many(
-        requests,
-        parallel=parallel,
-        parallel_backend=parallel_backend,
-        cache=cache,
-    )
-    sims = sim_many(
-        plans,
-        parallel=parallel,
-        parallel_backend=parallel_backend,
-        cache=cache,
-        collect_utilization=False,
-    )
+    plans = plan_many(requests, cache=cache)
+    sims = sim_many(plans, cache=cache, collect_utilization=False)
     anchor_name = next(
         name for name, health in conditions if _is_pristine(health)
     )

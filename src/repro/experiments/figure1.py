@@ -11,11 +11,9 @@ Each panel is one batched :func:`repro.engine.plan_many` call: the
 :class:`~repro.planner.Scenario` cells, every cell is planned with the
 ``dp``, ``static``, and ``bvn`` solvers, and the results are folded
 back into the :class:`~repro.analysis.speedup.SpeedupGrid` the
-renderers consume.  All cells share one thread-safe two-tier theta
-cache, so a panel still costs only a handful of LP solves — zero, when
-``REPRO_CACHE_DIR`` points at a warm on-disk store.  ``parallel`` /
-``parallel_backend`` select the engine's execution backend (thread or
-process workers).
+renderers consume.  All cells share one two-tier theta cache, so a
+panel still costs only a handful of LP solves — zero, when
+``REPRO_CACHE_DIR`` points at a warm on-disk store.
 """
 
 from __future__ import annotations
@@ -90,14 +88,8 @@ def run_panel(
     spec: PanelSpec,
     config: PaperConfig = PAPER_CONFIG,
     cache: ThroughputCache | None = default_cache,
-    parallel: int | None = None,
-    parallel_backend: str | None = None,
 ) -> PanelResult:
-    """Evaluate one panel's full (alpha_r x message size) grid.
-
-    ``parallel`` / ``parallel_backend`` are forwarded to
-    :func:`repro.engine.plan_many`.
-    """
+    """Evaluate one panel's full (alpha_r x message size) grid."""
     cells = scenario_grid(
         panel_scenario(spec, config), config.message_sizes, config.alpha_rs
     )
@@ -106,9 +98,7 @@ def run_panel(
         for cell in cells
         for solver in _PANEL_SOLVERS
     ]
-    results = plan_many(
-        requests, parallel=parallel, parallel_backend=parallel_backend, cache=cache
-    )
+    results = plan_many(requests, cache=cache)
 
     shape = (len(config.message_sizes), len(config.alpha_rs))
     surfaces = {
@@ -139,8 +129,6 @@ def run_figure1(
     config: PaperConfig = PAPER_CONFIG,
     panels: str | None = None,
     cache: ThroughputCache | None = default_cache,
-    parallel: int | None = None,
-    parallel_backend: str | None = None,
 ) -> list[PanelResult]:
     """Evaluate all (or selected) Figure 1 panels.
 
@@ -152,13 +140,4 @@ def run_figure1(
         if panels is None
         else tuple(panel_by_id(p) for p in panels)
     )
-    return [
-        run_panel(
-            spec,
-            config=config,
-            cache=cache,
-            parallel=parallel,
-            parallel_backend=parallel_backend,
-        )
-        for spec in selected
-    ]
+    return [run_panel(spec, config=config, cache=cache) for spec in selected]

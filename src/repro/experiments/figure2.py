@@ -7,9 +7,7 @@ concentrated in a diagonal transitional band of the
 always-reconfigure nor always-static suffices.
 
 Like Figure 1, the grid is evaluated through the unified evaluation
-engine (:func:`repro.engine.plan_many` under :func:`run_panel`); pass
-``parallel`` / ``parallel_backend`` to spread the grid over thread or
-process workers.
+engine (:func:`repro.engine.plan_many` under :func:`run_panel`).
 """
 
 from __future__ import annotations
@@ -24,14 +22,6 @@ __all__ = ["run_figure2"]
 def run_figure2(
     config: PaperConfig = PAPER_CONFIG,
     cache: ThroughputCache | None = default_cache,
-    parallel: int | None = None,
-    parallel_backend: str | None = None,
 ) -> PanelResult:
     """Evaluate the Figure 2 grid (speedup vs min(static, BvN))."""
-    return run_panel(
-        FIGURE2_PANEL,
-        config=config,
-        cache=cache,
-        parallel=parallel,
-        parallel_backend=parallel_backend,
-    )
+    return run_panel(FIGURE2_PANEL, config=config, cache=cache)

@@ -146,8 +146,6 @@ def run_workload_grid(
     threshold: float = 0.0,
     base: "Scenario | None" = None,
     cache: "ThroughputCache | None" = default_cache,
-    parallel: "int | None" = None,
-    parallel_backend: "str | None" = None,
 ) -> list[WorkloadCell]:
     """Evaluate every (trace, policy) cell.
 
@@ -159,8 +157,7 @@ def run_workload_grid(
     override the collective per phase as usual).
 
     The whole grid is one :func:`repro.engine.plan_workload_many`
-    batch; ``parallel`` / ``parallel_backend`` spread the cells over
-    the engine's thread or process workers.
+    batch.
     """
     if base is None:
         base = workload_base_scenario(config, message_size=message_size)
@@ -181,8 +178,6 @@ def run_workload_grid(
         jobs,
         solver=solver,
         reconfiguration_model=reconfiguration_model,
-        parallel=parallel,
-        parallel_backend=parallel_backend,
         cache=cache,
     )
     by_cell = dict(zip(keys, plans))

@@ -8,8 +8,8 @@ results by (topology fingerprint, matching) and is shared by default
 through a module-level instance.
 
 The cache is a :class:`repro.memo.BoundedMemo` — thread-safe *and*
-compute-once: when several of :func:`repro.engine.plan_many`'s worker
-threads race on the same key, exactly one runs the LP solve while the
+compute-once: when several threads (the planner daemon's workers, for
+one) race on the same key, exactly one runs the LP solve while the
 others wait on it, so no duplicate work is done and ``misses`` equals
 the number of distinct keys computed, regardless of thread
 interleaving.  The concurrency test suite pins this exactness.
@@ -30,7 +30,7 @@ snapshot for reporting.
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 
 from ..matching import Matching
 from ..memo import BoundedMemo, CacheStats
@@ -101,23 +101,15 @@ class ThroughputCache(BoundedMemo[float]):
     store:
         Optional tier-2 :class:`ThetaStore` consulted on tier-1 misses
         and fed on every fresh computation.
-    track_delta:
-        Record every fresh ``(digest, value)`` computation so
-        :meth:`drain_delta` can hand it to another process'
-        :meth:`merge_delta` (the engine's process pool uses this to
-        merge per-worker results back into the parent cache).
     """
 
     def __init__(
         self,
         maxsize: int | None = None,
         store: ThetaStore | None = None,
-        track_delta: bool = False,
     ) -> None:
         super().__init__(maxsize)
         self._store = store
-        self._overlay: dict[str, float] = {}
-        self._delta: list[tuple[str, float]] | None = [] if track_delta else None
         self.disk_hits = 0
 
     @property
@@ -131,8 +123,8 @@ class ThroughputCache(BoundedMemo[float]):
             self._store = store
 
     def _clear_locked(self) -> None:
-        # clear() keeps the tier-2 store and the merged overlay: they
-        # are knowledge about *content*, not per-process state.
+        # clear() keeps the tier-2 store: it is knowledge about
+        # *content*, not per-process state.
         super()._clear_locked()
         self.disk_hits = 0
 
@@ -146,54 +138,6 @@ class ThroughputCache(BoundedMemo[float]):
                 disk_hits=self.disk_hits,
                 evictions=self.evictions,
             )
-
-    def merge_delta(self, pairs: Iterable[tuple[str, float]]) -> None:
-        """Fold another process' fresh computations into this cache.
-
-        Merged values live in a digest-keyed overlay: the next
-        ``get_or_compute`` for a matching structural key is served from
-        the overlay (counted as a ``disk_hit``) instead of recomputing.
-        """
-        with self._lock:
-            for digest, value in pairs:
-                self._overlay[str(digest)] = float(value)
-
-    def drain_delta(self) -> list[tuple[str, float]]:
-        """Return and clear the fresh computations recorded so far.
-
-        Empty unless the cache was created with ``track_delta=True``.
-        """
-        with self._lock:
-            if self._delta is None:
-                return []
-            out = list(self._delta)
-            self._delta.clear()
-            return out
-
-    def _digest_for(self, key: tuple) -> str | None:
-        """The key's content digest, or ``None`` when no tier-2
-        machinery (store / overlay / delta log) would consume it."""
-        with self._lock:
-            needed = (
-                self._store is not None
-                or bool(self._overlay)
-                or self._delta is not None
-            )
-        return theta_key_digest(key) if needed else None
-
-    def _tier2_lookup(self, digest: str | None) -> float | None:
-        """Consult the merged overlay, then the store (no lock held
-        during store I/O; the store handles its own concurrency)."""
-        if digest is None:
-            return None
-        with self._lock:
-            store = self._store
-            value = self._overlay.get(digest)
-        if value is not None:
-            return value
-        if store is None:
-            return None
-        return store.load(digest)
 
     def seed(
         self,
@@ -241,30 +185,23 @@ class ThroughputCache(BoundedMemo[float]):
 
     def _fill(self, key: tuple, compute: Callable[[], float]) -> float:
         """Tier 2 first, then compute and feed tier 2."""
-        # One digest serves the overlay check, the store lookup, and the
-        # fresh-value record (it hashes the repr of the whole topology
-        # fingerprint — not something to redo).
-        digest = self._digest_for(key)
-        value = self._tier2_lookup(digest)
+        with self._lock:
+            store = self._store
+        if store is None:
+            return float(super()._fill(key, compute))
+        # One digest serves the store lookup and the fresh-value save
+        # (it hashes the repr of the whole topology fingerprint — not
+        # something to redo).  No lock is held during store I/O; the
+        # store handles its own concurrency.
+        digest = theta_key_digest(key)
+        value = store.load(digest)
         if value is not None:
             with self._lock:
                 self.disk_hits += 1
             return value
         value = float(super()._fill(key, compute))
-        self._record_fresh(digest, value)
+        store.save(digest, value)
         return value
-
-    def _record_fresh(self, digest: str | None, value: float) -> None:
-        """Feed a fresh computation to the store and the delta log."""
-        if digest is None:
-            return
-        with self._lock:
-            store = self._store
-        if store is not None:
-            store.save(digest, value)
-        with self._lock:
-            if self._delta is not None:
-                self._delta.append((digest, value))
 
 
 default_cache = ThroughputCache()

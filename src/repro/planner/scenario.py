@@ -382,7 +382,7 @@ def _check_keys(
 # never go stale — step costs are a pure function of the key — so
 # clearing the theta cache does not require clearing this memo.  Being
 # compute-once keeps the shared theta cache's hit/miss statistics exact
-# under plan_many's worker threads (each step-cost evaluation, and hence
+# under the daemon's worker threads (each step-cost evaluation, and hence
 # each theta lookup, happens exactly once per key).
 _STEP_COSTS_MEMO: "weakref.WeakKeyDictionary[ThroughputCache, BoundedMemo]" = (
     weakref.WeakKeyDictionary()

@@ -175,9 +175,9 @@ class SimResult:
         (:class:`~repro.sim.RateObservation` rows, execution order) —
         collected when the run asked for ``observe_rates=True``, empty
         otherwise.  Unlike the event trace, observations *are*
-        serialized by :meth:`to_dict`, so they survive the process
-        execution backend and the service boundary intact (the online
-        controller consumes them on the far side).
+        serialized by :meth:`to_dict`, so they survive the service
+        boundary intact (the daemon's ``simulate`` responses carry them
+        to the online controller on the far side).
     """
 
     plan: PlanResult

@@ -28,7 +28,7 @@ control layer.
 Rows round-trip through plain lists (:meth:`RateObservation.to_row` /
 :meth:`from_row`) so results that carry them — ``SimResult``,
 ``PhaseSimResult``, service payloads — stay JSON-serializable and
-survive the process execution backend bit for bit.
+survive a JSON round trip bit for bit.
 """
 
 from __future__ import annotations

@@ -15,10 +15,9 @@ model check.
 
 :func:`workload_many` batches whole workload sweeps, mirroring
 :func:`~repro.engine.plan_many` / :func:`~repro.engine.sim_many`:
-one shared thread-safe theta cache, results in input order, parallel
-bit-identical to serial.  It is a shim over the unified evaluation
-engine (:func:`repro.engine.workload_many`), which adds the process
-execution backend and the persistent disk cache tier.
+one shared theta cache, results in input order.  It is a shim over
+the unified evaluation engine (:func:`repro.engine.workload_many`),
+which adds the persistent disk cache tier.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ class PhaseSimResult:
     the phase's per-flow telemetry on the phase-local clock — exactly
     what the phase's own :class:`~repro.sim.FlowLevelSimulator` run
     recorded.  It is serialized by :meth:`to_dict`, unlike the event
-    trace, so observations survive the process execution backend.
+    trace, so observations survive a JSON round trip.
     """
 
     index: int
@@ -410,17 +409,15 @@ def workload_many(
     items: Iterable[Workload | WorkloadPlan],
     policy: str = "replan",
     solver: str = "dp",
-    parallel: "int | None" = None,
     cache: "ThroughputCache | None" = default_cache,
     rate_method: str = "mcf",
     reconfiguration_model: ReconfigurationModel | None = None,
     collect_utilization: bool = False,
     check_model: bool = True,
-    parallel_backend: "str | None" = None,
     observe_rates: bool = False,
     **options,
 ) -> list[WorkloadSimResult]:
-    """Plan and execute a batch of workloads, optionally in parallel.
+    """Plan and execute a batch of workloads.
 
     A shim over :func:`repro.engine.workload_many` — see that function
     for the full parameter documentation.  The workload twin of
@@ -428,8 +425,7 @@ def workload_many(
     bare :class:`~repro.workload.Workload` items are planned with
     ``policy`` / ``solver`` / ``reconfiguration_model`` first, prepared
     :class:`~repro.workload.WorkloadPlan` items are executed as-is, and
-    mixed batches are fine.  Results come back in input order and are
-    bit-identical across execution backends.
+    mixed batches are fine.  Results come back in input order.
     """
     from ..engine.api import workload_many as _engine_workload_many
 
@@ -437,13 +433,11 @@ def workload_many(
         items,
         policy=policy,
         solver=solver,
-        parallel=parallel,
         cache=cache,
         rate_method=rate_method,
         reconfiguration_model=reconfiguration_model,
         collect_utilization=collect_utilization,
         check_model=check_model,
-        parallel_backend=parallel_backend,
         observe_rates=observe_rates,
         **options,
     )

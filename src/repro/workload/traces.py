@@ -39,8 +39,8 @@ processes, the raw material of the online-control loop
 
 Every generator — stochastic ones included — is a pure function of its
 arguments: the same ``(args, seed)`` always expand to the same
-workload, which is what makes ``workload_many``'s
-parallel-equals-serial guarantee (and the golden fixtures) possible.
+workload, which is what makes ``workload_many``'s results (and the
+golden fixtures) reproducible.
 """
 
 from __future__ import annotations

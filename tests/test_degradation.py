@@ -307,20 +307,11 @@ class TestDegradedSlower:
             plan(scenario16(), solver="avoid", bogus=1)
 
     def test_plan_many_routes_health_through_the_engine(self):
-        cache = ThroughputCache()
         base = scenario16()
         degraded = base.replace(health=uniform_degradation(N, 0.5))
-        serial = plan_many([base, degraded], cache=cache)
-        process = plan_many(
-            [base, degraded],
-            cache=ThroughputCache(),
-            parallel=2,
-            parallel_backend="process",
-        )
-        assert serial[1].total_time > serial[0].total_time
-        for s, p in zip(serial, process):
-            assert s.total_time == p.total_time
-            assert s.scenario == p.scenario  # health survives the pickle
+        results = plan_many([base, degraded], cache=ThroughputCache())
+        assert [r.scenario for r in results] == [base, degraded]
+        assert results[1].total_time > results[0].total_time
 
 
 # -- mid-run fault injection --------------------------------------------------

@@ -1,17 +1,19 @@
-"""The two-tier cache: on-disk store, LRU bound, delta merging
-(satellites of the unified evaluation engine PR).
+"""The two-tier cache: on-disk store and LRU bound.
 
 Covers the content-addressed :class:`~repro.engine.DiskStore` (JSONL
-round-trips, concurrent-writer visibility, torn-line tolerance), the
-``REPRO_CACHE_DIR`` activation path, the ``maxsize`` LRU bound with
-eviction accounting, and the worker-delta merge protocol the process
-execution backend rides on.
+round-trips, concurrent-writer visibility from threads and from
+separate processes, torn-line tolerance, re-tailing a file truncated or
+replaced under a reader), the ``REPRO_CACHE_DIR`` activation path, the
+``maxsize`` LRU bound with eviction accounting, and a warm disk cache
+serving a whole figure grid with zero LP solves.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import multiprocessing
+import shutil
 import threading
 
 import pytest
@@ -19,15 +21,41 @@ import pytest
 from repro.engine import (
     DiskStore,
     activate_disk_cache,
+    plan_many,
     resolve_cache_dir,
 )
 from repro.exceptions import ConfigurationError
+from repro.experiments.config import small_config
+from repro.experiments.figure1 import panel_by_id, run_panel
 from repro.flows import ThroughputCache, default_cache, theta_key_digest
 from repro.matching import Matching
+from repro.planner import Scenario, scenario_grid
 from repro.topology import ring
-from repro.units import Gbps
+from repro.units import Gbps, KiB, MiB, ns, us
 
 B = Gbps(800)
+
+
+def small_grid():
+    base = Scenario.create(
+        "allreduce_recursive_doubling",
+        n=8,
+        message_size=MiB(1),
+        alpha=ns(100),
+        delta=ns(100),
+        reconfiguration_delay=us(10),
+    )
+    return scenario_grid(base, [KiB(64), MiB(1), MiB(16)], [us(1), us(100)])
+
+
+def _append_entries(directory, prefix, count, start):
+    """A writer process: wait for the others, then append ``count``
+    entries of its own (module-level, so a spawned child can import
+    it)."""
+    start.wait(timeout=60)
+    store = DiskStore(directory)
+    for i in range(count):
+        store.save(f"{prefix}-{i}", float(i))
 
 
 class TestDiskStore:
@@ -93,6 +121,81 @@ class TestDiskStore:
         fresh = DiskStore(tmp_path)
         assert len(fresh) == 80
 
+    def test_writer_processes(self, tmp_path):
+        """Separate processes sharing one store: every entry lands on
+        its own whole line, a fresh store loads them all, and a reader
+        opened before the writers started sees them all by tailing."""
+        per_writer = 200
+        prefixes = ("a", "b")
+        reader = DiskStore(tmp_path)
+        context = multiprocessing.get_context("spawn")
+        start = context.Barrier(len(prefixes))
+        writers = [
+            context.Process(
+                target=_append_entries,
+                args=(str(tmp_path), prefix, per_writer, start),
+            )
+            for prefix in prefixes
+        ]
+        try:
+            for writer in writers:
+                writer.start()
+            for writer in writers:
+                writer.join(timeout=120)
+            assert [writer.exitcode for writer in writers] == [0, 0]
+        finally:
+            for writer in writers:
+                if writer.is_alive():
+                    writer.terminate()
+
+        lines = reader.path.read_bytes().split(b"\n")
+        assert lines[-1] == b""  # the file ends on a whole line
+        rows = [json.loads(line) for line in lines[:-1]]  # none torn
+        assert len(rows) == len(prefixes) * per_writer
+        assert len(DiskStore(tmp_path)) == len(prefixes) * per_writer
+        for prefix in prefixes:
+            for i in range(per_writer):
+                assert reader.load(f"{prefix}-{i}") == float(i)
+
+
+class TestRewrittenStoreFile:
+    """A long-lived reader whose file is truncated or replaced (say,
+    the cache directory is removed under a running daemon) tails the
+    new file from its start and keeps the entries it already holds."""
+
+    def _reader_past_old_entries(self, directory):
+        reader = DiskStore(directory)
+        writer = DiskStore(directory)
+        for i in range(20):
+            writer.save(f"old-{i}", float(i))
+        assert reader.load("old-19") == 19.0  # offset now past 20 lines
+        return reader
+
+    def test_truncated_file_is_read_from_the_start(self, tmp_path):
+        reader = self._reader_past_old_entries(tmp_path)
+        reader.path.write_bytes(b"")
+        writer = DiskStore(tmp_path)
+        writer.save("new-0", 0.5)
+        writer.save("new-1", 1.5)
+        assert reader.path.stat().st_size > 0
+        assert reader.load("new-0") == 0.5
+        assert reader.load("new-1") == 1.5
+        assert reader.load("old-3") == 3.0
+
+    def test_replaced_file_is_read_from_the_start(self, tmp_path):
+        directory = tmp_path / "cache"
+        reader = self._reader_past_old_entries(directory)
+        old_size = reader.path.stat().st_size
+        shutil.rmtree(directory)
+        writer = DiskStore(directory)
+        for i in range(100):
+            writer.save(f"new-{i}", float(i))
+        assert reader.path.stat().st_size > old_size
+        assert [reader.load(f"new-{i}") for i in range(100)] == [
+            float(i) for i in range(100)
+        ]
+        assert reader.load("old-3") == 3.0
+
 
 class TestEnvironmentActivation:
     def test_resolve_cache_dir(self, tmp_path, monkeypatch):
@@ -116,6 +219,15 @@ class TestEnvironmentActivation:
         before = default_cache.store
         assert activate_disk_cache() is None
         assert default_cache.store is before
+
+    def test_explicit_cache_is_hermetic_despite_env(self, tmp_path, monkeypatch):
+        """An explicitly passed cache keeps a batch off the user's
+        REPRO_CACHE_DIR store — the environment only reaches the
+        *default* cache (via activate_disk_cache)."""
+        env_dir = tmp_path / "persistent"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(env_dir))
+        plan_many(small_grid(), cache=ThroughputCache())
+        assert not (env_dir / "theta.jsonl").exists()
 
 
 class TestTwoTierCache:
@@ -168,21 +280,52 @@ class TestTwoTierCache:
         other = (topology.fingerprint(), matching, "theta:proxy")
         assert theta_key_digest(key) != theta_key_digest(other)
 
-    def test_delta_tracking_and_merge(self):
-        topology = ring(8, B)
-        matching = Matching.shift(8, 2)
-        worker = ThroughputCache(track_delta=True)
-        worker.get_or_compute(topology, matching, lambda: 0.75)
-        delta = worker.drain_delta()
-        assert len(delta) == 1
-        assert worker.drain_delta() == []  # drained
+    def test_custom_theta_store_receives_fresh_values(self):
+        """Any ThetaStore, not only DiskStore, is fed every value a
+        batch computes and then serves a fresh cache from it."""
 
-        parent = ThroughputCache()
-        parent.merge_delta(delta)
-        calls, compute = self._compute_counter()
-        assert parent.get_or_compute(topology, matching, compute) == 0.75
-        assert calls["n"] == 0
-        assert parent.stats().disk_hits == 1
+        class DictStore:
+            def __init__(self):
+                self.entries = {}
+
+            def load(self, digest):
+                return self.entries.get(digest)
+
+            def save(self, digest, value):
+                self.entries[digest] = float(value)
+
+        store = DictStore()
+        first = ThroughputCache(store=store)
+        plan_many(small_grid(), cache=first)
+        assert len(store.entries) == first.stats().misses > 0
+        second = ThroughputCache(store=store)
+        plan_many(small_grid(), cache=second)
+        assert second.stats().misses == 0
+        assert second.stats().disk_hits == len(store.entries)
+
+    def test_storeless_cache_never_hashes_keys(self, tmp_path, monkeypatch):
+        # Tier 2 costs a digest of the whole topology fingerprint per
+        # miss; a cache without a store must not pay it.
+        import repro.flows.cache as cache_module
+
+        digests = []
+
+        def counting_digest(key):
+            digests.append(key)
+            return theta_key_digest(key)
+
+        monkeypatch.setattr(cache_module, "theta_key_digest", counting_digest)
+        topology = ring(8, B)
+        matchings = [Matching.shift(8, k) for k in (1, 2, 3)]
+        plain = ThroughputCache()
+        for m in matchings:
+            assert plain.get_or_compute(topology, m, lambda: 0.5) == 0.5
+        assert plain.stats().misses == len(matchings)
+        assert digests == []
+        stored = ThroughputCache(store=DiskStore(tmp_path))
+        for m in matchings:
+            stored.get_or_compute(topology, m, lambda: 0.5)
+        assert len(digests) == len(matchings)
 
     def test_clear_keeps_tier2(self, tmp_path):
         store = DiskStore(tmp_path)
@@ -243,3 +386,39 @@ class TestLRUBound:
         assert stats.evictions == 1
         assert stats.size == 1
         assert stats.misses == 2
+
+
+@pytest.mark.slow
+class TestWarmDiskCacheZeroSolves:
+    N = 16
+
+    def test_second_cold_process_pays_zero_lp_solves(self, tmp_path):
+        """The n=16 figure1 grid against a warm disk cache: a fresh
+        cache (modelling a cold process; the CI cache-roundtrip job
+        covers the real two-process version) must compute nothing."""
+        config = small_config(self.N)
+        panels = [panel_by_id("a"), panel_by_id("d")]
+
+        warm = ThroughputCache(store=DiskStore(tmp_path / "theta"))
+        first = [run_panel(spec, config=config, cache=warm) for spec in panels]
+        assert warm.stats().misses > 0
+
+        cold = ThroughputCache(store=DiskStore(tmp_path / "theta"))
+        second = [run_panel(spec, config=config, cache=cold) for spec in panels]
+        stats = cold.stats()
+        assert stats.misses == 0, f"expected zero LP solves, got {stats}"
+        assert stats.disk_hits == warm.stats().misses
+        for before, after in zip(first, second):
+            assert (before.grid.opt == after.grid.opt).all()
+            assert (before.grid.static == after.grid.static).all()
+            assert (before.grid.bvn == after.grid.bvn).all()
+
+    def test_engine_routed_panel_matches_legacy_cacheless_run(self):
+        """Engine routing must not change the numbers: a panel grid
+        evaluated with caching disabled matches the cached run."""
+        config = small_config(8)
+        spec = panel_by_id("a")
+        cached = run_panel(spec, config=config, cache=ThroughputCache())
+        uncached = run_panel(spec, config=config, cache=None)
+        assert (cached.grid.opt == uncached.grid.opt).all()
+        assert (cached.grid.bvn == uncached.grid.bvn).all()

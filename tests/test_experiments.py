@@ -136,3 +136,15 @@ class TestEmission:
     def test_cli_figure2_small(self, capsys):
         assert cli_main(["figure2", "--n", "4"]) == 0
         assert "fig2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "command", ["figure1", "figure2", "workload", "degradation"]
+    )
+    def test_cli_rejects_worker_count_flags(self, command, capsys):
+        # Batches run in one serial loop: a stale worker-count flag is
+        # an argparse error, never a silently ignored option.
+        for flag in (["--parallel", "2"], ["--parallel-backend", "process"]):
+            with pytest.raises(SystemExit) as excinfo:
+                cli_main([command, *flag])
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err

@@ -3,7 +3,7 @@
 * ``repro.__version__`` is single-sourced from ``pyproject.toml`` and
   surfaces in every service response;
 * the engine's ``on_result`` hook delivers batch results incrementally,
-  in input order, on every execution backend.
+  in input order.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.engine import plan_many, sim_many, workload_many
+from repro.engine import plan_many, plan_workload_many, sim_many, workload_many
 from repro.flows import ThroughputCache
 from repro.planner import Scenario, scenario_grid
 from repro.units import Gbps, KiB, MiB, ns, us
@@ -69,21 +69,18 @@ class TestVersionSingleSourcing:
 
 
 class TestOnResultHook:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_plan_many_emits_incrementally_in_input_order(self, backend):
+    def test_plan_many_emits_incrementally_in_input_order(self):
         grid = small_grid()
         seen = []
         results = plan_many(
             grid,
             cache=ThroughputCache(),
-            parallel=2,
-            parallel_backend=backend,
             on_result=lambda index, result: seen.append((index, result)),
         )
         assert [index for index, _ in seen] == list(range(len(grid)))
         # The hook sees the same objects the call returns.
         for index, result in seen:
-            assert results[index].to_dict() == result.to_dict()
+            assert result is results[index]
 
     def test_sim_many_and_workload_many_support_on_result(self):
         seen = []
@@ -100,6 +97,32 @@ class TestOnResultHook:
             on_result=lambda index, result: seen.append(index),
         )
         assert seen == [0]
+
+    def test_plan_workload_many_supports_on_result(self):
+        workload = steady_trace(base_scenario(n=4), phases=2)
+        seen = []
+        plans = plan_workload_many(
+            [(workload, "replan"), (workload, "hysteresis")],
+            cache=ThroughputCache(),
+            on_result=lambda index, result: seen.append((index, result)),
+        )
+        assert [index for index, _ in seen] == [0, 1]
+        for index, result in seen:
+            assert result is plans[index]
+
+    def test_hook_exception_aborts_the_batch(self):
+        grid = small_grid()
+        seen = []
+
+        def hook(index, result):
+            seen.append(index)
+            if index == 1:
+                raise RuntimeError("consumer went away")
+
+        with pytest.raises(RuntimeError, match="consumer went away"):
+            plan_many(grid, cache=ThroughputCache(), on_result=hook)
+        # Items the aborted batch never reached produce no callback.
+        assert seen == [0, 1]
 
     def test_on_result_fires_before_the_batch_returns(self):
         grid = small_grid()

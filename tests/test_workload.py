@@ -18,7 +18,7 @@ from repro.core.schedule import (
     evaluate_schedule_physical,
     step_configuration,
 )
-from repro.exceptions import SimulationError, WorkloadError
+from repro.exceptions import ConfigurationError, SimulationError, WorkloadError
 from repro.fabric.reconfiguration import (
     ConstantReconfigurationDelay,
     PerPortReconfigurationDelay,
@@ -26,7 +26,7 @@ from repro.fabric.reconfiguration import (
 )
 from repro.flows import ThroughputCache
 from repro.planner import Scenario
-from repro.engine import workload_many
+from repro.engine import plan_workload_many, workload_many
 from repro.sim import EventKind, WorkloadSimResult, simulate_workload
 from repro.units import Gbps, MiB, ns, us
 from repro.workload import (
@@ -553,49 +553,30 @@ class TestSimulateWorkload:
 
 
 class TestWorkloadMany:
-    def workloads(self):
-        return [
-            steady_trace(base_scenario(), 3),
-            bursty_trace(base_scenario(message=MiB(1)), 4),
-            training_loop_trace(base_scenario(), 2),
-            moe_trace(base_scenario(message=MiB(4)), 2),
-        ]
-
-    def test_parallel_is_bit_identical_to_serial(self):
-        model = PerPortReconfigurationDelay(us(2), ns(500))
-        serial = workload_many(
-            self.workloads(),
-            policy="hysteresis",
-            reconfiguration_model=model,
-            cache=ThroughputCache(),
-        )
-        parallel = workload_many(
-            self.workloads(),
-            policy="hysteresis",
-            reconfiguration_model=model,
-            parallel=4,
-            cache=ThroughputCache(),
-        )
-        assert [r.sim_time for r in parallel] == [r.sim_time for r in serial]
-        assert [r.analytic_time for r in parallel] == [
-            r.analytic_time for r in serial
-        ]
-        assert [
-            tuple(p.plan.decisions for p in r.plan.phases) for r in parallel
-        ] == [tuple(p.plan.decisions for p in r.plan.phases) for r in serial]
-
     def test_mixed_items_and_order(self):
         items = [
             plan_workload(steady_trace(base_scenario(), 2)),
             training_loop_trace(base_scenario(), 1),
         ]
-        results = workload_many(items, parallel=2)
+        results = workload_many(items)
         assert results[0].plan is items[0]
         assert results[1].workload == items[1]
 
+    def test_plan_workload_many_keeps_per_item_policies(self):
+        workload = steady_trace(base_scenario(), 2)
+        jobs = [(workload, "replan", {}), (workload, "hysteresis", {})]
+        plans = plan_workload_many(jobs, cache=ThroughputCache())
+        assert [p.policy for p in plans] == ["replan", "hysteresis"]
+        assert plans[0].to_dict() == plan_workload(workload).to_dict()
+
     def test_rejects_bad_parallel(self):
-        with pytest.raises(SimulationError):
-            workload_many([steady_trace(base_scenario(), 2)], parallel=0)
+        # There is no worker-count knob: a stale one is an unknown
+        # solver option, on both workload entry points.
+        workload = steady_trace(base_scenario(), 2)
+        with pytest.raises(ConfigurationError, match="parallel"):
+            workload_many([workload], parallel=4)
+        with pytest.raises(ConfigurationError, match="parallel"):
+            plan_workload_many([workload], parallel=4)
 
 
 # -- analysis + experiment grid ---------------------------------------------

@@ -9,17 +9,19 @@ remains on the critical path:
     gap_i = max(compute_{i-1}, alpha_r * [reconfigures at i])
 
 (for the serial model without overlap the gap is the sum instead of the
-max).  The DP structure is unchanged; only transition costs differ.
+max).  The DP is :mod:`repro.core.optimizer_dp`'s two-state recurrence;
+only the transition table differs.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Mapping, Sequence
+from numbers import Real
 
 from ..exceptions import ScheduleError
 from .cost_model import CostParameters, StepCost
-from .optimizer_dp import OptimizationResult
+from .optimizer_dp import OptimizationResult, _solve_two_state
 from .schedule import Decision, Schedule, ScheduleCost
 
 __all__ = ["evaluate_schedule_with_overlap", "optimize_with_overlap"]
@@ -29,18 +31,29 @@ def _resolve_compute_times(
     step_costs: Sequence[StepCost],
     compute_times: Sequence[float] | float,
 ) -> list[float]:
-    if isinstance(compute_times, (int, float)):
-        times = [float(compute_times)] * len(step_costs)
-    else:
-        times = [float(t) for t in compute_times]
-    if len(times) != len(step_costs):
+    """One finite, non-negative compute time per step, given as one
+    number for every step or a sequence of one per step."""
+    many = isinstance(compute_times, Iterable) and not isinstance(
+        compute_times, (str, bytes, Mapping)
+    )
+    values = list(compute_times) if many else [compute_times] * len(step_costs)
+    if len(values) != len(step_costs):
         raise ScheduleError(
             f"need one compute time per step ({len(step_costs)}), "
-            f"got {len(times)}"
+            f"got {len(values)}"
         )
-    if any(t < 0 for t in times):
-        raise ScheduleError("compute times must be non-negative")
-    return times
+    # float and int go first: the Real ABC check alone is slow.
+    if not all(
+        isinstance(t, (float, int, Real))
+        and not isinstance(t, bool)
+        and math.isfinite(t)
+        and t >= 0
+        for t in values
+    ):
+        raise ScheduleError(
+            f"compute times must be finite non-negative numbers, got {compute_times!r}"
+        )
+    return [float(t) for t in values]
 
 
 def evaluate_schedule_with_overlap(
@@ -118,36 +131,11 @@ def optimize_with_overlap(
     """
     times = _resolve_compute_times(step_costs, compute_times)
     alpha_r = params.reconfiguration_delay
-    value = [0.0, math.inf]
-    parents: list[tuple[int, int]] = []
-    for i, cost in enumerate(step_costs):
-        window = times[i - 1] if i > 0 else 0.0
-        gap_plain = window
-        gap_reconf = max(window, alpha_r)
-        base_step = cost.base_cost(params)
-        matched_step = cost.matched_cost(params)
-        from_base = value[0] + gap_plain + base_step
-        from_matched = value[1] + gap_reconf + base_step
-        if from_base <= from_matched:
-            new_base, parent_base = from_base, 0
-        else:
-            new_base, parent_base = from_matched, 1
-        from_base = value[0] + gap_reconf + matched_step
-        from_matched = value[1] + gap_reconf + matched_step
-        if from_base <= from_matched:
-            new_matched, parent_matched = from_base, 0
-        else:
-            new_matched, parent_matched = from_matched, 1
-        parents.append((parent_base, parent_matched))
-        value = [new_base, new_matched]
-
-    state = 0 if value[0] <= value[1] else 1
-    decisions = []
-    for step in range(len(step_costs) - 1, -1, -1):
-        decisions.append(Decision.BASE if state == 0 else Decision.MATCHED)
-        state = parents[step][state]
-    decisions.reverse()
-    schedule = Schedule(tuple(decisions))
+    transitions = []
+    for window in [0.0] + times[:-1]:
+        gap = max(window, alpha_r)
+        transitions.append((window, gap, gap, gap))
+    schedule = _solve_two_state(step_costs, params, transitions)
     return OptimizationResult(
         schedule=schedule,
         cost=evaluate_schedule_with_overlap(

@@ -405,44 +405,143 @@ def pod_theta(
         ).theta
     if len(matching) == 0:
         return float("inf")
+    partition = _partition_matching(structure, matching)
+    return _cold_parts(topology, structure, *partition, reference_rate).theta
 
-    subgraphs = _pod_subgraphs(topology, structure)
-    core = structure.core
-    intra, seg_out, seg_in, inter_demand = _partition_matching(
-        structure, matching
+
+@dataclass(frozen=True)
+class PodPart:
+    """One pod's contribution to a theta evaluation.
+
+    ``exact`` parts hold the pod subproblem optimum ``phi_p``;
+    non-exact parts hold a *certified lower bound* on ``phi_p`` (the
+    pod was screened: its bound met the running minimum, so the exact
+    value provably cannot change theta).  The invariant ``value <=
+    phi_p`` for non-exact parts is what lets later deltas re-screen a
+    clean pod without ever touching it.
+    """
+
+    value: float
+    exact: bool
+
+
+@dataclass(frozen=True)
+class ThetaParts:
+    """A theta evaluation with its blockwise decomposition retained.
+
+    ``pods[p]`` is ``None`` when pod p had no commodities (its
+    ``phi_p`` is ``inf``); ``coarse`` is the exact coarse inter-pod
+    value (``inf`` with no inter-pod demand).
+    """
+
+    theta: float
+    coarse: float
+    pods: tuple[PodPart | None, ...]
+    structure: PodStructure
+    reference_rate: float
+
+
+def _coarse_zero_parts(
+    structure: PodStructure, reference_rate: float
+) -> ThetaParts:
+    """Finalize a coarse-zero evaluation (a pod with cross-pod demand
+    is cut off from the core, so theta is exactly 0).
+
+    Pod subproblems are never built (a severed pod's subgraph has no
+    core node to route through), so no per-pod parts are recorded —
+    later deltas against this result conservatively re-solve every pod
+    they need.
+    """
+    return ThetaParts(
+        theta=0.0,
+        coarse=0.0,
+        pods=(None,) * structure.n_pods,
+        structure=structure,
+        reference_rate=reference_rate,
     )
 
-    current = _coarse_theta(topology, structure, inter_demand, reference_rate)
-    if current == 0.0:
-        return 0.0
 
-    entries = []
-    for p, subgraph in enumerate(subgraphs):
-        commodities = _pod_commodities(core, intra[p], seg_out[p], seg_in[p])
-        if not commodities:
-            continue
+def _zero_parts(
+    parts: list[PodPart | None],
+    zero_pod: int,
+    pending_pods: list[int],
+    coarse: float,
+    structure: PodStructure,
+    reference_rate: float,
+) -> ThetaParts:
+    """Finalize a zero-theta evaluation (a pod commodity is disconnected).
+
+    The zero pod is exact; every other undecided pod keeps the trivial
+    certified bound 0.0 (``phi_p >= 0`` always holds).
+    """
+    parts[zero_pod] = PodPart(0.0, exact=True)
+    for p in pending_pods:
+        if parts[p] is None and p != zero_pod:
+            parts[p] = PodPart(0.0, exact=False)
+    return ThetaParts(
+        theta=0.0,
+        coarse=coarse,
+        pods=tuple(parts),
+        structure=structure,
+        reference_rate=reference_rate,
+    )
+
+
+def _cold_parts(
+    topology: Topology,
+    structure: PodStructure,
+    intra,
+    seg_out,
+    seg_in,
+    inter_demand,
+    reference_rate: float,
+) -> ThetaParts:
+    """Cold blockwise theta of a partitioned matching, parts recorded."""
+    core = structure.core
+    subgraphs = _pod_subgraphs(topology, structure)
+    coarse = _coarse_theta(topology, structure, inter_demand, reference_rate)
+    if coarse == 0.0:
+        return _coarse_zero_parts(structure, reference_rate)
+    current = coarse
+    parts: list[PodPart | None] = [None] * structure.n_pods
+    pod_commodities = [
+        _pod_commodities(core, intra[p], seg_out[p], seg_in[p])
+        for p in range(structure.n_pods)
+    ]
+    busy = [p for p, commodities in enumerate(pod_commodities) if commodities]
+    entries: list[tuple[float, float, int, Topology, tuple[Commodity, ...]]] = []
+    for p in busy:
+        subgraph, commodities = subgraphs[p], pod_commodities[p]
         # The bounds backend's sandwich (theta_envelope edges) on the
         # subproblem: a certified lower and optimistic upper bound.
         lower = theta_lower_bound_shortest_path(
             subgraph, commodities, reference_rate
         )
         if lower == 0.0:
-            return 0.0  # some commodity is disconnected inside the pod
+            # Some commodity is disconnected inside the pod.
+            return _zero_parts(parts, p, busy, coarse, structure, reference_rate)
         upper = theta_proxy(subgraph, commodities, reference_rate)
         entries.append((lower, upper, p, subgraph, commodities))
     entries.sort(key=lambda e: e[0])
-
-    for lower, upper, _, subgraph, commodities in entries:
+    for lower, upper, p, subgraph, commodities in entries:
         if lower >= current:
             # This pod's theta is certified >= the running minimum: it
             # cannot change the result. Exact skip, no tolerance needed.
             _counters.bump("pods_screened")
+            parts[p] = PodPart(lower, exact=False)
             continue
         if lower == upper:
             _counters.bump("envelope_decided")
             value = lower
         else:
             value = _solve_subproblem(subgraph, commodities, reference_rate)
+        parts[p] = PodPart(value, exact=True)
         if value < current:
             current = value
-    return current
+    return ThetaParts(
+        theta=current,
+        coarse=coarse,
+        pods=tuple(parts),
+        structure=structure,
+        reference_rate=reference_rate,
+    )

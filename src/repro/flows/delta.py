@@ -48,14 +48,18 @@ from ..matching import Matching
 from ..memo import Counters
 from ..topology.base import Topology
 from .block import (
+    PodPart,
     PodStructure,
+    ThetaParts,
     _coarse_theta,
+    _coarse_zero_parts,
+    _cold_parts,
     _counters as _block_counters,
     _partition_matching,
     _pod_commodities,
-    _pod_subgraphs,
     _pod_subgraphs_subset,
     _solve_subproblem,
+    _zero_parts,
     pod_structure,
 )
 from .bounds import theta_lower_bound_shortest_path, theta_proxy
@@ -352,38 +356,6 @@ def _demand_signature(parts, p: int) -> tuple:
 # -- parts --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PodPart:
-    """One pod's contribution to a theta evaluation.
-
-    ``exact`` parts hold the pod subproblem optimum ``phi_p``;
-    non-exact parts hold a *certified lower bound* on ``phi_p`` (the
-    pod was screened: its bound met the running minimum, so the exact
-    value provably cannot change theta).  The invariant ``value <=
-    phi_p`` for non-exact parts is what lets later deltas re-screen a
-    clean pod without ever touching it.
-    """
-
-    value: float
-    exact: bool
-
-
-@dataclass(frozen=True)
-class ThetaParts:
-    """A theta evaluation with its blockwise decomposition retained.
-
-    ``pods[p]`` is ``None`` when pod p had no commodities (its
-    ``phi_p`` is ``inf``); ``coarse`` is the exact coarse inter-pod
-    value (``inf`` with no inter-pod demand).
-    """
-
-    theta: float
-    coarse: float
-    pods: tuple[PodPart | None, ...]
-    structure: PodStructure
-    reference_rate: float
-
-
 def pod_theta_parts(
     topology: Topology,
     matching: Matching,
@@ -443,111 +415,6 @@ def pod_theta_parts(
     return _delta_parts(
         topology, structure, intra, seg_out, seg_in, inter_demand,
         reference_rate, prev, delta,
-    )
-
-
-def _coarse_zero_parts(
-    structure: PodStructure, reference_rate: float
-) -> ThetaParts:
-    """Finalize a coarse-zero evaluation (a pod with cross-pod demand
-    is cut off from the core, so theta is exactly 0).
-
-    Mirrors :func:`pod_theta`'s early return: pod subproblems are never
-    built (a severed pod's subgraph has no core node to route through),
-    so no per-pod parts are recorded — later deltas against this result
-    conservatively re-solve every pod they need.
-    """
-    return ThetaParts(
-        theta=0.0,
-        coarse=0.0,
-        pods=(None,) * structure.n_pods,
-        structure=structure,
-        reference_rate=reference_rate,
-    )
-
-
-def _zero_parts(
-    parts: list[PodPart | None],
-    zero_pod: int,
-    pending_pods: list[int],
-    coarse: float,
-    structure: PodStructure,
-    reference_rate: float,
-) -> ThetaParts:
-    """Finalize a zero-theta evaluation (a pod commodity is disconnected).
-
-    The zero pod is exact; every other undecided pod keeps the trivial
-    certified bound 0.0 (``phi_p >= 0`` always holds).
-    """
-    parts[zero_pod] = PodPart(0.0, exact=True)
-    for p in pending_pods:
-        if parts[p] is None and p != zero_pod:
-            parts[p] = PodPart(0.0, exact=False)
-    return ThetaParts(
-        theta=0.0,
-        coarse=coarse,
-        pods=tuple(parts),
-        structure=structure,
-        reference_rate=reference_rate,
-    )
-
-
-def _cold_parts(
-    topology: Topology,
-    structure: PodStructure,
-    intra,
-    seg_out,
-    seg_in,
-    inter_demand,
-    reference_rate: float,
-) -> ThetaParts:
-    """Parts-recording mirror of the serial :func:`pod_theta` algorithm."""
-    core = structure.core
-    subgraphs = _pod_subgraphs(topology, structure)
-    coarse = _coarse_theta(topology, structure, inter_demand, reference_rate)
-    if coarse == 0.0:
-        return _coarse_zero_parts(structure, reference_rate)
-    current = coarse
-    parts: list[PodPart | None] = [None] * structure.n_pods
-    entries: list[tuple[float, float, int, Topology, tuple[Commodity, ...]]] = []
-    for p, subgraph in enumerate(subgraphs):
-        commodities = _pod_commodities(core, intra[p], seg_out[p], seg_in[p])
-        if not commodities:
-            continue
-        lower = theta_lower_bound_shortest_path(
-            subgraph, commodities, reference_rate
-        )
-        if lower == 0.0:
-            busy = [
-                q
-                for q in range(structure.n_pods)
-                if _pod_commodities(core, intra[q], seg_out[q], seg_in[q])
-            ]
-            return _zero_parts(
-                parts, p, busy, coarse, structure, reference_rate
-            )
-        upper = theta_proxy(subgraph, commodities, reference_rate)
-        entries.append((lower, upper, p, subgraph, commodities))
-    entries.sort(key=lambda e: e[0])
-    for lower, upper, p, subgraph, commodities in entries:
-        if lower >= current:
-            _block_counters.bump("pods_screened")
-            parts[p] = PodPart(lower, exact=False)
-            continue
-        if lower == upper:
-            _block_counters.bump("envelope_decided")
-            value = lower
-        else:
-            value = _solve_subproblem(subgraph, commodities, reference_rate)
-        parts[p] = PodPart(value, exact=True)
-        if value < current:
-            current = value
-    return ThetaParts(
-        theta=current,
-        coarse=coarse,
-        pods=tuple(parts),
-        structure=structure,
-        reference_rate=reference_rate,
     )
 
 

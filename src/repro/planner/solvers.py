@@ -13,8 +13,8 @@ pool       :func:`repro.core.optimize_pool_schedule` (multi-config DP)
 overlap    :func:`repro.core.overlap.optimize_with_overlap`
 threshold  :func:`repro.core.heuristics.threshold_schedule`
 greedy     :func:`repro.core.heuristics.greedy_sequential_schedule`
-static     never reconfigure (baseline policy)
-bvn        reconfigure every step (baseline policy)
+static     never reconfigure (baseline schedule rule)
+bvn        reconfigure every step (baseline schedule rule)
 avoid      the exact DP, but matched steps touching unhealthy ports
            (failed transceiver lanes, ports dimmed below
            ``min_health``) are forbidden — plan *around* the faults
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections.abc import Mapping, Sequence
+from numbers import Real
 
 from ..core.heuristics import greedy_sequential_schedule, threshold_schedule
 from ..core.optimizer_dp import optimize_schedule
@@ -37,6 +38,7 @@ from ..core.optimizer_pool import optimize_pool_schedule
 from ..core.overlap import optimize_with_overlap
 from ..core.schedule import Schedule, evaluate_schedule
 from ..exceptions import ConfigurationError
+from ..fabric import ReconfigurationModel, reconfiguration_model_from_dict
 from ..flows import ThroughputCache
 from .registry import register_solver
 from .result import PlanRequest, PlanResult
@@ -80,11 +82,14 @@ def _solve_avoid(
     is identical to ``dp``.
     """
     options = _options(request, ("min_health",))
-    min_health = float(options.get("min_health", 1.0))
-    if not 0.0 < min_health <= 1.0:
+    min_health = options.get("min_health", 1.0)
+    if isinstance(min_health, bool) or not (
+        isinstance(min_health, Real) and 0.0 < min_health <= 1.0
+    ):
         raise ConfigurationError(
-            f"min_health must be in (0, 1], got {min_health}"
+            f"min_health must be a number in (0, 1], got {min_health!r}"
         )
+    min_health = float(min_health)
     scenario = request.scenario
     step_costs = scenario.step_costs(cache=cache)
     if scenario.health is not None:
@@ -123,8 +128,6 @@ def _solve_overlap(
 ) -> PlanResult:
     options = _options(request, ("compute_times",))
     compute_times = options.get("compute_times", 0.0)
-    if isinstance(compute_times, tuple):
-        compute_times = list(compute_times)
     scenario = request.scenario
     result = optimize_with_overlap(
         scenario.step_costs(cache=cache), scenario.cost, compute_times
@@ -138,25 +141,8 @@ def _solve_overlap(
     )
 
 
-def _fixed_policy(policy: str):
-    """Evaluate a fixed schedule policy (the paper's two pure baselines)."""
-
-    def solve(request: PlanRequest, cache: ThroughputCache | None) -> PlanResult:
-        _options(request, ())
-        scenario = request.scenario
-        step_costs = scenario.step_costs(cache=cache)
-        if policy == "static":
-            schedule = Schedule.static(len(step_costs))
-        else:
-            schedule = Schedule.always_reconfigure(len(step_costs))
-        cost = evaluate_schedule(step_costs, schedule, scenario.cost)
-        return PlanResult.from_schedule(request, schedule, cost, solver=request.solver)
-
-    return solve
-
-
 def _heuristic(rule) -> object:
-    """Wrap a heuristic (schedule rule) + exact Eq. 7 evaluation."""
+    """Wrap a schedule rule (heuristic or fixed baseline) + exact Eq. 7 evaluation."""
 
     def solve(request: PlanRequest, cache: ThroughputCache | None) -> PlanResult:
         _options(request, ())
@@ -192,6 +178,22 @@ def _solve_pool(request: PlanRequest, cache: ThroughputCache | None) -> PlanResu
     options = _options(
         request, ("pool", "initial_pool_index", "reconfiguration_model")
     )
+    initial_pool_index = options.get("initial_pool_index", 0)
+    if type(initial_pool_index) is not int:
+        raise ConfigurationError(
+            f"initial_pool_index must be an int, got {initial_pool_index!r}"
+        )
+    model = options.get("reconfiguration_model")
+    if isinstance(model, Mapping):  # the only form a JSON client can send
+        try:
+            model = reconfiguration_model_from_dict(model)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigurationError(f"malformed reconfiguration_model: {exc!r}") from exc
+    if model is not None and not isinstance(model, ReconfigurationModel):
+        raise ConfigurationError(
+            "reconfiguration_model must be a ReconfigurationModel or its "
+            f"dict form, got {model!r}"
+        )
     scenario = request.scenario
     if scenario.multiport_radix is not None:
         raise ConfigurationError(
@@ -218,11 +220,11 @@ def _solve_pool(request: PlanRequest, cache: ThroughputCache | None) -> PlanResu
         scenario.build_collective(),
         pool,
         scenario.cost,
-        reconfiguration_model=options.get("reconfiguration_model"),
+        reconfiguration_model=model,
         theta_method=scenario.theta_method,
         path_rule=scenario.path_rule,
         cache=cache,
-        initial_pool_index=int(options.get("initial_pool_index", 0)),
+        initial_pool_index=initial_pool_index,
     )
     labels = tuple(
         "matched" if d.is_matched else f"pool:{d.index}" for d in result.decisions
@@ -251,10 +253,13 @@ def register_builtin_solvers(overwrite: bool = False) -> None:
     register_solver("ilp", _solve_ilp, overwrite=overwrite)
     register_solver("pool", _solve_pool, overwrite=overwrite)
     register_solver("overlap", _solve_overlap, overwrite=overwrite)
-    register_solver("threshold", _heuristic(threshold_schedule), overwrite=overwrite)
-    register_solver("greedy", _heuristic(greedy_sequential_schedule), overwrite=overwrite)
-    register_solver("static", _fixed_policy("static"), overwrite=overwrite)
-    register_solver("bvn", _fixed_policy("bvn"), overwrite=overwrite)
+    for name, rule in (
+        ("threshold", threshold_schedule),
+        ("greedy", greedy_sequential_schedule),
+        ("static", lambda costs, _: Schedule.static(len(costs))),
+        ("bvn", lambda costs, _: Schedule.always_reconfigure(len(costs))),
+    ):
+        register_solver(name, _heuristic(rule), overwrite=overwrite)
 
 
 register_builtin_solvers()

@@ -204,6 +204,14 @@ class TestOptimizers:
         result = optimize_schedule(costs, p)
         assert result.schedule.is_static()  # tiny message: not worth it
 
+    def test_ties_prefer_base(self):
+        # theta = 1 over one hop prices a base step exactly like its
+        # matched step, and alpha_r = 0 makes every transition free.
+        costs = tuple(StepCost(volume=MiB(1), theta=1.0, hops=1.0) for _ in range(4))
+        p = params_with(0.0)
+        assert optimize_schedule(costs, p).schedule.is_static()
+        assert optimize_with_overlap(costs, p, 0.0).schedule.is_static()
+
 
 class TestBaselines:
     def test_static_ignores_alpha_r(self):
@@ -316,12 +324,45 @@ class TestOverlap:
         assert overlapped.cost.total == pytest.approx(plain.cost.total)
         assert overlapped.schedule.decisions == plain.schedule.decisions
 
+    def test_dp_equals_brute_force(self):
+        collective = make_collective("allreduce_recursive_doubling", 16, KiB(256))
+        p = params_with(us(2))
+        costs = evaluate_step_costs(collective, ring(16, B), p)
+        # Windows on both sides of alpha_r: some hide a reconfiguration
+        # fully, some only in part.  The optimum is mixed and differs
+        # from the serial DP's.
+        compute = [us(t) for t in (0.4, 3.2, 0.2, 4.8, 1.2, 2.0, 0.0, 3.6)]
+        result = optimize_with_overlap(costs, p, compute)
+        assert str(result.schedule) != str(optimize_schedule(costs, p).schedule)
+        best = min(
+            evaluate_schedule_with_overlap(
+                costs, Schedule.from_bits(bits), p, compute
+            ).total
+            for bits in itertools.product((0, 1), repeat=len(costs))
+        )
+        assert result.cost.total == pytest.approx(best, rel=1e-12)
+
     def test_compute_time_validation(self):
         costs = (StepCost(volume=1.0, theta=1.0, hops=1.0),)
+        bad = (
+            [1.0, 2.0],
+            -1.0,
+            math.nan,
+            math.inf,
+            [math.nan],
+            True,
+            [True],
+            None,
+            {"a": 1},
+            "1",
+        )
+        for compute_times in bad:
+            with pytest.raises(ScheduleError):
+                optimize_with_overlap(costs, params_with(0), compute_times)
         with pytest.raises(ScheduleError):
-            optimize_with_overlap(costs, params_with(0), [1.0, 2.0])
-        with pytest.raises(ScheduleError):
-            optimize_with_overlap(costs, params_with(0), -1.0)
+            evaluate_schedule_with_overlap(
+                costs, Schedule.static(1), params_with(0), math.nan
+            )
 
 
 class TestTradeoff:

@@ -33,6 +33,7 @@ from repro.core.schedule import Schedule
 from repro.collectives import make_collective
 from repro.exceptions import ConfigurationError, ScheduleError
 from repro.engine import plan_many
+from repro.fabric import PerPortReconfigurationDelay
 from repro.flows import PathLengthRule, ThroughputCache
 from repro.planner import (
     CollectiveSpec,
@@ -346,6 +347,50 @@ class TestRegistry:
     def test_unknown_solver_options_rejected(self):
         with pytest.raises(ConfigurationError, match="does not accept"):
             plan(paper_scenario(n=4), solver="dp", tolerance=0.1)
+
+
+class TestSolverOptionValidation:
+    """Malformed solver options are typed configuration errors."""
+
+    @pytest.mark.parametrize(
+        "solver, options",
+        [
+            ("avoid", {"min_health": "abc"}),
+            ("avoid", {"min_health": True}),
+            ("pool", {"initial_pool_index": "x"}),
+            ("pool", {"initial_pool_index": 1.7}),
+            ("pool", {"initial_pool_index": True}),
+            ("pool", {"reconfiguration_model": "constant"}),
+            ("pool", {"reconfiguration_model": {"kind": "constant"}}),
+        ],
+        ids=[
+            "min_health-str",
+            "min_health-bool",
+            "pool_index-str",
+            "pool_index-float",
+            "pool_index-bool",
+            "model-str",
+            "model-dict-missing-field",
+        ],
+    )
+    def test_malformed_option_rejected(self, solver, options):
+        with pytest.raises(ConfigurationError):
+            plan(paper_scenario(n=8), solver=solver, cache=ThroughputCache(), **options)
+
+    def test_pool_takes_the_reconfiguration_model_dict(self):
+        model = PerPortReconfigurationDelay(us(1), ns(10))
+        cache = ThroughputCache()
+        typed = plan(
+            paper_scenario(n=8), solver="pool", cache=cache, reconfiguration_model=model
+        )
+        spelled = plan(
+            paper_scenario(n=8),
+            solver="pool",
+            cache=cache,
+            reconfiguration_model=model.to_dict(),
+        )
+        assert spelled.decisions == typed.decisions
+        assert spelled.total_time == typed.total_time
 
 
 class TestLegacyParity:

@@ -20,6 +20,7 @@ import threading
 import pytest
 
 from repro.exceptions import ConfigurationError, ScheduleError
+from repro.fabric import ConstantReconfigurationDelay
 from repro.flows import ThroughputCache
 from repro.planner import CollectiveSpec, Scenario, plan, register_solver
 from repro.planner.registry import unregister_solver
@@ -296,6 +297,45 @@ class TestErrorIsolation:
             assert not response.ok
             assert response.error.code == "validation"
             assert "message_size" in response.error.message
+
+    @pytest.mark.parametrize(
+        "solver, options",
+        [
+            ("overlap", {"compute_times": float("nan")}),
+            ("avoid", {"min_health": "abc"}),
+            ("pool", {"initial_pool_index": "x"}),
+            ("pool", {"reconfiguration_model": {"kind": "constant"}}),
+        ],
+        ids=["compute_times-nan", "min_health-str", "pool_index-str", "model-dict"],
+    )
+    def test_malformed_solver_option_is_a_solver_error(self, solver, options):
+        async def main():
+            async with PlannerDaemon(batch_window_s=0.0) as daemon:
+                return await daemon.submit(
+                    plan_request(scenario(n=8), solver=solver, options=options)
+                )
+
+        response = run(main())
+        assert not response.ok
+        assert response.error.code == "solver"
+
+    def test_pool_reconfiguration_model_as_a_dict(self):
+        options = {"reconfiguration_model": {"kind": "constant", "alpha_r": us(5)}}
+
+        async def main():
+            async with PlannerDaemon(batch_window_s=0.0) as daemon:
+                return await daemon.submit(
+                    plan_request(scenario(n=8), solver="pool", options=options)
+                )
+
+        response = run(main())
+        assert response.ok
+        expected = plan(
+            scenario(n=8),
+            solver="pool",
+            reconfiguration_model=ConstantReconfigurationDelay(us(5)),
+        )
+        assert response.result["total_time"] == expected.total_time
 
     def test_internal_error_code_for_unexpected_exceptions(self):
         def broken(request, cache):

@@ -297,25 +297,51 @@ class TestPhysicalAccounting:
         assert warm.reconfiguration_term == 0.0
         assert cold.reconfiguration_term > 0.0
 
-    def test_physical_dp_matches_brute_force(self):
-        scenario = base_scenario("alltoall", n=4, message=MiB(2))
+    @pytest.mark.parametrize("force_first", [None, Decision.BASE, Decision.MATCHED])
+    @pytest.mark.parametrize("carried", [False, True], ids=["from-base", "carried"])
+    @pytest.mark.parametrize(
+        "scenario",
+        [base_scenario("alltoall", n=4, message=MiB(2)), overlapping_scenario(n=6)],
+        ids=["alltoall", "repeating-ring"],
+    )
+    def test_physical_dp_matches_brute_force(self, scenario, carried, force_first):
+        # The repeating ring makes matched -> matched free; a carried
+        # configuration makes opening on step 0's circuits free.
         costs = scenario.step_costs()
         base_config = configuration_from_topology(scenario.build_topology())
         model = PerPortReconfigurationDelay(us(2), ns(700))
-        result = optimize_schedule_physical(
-            costs, scenario.cost, model, base_config
+        initial = (
+            step_configuration(Decision.MATCHED, costs[0], base_config)
+            if carried
+            else None
         )
+        result = optimize_schedule_physical(
+            costs,
+            scenario.cost,
+            model,
+            base_config,
+            initial_configuration=initial,
+            force_first=force_first,
+        )
+        schedules = [
+            Schedule.from_bits(bits)
+            for bits in itertools.product((0, 1), repeat=len(costs))
+        ]
         best = min(
             evaluate_schedule_physical(
                 costs,
-                Schedule.from_bits(bits),
+                schedule,
                 scenario.cost,
                 model,
                 base_config,
+                initial_configuration=initial,
             ).total
-            for bits in itertools.product((0, 1), repeat=len(costs))
+            for schedule in schedules
+            if force_first in (None, schedule.decisions[0])
         )
         assert result.cost.total == pytest.approx(best, rel=1e-12)
+        if force_first is not None:
+            assert result.schedule.decisions[0] is force_first
 
     def test_physical_dp_force_first(self):
         scenario = overlapping_scenario()

@@ -41,7 +41,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..exceptions import ReproError
-from ..sim.observation import RateObservation
+from ..sim.observation import RateObservation, RateObservations
 
 __all__ = [
     "EstimationError",
@@ -68,7 +68,8 @@ def demand_from_observations(
     Parameters
     ----------
     observations:
-        The phase's :class:`~repro.sim.RateObservation` rows.
+        The phase's :class:`~repro.sim.RateObservation` rows (a
+        :class:`~repro.sim.RateObservations` block is folded as is).
     n:
         Rank count of the fabric (matrix dimension).
     delta:
@@ -79,18 +80,31 @@ def demand_from_observations(
     -------
     numpy.ndarray
         The ``n x n`` aggregate demand matrix the flows shipped.
+
+    Raises :class:`EstimationError` for a pair outside the fabric or a
+    volume that is not finite.
     """
     n = int(n)
     if n < 1:
         raise EstimationError(f"rank count must be >= 1, got {n}")
+    block = RateObservations.of(observations)
+    outside = np.flatnonzero(
+        (np.minimum(block.src, block.dst) < 0)
+        | (np.maximum(block.src, block.dst) >= n)
+    )
+    if len(outside):
+        obs = block[int(outside[0])]
+        raise EstimationError(
+            f"observation names pair ({obs.src}, {obs.dst}) outside "
+            f"the {n}-rank fabric"
+        )
+    volumes = block.volumes(delta)
+    if not np.isfinite(volumes).all():
+        raise EstimationError("observations de-censor to a non-finite volume")
     demand = np.zeros((n, n), dtype=float)
-    for obs in observations:
-        if not 0 <= obs.src < n or not 0 <= obs.dst < n:
-            raise EstimationError(
-                f"observation names pair ({obs.src}, {obs.dst}) outside "
-                f"the {n}-rank fabric"
-            )
-        demand[obs.src, obs.dst] += obs.volume(delta)
+    # Unbuffered, in row order: a pair seen in several steps sums as a
+    # loop would (``demand[src, dst] += volumes`` keeps one add per pair).
+    np.add.at(demand, (block.src, block.dst), volumes)
     return demand
 
 

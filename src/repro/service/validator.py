@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from ..exceptions import ReproError
+from ..exceptions import ReproError, SimulationError
 from .schemas import (
     REQUEST_KINDS,
     DegradationBody,
@@ -153,6 +153,7 @@ def _check_registries(request: ServiceRequest) -> None:
             )
     if isinstance(body, OnlineBody):
         from ..control.policy import ONLINE_POLICIES
+        from ..sim.observation import RateObservation
 
         if body.policy not in ONLINE_POLICIES:
             raise _fail(
@@ -161,12 +162,12 @@ def _check_registries(request: ServiceRequest) -> None:
                 path="body.policy",
             )
         for index, row in enumerate(body.observations):
-            if len(row) != 8:
+            try:
+                RateObservation.from_row(row)
+            except SimulationError as exc:
                 raise _fail(
-                    f"observation row {index} has {len(row)} fields, "
-                    f"expected 8",
-                    path="body.observations",
-                )
+                    f"observation row {index}: {exc}", path="body.observations"
+                ) from exc
 
 
 def validate_request(

@@ -16,10 +16,11 @@ from .executor import SimResult, SimStep, simulate_plan
 from .flowsim import FlowLevelSimulator, SimulationResult, StepTiming
 from .observation import (
     RateObservation,
+    RateObservations,
     observations_from_rows,
     observations_to_rows,
 )
-from .rates import RATE_METHODS, FlowRate, allocate_rates
+from .rates import RATE_METHODS, FlowRate, FlowRates, allocate_rates
 from .runner import SimulationReport, simulate
 from .trace import EventKind, Trace, TraceEvent
 from .workload import (
@@ -35,9 +36,11 @@ __all__ = [
     "SimulationResult",
     "StepTiming",
     "FlowRate",
+    "FlowRates",
     "allocate_rates",
     "RATE_METHODS",
     "RateObservation",
+    "RateObservations",
     "observations_to_rows",
     "observations_from_rows",
     "SimulationReport",

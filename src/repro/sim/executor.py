@@ -43,7 +43,7 @@ from ..planner import PlanResult, Scenario, plan
 from ..topology.base import Topology
 from .flowsim import FlowLevelSimulator, SimulationResult
 from .observation import (
-    RateObservation,
+    RateObservations,
     observations_from_rows,
     observations_to_rows,
 )
@@ -191,7 +191,7 @@ class SimResult:
     link_utilization: tuple[tuple[tuple[object, object], float], ...] = ()
     fault_log: tuple[tuple[float, str, str], ...] = ()
     fault_pod_log: tuple[tuple[float, tuple[int, ...]], ...] = ()
-    rate_observations: tuple[RateObservation, ...] = ()
+    rate_observations: RateObservations | tuple[()] = ()
 
     # -- conveniences --------------------------------------------------------
 

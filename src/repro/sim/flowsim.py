@@ -30,6 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..collectives.base import Collective
 from ..core.cost_model import CostParameters
 from ..core.schedule import Decision, Schedule
@@ -46,8 +48,8 @@ from ..flows import ThroughputCache, default_cache
 from ..matching import Matching
 from ..topology.base import Topology
 from .events import EventQueue
-from .observation import RateObservation
-from .rates import FlowRate, allocate_rates
+from .observation import RateObservations
+from .rates import FlowRates, allocate_rates
 from .trace import EventKind, Trace
 
 __all__ = ["StepTiming", "SimulationResult", "FlowLevelSimulator"]
@@ -95,9 +97,9 @@ class SimulationResult:
     runs.
 
     ``rate_observations`` is the per-flow telemetry an external
-    controller would see (one :class:`~repro.sim.RateObservation` per
-    flow per step, in execution order) — only collected when the run
-    was started with ``observe_rates=True``.
+    controller would see (one :class:`~repro.sim.RateObservations`
+    block, a row per flow per step, in execution order) — only
+    collected when the run was started with ``observe_rates=True``.
     """
 
     total_time: float
@@ -108,7 +110,7 @@ class SimulationResult:
     final_configuration: Configuration | None = None
     fault_log: tuple[tuple[float, str, str], ...] = ()
     fault_pod_log: tuple[tuple[float, tuple[int, ...]], ...] = ()
-    rate_observations: tuple[RateObservation, ...] = ()
+    rate_observations: RateObservations | tuple[()] = ()
 
     @property
     def communication_time(self) -> float:
@@ -200,7 +202,7 @@ class FlowLevelSimulator:
         decision: Decision,
         live_topology: Topology,
         health: FabricHealth | None,
-    ):
+    ) -> FlowRates:
         if decision is Decision.MATCHED:
             # Paper §3.3: every pair owns a dedicated circuit, so l = 1
             # and theta = 1, gated on a degraded fabric by the slowest
@@ -208,8 +210,7 @@ class FlowLevelSimulator:
             multiplier = (
                 1.0 if health is None else health.matched_multiplier(matching)
             )
-            rate = self.params.bandwidth * multiplier
-            return tuple(FlowRate(src, dst, rate, 1.0) for src, dst in matching)
+            return FlowRates.over(matching, self.params.bandwidth * multiplier, 1.0)
         return allocate_rates(
             live_topology,
             matching,
@@ -251,7 +252,8 @@ class FlowLevelSimulator:
 
         With ``observe_rates=True``, every flow's achieved rate and
         transmission window is recorded as a
-        :class:`~repro.sim.RateObservation` row in the result — the
+        :class:`~repro.sim.RateObservation` row of the result's
+        :class:`~repro.sim.RateObservations` block — the
         controller-facing telemetry feed (off by default; large
         collectives produce one row per pair per step).
 
@@ -320,7 +322,7 @@ class FlowLevelSimulator:
         live_health = self.health
         fault_log: list[tuple[float, str, str]] = []
         fault_pod_log: list[tuple[float, tuple[int, ...]]] = []
-        observations: list[RateObservation] = []
+        observed: list[tuple[np.ndarray, ...]] = []  # one block per step
         delta_index = None
         if pending:
             from ..flows import DeltaIndex, pod_structure
@@ -410,34 +412,23 @@ class FlowLevelSimulator:
             end = start
             slowest: tuple[int, int] | None = None
             if len(step.matching) > 0:
-                for flow in self._step_flows(
+                flows = self._step_flows(
                     step.matching, decision, live_topology, live_health
-                ):
-                    completion = (
-                        start
-                        + (step.volume / flow.rate if step.volume > 0 else 0.0)
-                        + self.params.delta * flow.hops
-                    )
-                    if completion > end:
-                        end = completion
-                        slowest = (flow.src, flow.dst)
-                    if observe_rates:
-                        observations.append(
-                            RateObservation(
-                                step=index,
-                                src=flow.src,
-                                dst=flow.dst,
-                                rate=flow.rate,
-                                start=start,
-                                end=completion,
-                                hops=flow.hops,
-                                decision=(
-                                    "matched"
-                                    if decision is Decision.MATCHED
-                                    else "base"
-                                ),
-                            )
-                        )
+                )
+                transfer = step.volume / flows.rate if step.volume > 0 else 0.0
+                completion = start + transfer + self.params.delta * flows.hops
+                # argmax keeps the first of equally slow flows.
+                k = int(np.argmax(completion))
+                if completion[k] > start:
+                    end = float(completion[k])
+                    slowest = (int(flows.src[k]), int(flows.dst[k]))
+                if observe_rates:
+                    size = len(completion)
+                    observed.append((
+                        np.full(size, index), flows.src, flows.dst, flows.rate,
+                        np.full(size, start), completion, flows.hops,
+                        np.full(size, decision is Decision.MATCHED),
+                    ))
             queue.schedule(end, lambda: None)
             queue.run()
             trace.record(end, EventKind.STEP_END, index)
@@ -475,5 +466,9 @@ class FlowLevelSimulator:
             ),
             fault_log=tuple(fault_log),
             fault_pod_log=tuple(fault_pod_log),
-            rate_observations=tuple(observations),
+            rate_observations=(
+                RateObservations(*map(np.concatenate, zip(*observed)))
+                if observe_rates
+                else ()
+            ),
         )

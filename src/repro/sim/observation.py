@@ -25,20 +25,32 @@ de-censoring aggregation lives in
 defines the telemetry schema, so the simulator does not depend on the
 control layer.
 
-Rows round-trip through plain lists (:meth:`RateObservation.to_row` /
-:meth:`from_row`) so results that carry them — ``SimResult``,
-``PhaseSimResult``, service payloads — stay JSON-serializable and
-survive a JSON round trip bit for bit.
+A run's telemetry is one :class:`RateObservations` block of numpy
+columns, read as a sequence of rows.  Rows round-trip through plain
+lists (:meth:`RateObservation.to_row` / :meth:`from_row`, the one
+parser of rows from outside the process) so results that carry them —
+``SimResult``, ``PhaseSimResult``, service payloads — stay
+JSON-serializable and survive a JSON round trip bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import numbers
 from collections.abc import Sequence
+from dataclasses import dataclass
+from operator import attrgetter, eq
+
+import numpy as np
 
 from ..exceptions import SimulationError
 
-__all__ = ["RateObservation", "observations_to_rows", "observations_from_rows"]
+__all__ = [
+    "RateObservation",
+    "RateObservations",
+    "observations_to_rows",
+    "observations_from_rows",
+]
 
 
 @dataclass(frozen=True)
@@ -113,21 +125,132 @@ class RateObservation:
 
     @classmethod
     def from_row(cls, row: Sequence[object]) -> "RateObservation":
-        """Inverse of :meth:`to_row`."""
+        """Inverse of :meth:`to_row`; raises
+        :class:`~repro.exceptions.SimulationError` for a row no simulator
+        records."""
         if len(row) != 8:
             raise SimulationError(
                 f"a rate-observation row has 8 fields, got {len(row)}"
             )
-        return cls(
-            step=int(row[0]),
-            src=int(row[1]),
-            dst=int(row[2]),
-            rate=float(row[3]),
-            start=float(row[4]),
-            end=float(row[5]),
-            hops=float(row[6]),
-            decision=str(row[7]),
+        *fields, decision = row
+        step, src, dst, rate, start, end, hops = fields
+        problem = (
+            "step, src, dst, rate, start, end and hops must be finite numbers"
+            if not all(
+                isinstance(v, numbers.Real)
+                and not isinstance(v, bool)
+                and math.isfinite(v)
+                for v in fields
+            )
+            else "step, src and dst must be non-negative integers"
+            if any(v < 0 or not float(v).is_integer() for v in (step, src, dst))
+            else "rate must be positive" if not rate > 0
+            else "end must not precede start" if end < start
+            else "hops must be >= 0" if hops < 0
+            else "decision must be 'base' or 'matched'"
+            if decision not in ("base", "matched")
+            else None
         )
+        if problem is not None:
+            raise SimulationError(f"rate-observation row {list(row)!r}: {problem}")
+        return cls(
+            int(step), int(src), int(dst), float(rate), float(start),
+            float(end), float(hops), decision,
+        )
+
+
+class _ColumnBlock(Sequence):
+    """Read-only numpy columns that read as a sequence of frozen rows.
+
+    A subclass names its row dataclass (``_row``) and its columns
+    (``_columns``: ``(name, dtype)`` pairs in the row's field order).
+    ``len``, indexing, iteration and ``==`` go through the rows, so a
+    block equals any sequence of equal rows (``== ()`` when empty); a
+    slice is a block over the sliced columns.
+    """
+
+    _row: type
+    _columns: tuple[tuple[str, type], ...]
+
+    def __init__(self, *columns: object) -> None:
+        empty = [()] * len(self._columns)
+        for (name, dtype), values in zip(self._columns, columns or empty, strict=True):
+            column = np.asarray(values, dtype=dtype)
+            column.setflags(write=False)
+            setattr(self, name, column)
+
+    @classmethod
+    def of(cls, rows: Sequence) -> "_ColumnBlock":
+        """``rows`` as a block (a block of this type passes through)."""
+        if isinstance(rows, cls):
+            return rows
+        return cls(*(cls._column(rows, *column) for column in cls._columns))
+
+    @staticmethod
+    def _column(rows: Sequence, name: str, dtype: type) -> np.ndarray:
+        return np.fromiter(map(attrgetter(name), rows), dtype, len(rows))
+
+    def _cells(self) -> list[list]:
+        """Each column as a list of Python scalars, in row-field order."""
+        return [getattr(self, name).tolist() for name, _ in self._columns]
+
+    def __len__(self) -> int:
+        return len(getattr(self, self._columns[0][0]))
+
+    def __iter__(self):
+        return map(self._row, *self._cells())
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return type(self)(*(getattr(self, n)[index] for n, _ in self._columns))
+        at = range(len(self))[index]
+        return next(iter(self[at : at + 1]))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
+class RateObservations(_ColumnBlock):
+    """A run's telemetry: read-only columns ``step``, ``src``, ``dst``
+    (int64), ``rate``, ``start``, ``end``, ``hops`` (float64) and
+    ``matched`` (bool), in execution order, read as a sequence of
+    :class:`RateObservation` rows."""
+
+    _row = RateObservation
+    _columns = (
+        ("step", np.int64),
+        ("src", np.int64),
+        ("dst", np.int64),
+        ("rate", np.float64),
+        ("start", np.float64),
+        ("end", np.float64),
+        ("hops", np.float64),
+        ("matched", np.bool_),
+    )
+
+    @staticmethod
+    def _column(rows: Sequence, name: str, dtype: type) -> np.ndarray:
+        if name == "matched":
+            return np.array([row.decision == "matched" for row in rows], dtype)
+        return _ColumnBlock._column(rows, name, dtype)
+
+    def _cells(self) -> list[list]:
+        cells = super()._cells()
+        cells[-1] = ["matched" if m else "base" for m in cells[-1]]
+        return cells
+
+    def volumes(self, delta: float = 0.0) -> np.ndarray:
+        """Every row's :meth:`RateObservation.volume`, as one array."""
+        transmission = (self.end - self.start) - delta * self.hops
+        short = np.flatnonzero(transmission < 0)
+        if len(short):
+            self[int(short[0])].volume(delta)  # raises that row's error
+        return self.rate * transmission
 
 
 def observations_to_rows(
@@ -137,6 +260,6 @@ def observations_to_rows(
     return [obs.to_row() for obs in observations]
 
 
-def observations_from_rows(rows: Sequence[Sequence[object]]) -> tuple:
+def observations_from_rows(rows: Sequence[Sequence[object]]) -> RateObservations:
     """Inverse of :func:`observations_to_rows`."""
-    return tuple(RateObservation.from_row(row) for row in rows)
+    return RateObservations.of([RateObservation.from_row(row) for row in rows])

@@ -17,7 +17,9 @@ CSR/CSC structure, walked with ``np.bincount`` /
 ``np.minimum.reduceat`` over the nonzeros), so progressive filling
 costs ``O(nnz)`` per saturation round instead of ``O(F * E)`` — what
 keeps n=1024 fabrics tractable.  The differential suite pins both
-allocators bit for bit against a dense masked-numpy oracle.  The
+allocators bit for bit against a dense masked-numpy oracle.  Every
+policy returns one :class:`FlowRates` block: the step's rates and path
+lengths as numpy columns in the matching's pair order.  The
 incidence structure is memoized per ``(topology fingerprint,
 matching)``, with :func:`incidence_build_count` exposing the build
 counter so tests can assert one build per key.
@@ -41,9 +43,11 @@ from ..flows import (
 from ..matching import Matching
 from ..memo import BoundedMemo, Counters
 from ..topology.base import Topology
+from .observation import _ColumnBlock
 
 __all__ = [
     "FlowRate",
+    "FlowRates",
     "allocate_rates",
     "RATE_METHODS",
     "incidence_build_count",
@@ -63,6 +67,31 @@ class FlowRate:
     dst: int
     rate: float
     hops: float
+
+
+class FlowRates(_ColumnBlock):
+    """One step's allocation: read-only columns ``src``, ``dst``
+    (int64), ``rate`` and ``hops`` (float64) in the matching's pair
+    order, read as a sequence of :class:`FlowRate` rows."""
+
+    _row = FlowRate
+    _columns = (
+        ("src", np.int64),
+        ("dst", np.int64),
+        ("rate", np.float64),
+        ("hops", np.float64),
+    )
+
+    @classmethod
+    def over(cls, matching: Matching, rate, hops) -> "FlowRates":
+        """``matching``'s pairs (source order, as ``Matching.pairs``)
+        at ``rate`` and ``hops``, each a scalar or one value per pair."""
+        row = matching.dst_row
+        src = np.flatnonzero(row >= 0)
+        return cls(
+            src, row[src], np.full(src.shape, rate, dtype=np.float64),
+            np.full(src.shape, hops, dtype=np.float64),
+        )
 
 
 @dataclass(frozen=True)
@@ -159,16 +188,15 @@ def _build_incidence(topology: Topology, matching: Matching) -> _Incidence:
     )
 
 
-def _maxmin_rates(
-    topology: Topology, matching: Matching
-) -> dict[tuple[int, int], float]:
+def _maxmin_rates(topology: Topology, matching: Matching) -> np.ndarray:
     """Progressive filling: repeatedly saturate the tightest edge.
 
     Each round finds the edge with the smallest remaining
     capacity-per-active-flow, freezes every flow crossing it at that
     fair share, and subtracts the frozen bandwidth.  The fixed point is
     the (unique) max-min fair allocation over the shortest-path routes.
-    Edge pressures are exact integer counts.
+    Edge pressures are exact integer counts.  Rates come back in the
+    matching's pair order (the incidence rows').
     """
     inc = _incidence(topology, matching)
     entry_row, entry_col = inc.entry_row, inc.entry_col
@@ -194,12 +222,10 @@ def _maxmin_rates(
         # Guard against float drift leaving tiny negative capacities.
         np.maximum(remaining, 0.0, out=remaining)
         active &= ~saturated
-    return dict(zip(inc.pairs, rates))
+    return rates
 
 
-def _equal_share_rates(
-    topology: Topology, matching: Matching
-) -> dict[tuple[int, int], float]:
+def _equal_share_rates(topology: Topology, matching: Matching) -> np.ndarray:
     """Each flow: min over its path of capacity / flows-on-edge."""
     inc = _incidence(topology, matching)
     load = np.bincount(inc.entry_col, minlength=inc.n_edges)
@@ -207,8 +233,7 @@ def _equal_share_rates(
     lengths = np.diff(inc.row_indptr)[: inc.n_flows]
     if (lengths == 0).any():
         raise SimulationError("flow with empty shortest path")
-    rates = np.minimum.reduceat(share[inc.entry_col], inc.row_indptr[:-1])
-    return dict(zip(inc.pairs, rates))
+    return np.minimum.reduceat(share[inc.entry_col], inc.row_indptr[:-1])
 
 
 def allocate_rates(
@@ -217,7 +242,7 @@ def allocate_rates(
     reference_rate: float,
     method: str = "mcf",
     cache: ThroughputCache | None = default_cache,
-) -> tuple[FlowRate, ...]:
+) -> FlowRates:
     """Allocate a transmission rate to every pair of a step.
 
     Rates are in bits/second; ``hops`` is the pair's shortest-path
@@ -228,7 +253,7 @@ def allocate_rates(
             f"unknown rate method {method!r}; choose from {RATE_METHODS}"
         )
     if len(matching) == 0:
-        return ()
+        return FlowRates()
     if method == "mcf":
         theta = compute_theta(
             topology, matching, reference_rate=reference_rate, cache=cache
@@ -237,21 +262,10 @@ def allocate_rates(
             raise SimulationError(
                 f"pattern is not routable on topology {topology.name!r}"
             )
-        rate = theta * reference_rate
-        return tuple(
-            FlowRate(src, dst, rate, float(topology.hop_distance(src, dst)))
-            for src, dst in matching
-        )
-    if method == "maxmin":
+        rates = theta * reference_rate
+    elif method == "maxmin":
         rates = _maxmin_rates(topology, matching)
     else:
         rates = _equal_share_rates(topology, matching)
-    return tuple(
-        FlowRate(
-            src,
-            dst,
-            float(rates[(src, dst)]),
-            float(topology.hop_distance(src, dst)),
-        )
-        for src, dst in matching
-    )
+    hops = [topology.hop_distance(src, dst) for src, dst in matching]
+    return FlowRates.over(matching, rates, hops)

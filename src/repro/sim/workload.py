@@ -35,7 +35,7 @@ from ..workload.spec import Workload
 from .executor import _MODEL_RTOL, SimStep, _utilization
 from .flowsim import FlowLevelSimulator
 from .observation import (
-    RateObservation,
+    RateObservations,
     observations_from_rows,
     observations_to_rows,
 )
@@ -74,7 +74,7 @@ class PhaseSimResult:
     n_reconfigurations: int
     steps: tuple[SimStep, ...]
     link_utilization: tuple[tuple[tuple[object, object], float], ...] = ()
-    rate_observations: tuple[RateObservation, ...] = ()
+    rate_observations: RateObservations | tuple[()] = ()
 
     @property
     def model_error(self) -> float:

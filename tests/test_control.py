@@ -31,17 +31,19 @@ from repro.control import (
     AnyTrigger,
     ControlError,
     DriftTrigger,
+    EstimationError,
     FaultTrigger,
     NeverTrigger,
     ONLINE_POLICIES,
     OnlineController,
     PeriodicTrigger,
     TriggerSignal,
+    demand_from_observations,
     make_trigger,
     mask_demand,
 )
 from repro.engine import sim_many, workload_many
-from repro.exceptions import WorkloadError
+from repro.exceptions import SimulationError, WorkloadError
 from repro.flows import ThroughputCache
 from repro.planner import Scenario
 from repro.service import (
@@ -50,7 +52,12 @@ from repro.service import (
     ServiceRequest,
     try_validate,
 )
-from repro.sim import SimResult, observations_from_rows, observations_to_rows
+from repro.sim import (
+    RateObservation,
+    SimResult,
+    observations_from_rows,
+    observations_to_rows,
+)
 from repro.units import Gbps, MiB, ns, us
 from repro.workload import (
     available_policies,
@@ -465,3 +472,119 @@ class TestOnlineService:
         )
         assert snapshot["online"] == {"sessions": 1}
         assert results[-1]["stats"]["observations"] > 0
+
+
+def simulate_decided_phase(true, decision, carried=None):
+    """Run ``true`` under a daemon's decided schedule, observing rates."""
+    from repro.core.schedule import Decision, Schedule
+    from repro.fabric.reconfiguration import ConstantReconfigurationDelay
+    from repro.sim.flowsim import FlowLevelSimulator
+
+    schedule = Schedule(
+        decisions=tuple(
+            Decision.MATCHED if d == "matched" else Decision.BASE
+            for d in decision["decisions"]
+        )
+    )
+    simulator = FlowLevelSimulator(
+        true.topology.build(),
+        true.cost,
+        rate_method="mcf",
+        accounting="physical",
+        reconfiguration_model=ConstantReconfigurationDelay(
+            true.cost.reconfiguration_delay
+        ),
+    )
+    return simulator.run(
+        true.build_collective(),
+        schedule,
+        initial_configuration=carried,
+        observe_rates=True,
+    )
+
+
+class TestMalformedTelemetry:
+    """A telemetry row no simulator records is refused where it enters:
+    ``RateObservation.from_row`` (every outside parser), the daemon's
+    validator, and the estimator's fold."""
+
+    GOOD = (0, 1, 2, 1e9, 0.0, 1e-3, 1.0, "base")
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            (0, True), (0, 1.5), (0, -1),
+            (1, True), (1, 1.7), (1, -2),
+            (2, False), (2, 0.5), (2, -1),
+            (3, math.nan), (3, math.inf), (3, 0.0), (3, -1e12), (3, "1e9"),
+            (4, math.nan), (4, -math.inf),
+            (5, math.nan), (5, math.inf), (5, -1.0),
+            (6, math.nan), (6, -1.0), (6, "1"),
+            (7, "foo"), (7, None),
+        ],
+    )
+    def test_from_row_rejects(self, field, value):
+        row = list(self.GOOD)
+        row[field] = value
+        with pytest.raises(SimulationError):
+            RateObservation.from_row(row)
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            RateObservation(0, 1, 2, math.nan, 0.0, 1e-3, 1.0, "base"),
+            RateObservation(0, 1, 2, 1e9, 0.0, math.inf, 1.0, "base"),
+        ],
+    )
+    def test_estimator_rejects_non_finite_volumes(self, row):
+        with pytest.raises(EstimationError):
+            demand_from_observations([row], 4)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            (3, math.nan),
+            (5, math.nan),
+            (3, -1e12),
+            (1, 1.7),
+            (1, True),
+            (7, "foo"),
+            (6, -3.0),
+            (3, "fast"),
+        ],
+    )
+    def test_daemon_refuses_the_row_and_the_session_survives(self, field, value):
+        true = base_scenario(n=8, message_mib=2.0)
+
+        async def drive():
+            daemon = await PlannerDaemon().start()
+            try:
+
+                def step(seq, rows):
+                    body = OnlineBody(
+                        session="poison",
+                        scenario=mask_demand(true),
+                        seq=seq,
+                        observations=rows,
+                    )
+                    return daemon.submit(ServiceRequest(body=body))
+
+                first = await step(0, ())
+                assert first.ok, first.error
+                sim = simulate_decided_phase(true, first.result["decision"])
+                rows = observations_to_rows(sim.rate_observations)
+                bad = [list(row) for row in rows]
+                bad[0][field] = value
+                refused = await step(1, bad)
+                clean = await step(2, rows)
+                return refused, clean
+            finally:
+                await daemon.stop()
+
+        refused, clean = asyncio.run(drive())
+        assert not refused.ok and refused.error.code == "validation"
+        assert "observation row 0" in refused.error.message
+        assert clean.ok, clean.error
+        assert clean.result["decision"]["message_estimate"] == pytest.approx(
+            true.collective.message_size, rel=1e-9
+        )

@@ -1,13 +1,16 @@
 """Flow-level simulator: event queue, rates, timeline, and the
 simulator-equals-analytic-model anchor invariant."""
 
+import json
 import math
 
+import numpy as np
 import pytest
 
 from repro.collectives import make_collective
 from repro.core import (
     CostParameters,
+    Decision,
     Schedule,
     evaluate_schedule,
     evaluate_step_costs,
@@ -20,7 +23,13 @@ from repro.sim import (
     EventKind,
     EventQueue,
     FlowLevelSimulator,
+    FlowRate,
+    FlowRates,
+    RateObservation,
+    RateObservations,
     allocate_rates,
+    observations_from_rows,
+    observations_to_rows,
     simulate,
 )
 from repro.topology import Topology, ring, star
@@ -302,3 +311,73 @@ class TestMatchedStepsBuildNoGraph:
         rate = B * (0.375 if degraded else 1.0)
         assert {o.rate for o in result.rate_observations} == {rate}
         assert {o.hops for o in result.rate_observations} == {1.0}
+
+
+class TestColumnBlocks:
+    """``FlowRates`` and ``RateObservations``: read-only numpy columns
+    that read as a sequence of rows."""
+
+    def observed(self):
+        collective = make_collective("allreduce_recursive_doubling", 8, MiB(1))
+        schedule = Schedule(
+            decisions=tuple(
+                Decision.MATCHED if i % 2 else Decision.BASE
+                for i in range(collective.num_steps)
+            )
+        )
+        sim = FlowLevelSimulator(ring(8, B), make_params(), rate_method="maxmin")
+        return sim.run(collective, schedule, observe_rates=True).rate_observations
+
+    def test_flow_rates_columns(self):
+        flows = allocate_rates(ring(8, B), Matching.xor_exchange(8, 2), B, "maxmin")
+        assert isinstance(flows, FlowRates)
+        assert [c.dtype for c in (flows.src, flows.dst, flows.rate, flows.hops)] == [
+            np.int64, np.int64, np.float64, np.float64,
+        ]
+        with pytest.raises(ValueError):
+            flows.rate[0] = 1.0
+        rows = [
+            FlowRate(*cells)
+            for cells in zip(
+                flows.src.tolist(),
+                flows.dst.tolist(),
+                flows.rate.tolist(),
+                flows.hops.tolist(),
+            )
+        ]
+        assert flows == rows and flows == tuple(rows) and flows != rows[1:]
+        assert FlowRates.of(rows) == flows and FlowRates.of(flows) is flows
+        assert FlowRates() == () and len(FlowRates()) == 0
+
+    def test_rate_observation_columns(self):
+        block = self.observed()
+        assert isinstance(block, RateObservations)
+        assert block.step.dtype == np.int64 and block.matched.dtype == bool
+        assert block.matched.tolist() == [o.decision == "matched" for o in block]
+        with pytest.raises(ValueError):
+            block.end[0] = 0.0
+        rows = list(block)
+        assert all(type(o) is RateObservation for o in rows)
+        assert RateObservations.of(rows) == block
+        assert RateObservations.of(block) is block
+
+    def test_rows_round_trip_as_plain_lists(self):
+        block = self.observed()
+        rows = observations_to_rows(block)
+        assert json.loads(json.dumps(rows)) == rows
+        assert {type(v) for row in rows for v in row} == {int, float, str}
+        back = observations_from_rows(rows)
+        assert isinstance(back, RateObservations) and back == block
+
+    def test_volumes_match_the_rows(self):
+        block = self.observed()
+        delta = make_params().delta
+        assert block.volumes(delta).tolist() == [o.volume(delta) for o in block]
+        short = RateObservations.of(
+            [RateObservation(0, 1, 2, 1e9, 0.0, 1e-9, 3.0, "base")]
+        )
+        with pytest.raises(SimulationError) as from_row:
+            short[0].volume(1e-9)
+        with pytest.raises(SimulationError) as from_block:
+            short.volumes(1e-9)
+        assert str(from_block.value) == str(from_row.value)

@@ -107,53 +107,3 @@ def test_proxy_driven_optimizer_gap(benchmark, results_dir):
     (results_dir / "theta_proxy_gap.txt").write_text("\n".join(lines) + "\n")
     assert all(g >= 1 - 1e-12 for _, g in gaps)
     assert max(g for _, g in gaps) < 1.5  # proxies stay within 50% here
-
-
-# -- batch-first theta (vectorized kernels) ---------------------------------
-
-
-def _figure1_grid_rows():
-    """The closed-formable rows of an n=64 figure-style grid: every
-    distinct shift pattern, re-priced across 36 (message, alpha_r)
-    cells the way ``scenario_grid`` replays patterns per cell."""
-    shifts = [Matching.shift(N, k) for k in range(1, N)]
-    return shifts * 36
-
-
-@pytest.mark.benchmark(group="theta-batch")
-def test_theta_batch_vs_scalar_loop(results_dir, bench_record):
-    """Vectorized ``theta_batch`` vs the scalar ``compute_theta`` loop
-    on the closed-formable rows of the n=64 grid.
-
-    Timed manually (best of three) so the comparison records its
-    baseline under ``--benchmark-disable`` smoke mode too.  Both paths
-    run uncached — the compute regime, where vectorization matters; a
-    warm cache serves both identically.
-    """
-    import time
-
-    from repro.flows import theta_batch
-
-    rows = _figure1_grid_rows()
-    scalar_s = batch_s = float("inf")
-    for _ in range(3):
-        start = time.perf_counter()
-        scalar = [compute_theta(TOPOLOGY, m, method="auto", cache=None) for m in rows]
-        scalar_s = min(scalar_s, time.perf_counter() - start)
-        start = time.perf_counter()
-        batch = theta_batch(TOPOLOGY, rows, B, cache=None)
-        batch_s = min(batch_s, time.perf_counter() - start)
-    assert all(a == b for a, b in zip(scalar, batch))
-    speedup = scalar_s / batch_s
-    bench_record(
-        grid_rows=len(rows),
-        scalar_loop_s=scalar_s,
-        theta_batch_s=batch_s,
-        vectorized_speedup=speedup,
-    )
-    (results_dir / "theta_batch.txt").write_text(
-        f"n={N} grid, {len(rows)} closed-form rows\n"
-        f"scalar loop: {scalar_s * 1e3:.2f}ms\n"
-        f"theta_batch: {batch_s * 1e3:.2f}ms ({speedup:.1f}x)\n"
-    )
-    assert speedup >= 3.0

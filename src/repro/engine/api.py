@@ -44,23 +44,6 @@ def _session_cache(cache: "ThroughputCache | None") -> "ThroughputCache | None":
     return cache
 
 
-def _theta_affinity(scenario):
-    """A scenario's theta-reuse group: everything that determines its
-    step *patterns* and their estimator — message size and cost scalars
-    deliberately excluded (they never change theta)."""
-    return (
-        scenario.topology,
-        scenario.collective.algorithm,
-        scenario.collective.options,
-        scenario.theta_method,
-        scenario.path_rule,
-        scenario.multiport_radix,
-        # A degraded fabric has its own theta values: keep its cells
-        # out of pristine cells' groups.
-        None if scenario.health is None else scenario.health.fingerprint(),
-    )
-
-
 def _run_batch(
     run_one: Callable, items: Sequence, on_result: Callable | None
 ) -> list:
@@ -80,72 +63,6 @@ def _run_batch(
         if on_result is not None:
             on_result(index, result)
     return results
-
-
-def _prewarm_plan_batch(requests, cache) -> int:
-    """Seed the cache with every closed-formable step theta of a batch.
-
-    Grid scenarios overwhelmingly share topologies and step patterns;
-    one vectorized pass per affinity group
-    (:func:`repro.flows.prewarm_closed_forms`) prices them all before
-    the per-step scalar lookups begin, so the planner's inner loop runs
-    entirely on cache hits.  Each seeded value takes exactly the miss
-    the step evaluation would have taken — same keys, same tags, same
-    statistics.  Only pristine ``theta_method="auto"`` single-port
-    scenarios on a closed-form family qualify: degraded fabrics have no
-    closed form (their family metadata is dropped on purpose) and
-    multiport steps are grouped differently.  Returns the number of
-    seeded values.
-    """
-    from ..flows import prewarm_closed_forms
-    from ..flows.batch import CLOSED_FORM_FAMILIES
-
-    seeded = 0
-    seen_groups: set = set()
-    for request in requests:
-        scenario = request.scenario
-        if (
-            scenario.theta_method != "auto"
-            or scenario.multiport_radix is not None
-            or scenario.health is not None
-        ):
-            continue
-        group = _theta_affinity(scenario) + (scenario.cost.bandwidth,)
-        if group in seen_groups:
-            continue
-        seen_groups.add(group)
-        try:
-            topology = scenario.build_topology()
-            if topology.metadata.get("family") not in CLOSED_FORM_FAMILIES:
-                # Nothing to seed: skip reading the step patterns.
-                continue
-            matchings = []
-            seen_matchings: set = set()
-            for matching in scenario.collective.step_matchings(scenario.n):
-                if (
-                    len(matching) == 0
-                    or matching in seen_matchings
-                    or not topology.supports(matching)
-                ):
-                    # The scalar path never prices these (empty steps
-                    # are inf, unsupported ones 0.0, without a cache
-                    # entry) — seeding them would skew statistics.
-                    continue
-                seen_matchings.add(matching)
-                matchings.append(matching)
-            if len(matchings) < 2:
-                continue
-            seeded += prewarm_closed_forms(
-                topology,
-                matchings,
-                reference_rate=scenario.cost.bandwidth,
-                cache=cache,
-            )
-        except Exception:
-            # Malformed scenarios surface their real error through the
-            # normal planning path, not the opportunistic prewarm.
-            continue
-    return seeded
 
 
 def plan_many(
@@ -196,8 +113,6 @@ def plan_many(
         else PlanRequest(scenario=item, solver=solver, options=frozen)
         for item in scenarios
     ]
-    if cache is not None:
-        _prewarm_plan_batch(requests, cache)
     return _run_batch(
         lambda request: plan(request, cache=cache), requests, on_result
     )

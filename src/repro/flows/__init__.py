@@ -95,8 +95,6 @@ __all__ = [
     "default_cache",
     "theta_key_digest",
     "theta_tag",
-    "theta_batch",
-    "prewarm_closed_forms",
     "pod_theta",
     "pod_structure",
     "BlockStats",
@@ -177,8 +175,3 @@ def compute_theta(
     return cache.get_or_compute(
         topology, matching, evaluate, tag=theta_tag(reference_rate, method)
     )
-
-
-# Imported last: the batch front door resolves compute_theta lazily for
-# its per-row fallback, so this must follow the definition above.
-from .batch import prewarm_closed_forms, theta_batch  # noqa: E402

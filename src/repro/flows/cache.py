@@ -139,26 +139,6 @@ class ThroughputCache(BoundedMemo[float]):
                 evictions=self.evictions,
             )
 
-    def seed(
-        self,
-        topology: Topology,
-        matching: Matching,
-        value: float,
-        tag: str = "theta",
-    ) -> float:
-        """Publish an externally computed theta value under ``tag``.
-
-        The prewarm paths (:func:`repro.flows.prewarm_closed_forms`,
-        the engine's incremental :class:`~repro.engine.PlanContext`)
-        price values outside the cache and hand them over here so later
-        :func:`~repro.flows.compute_theta` lookups hit.  An existing
-        entry wins — compute-once semantics are preserved — and the
-        returned float is whatever the cache now holds for the key.
-        """
-        return self.get_or_compute(
-            topology, matching, lambda: float(value), tag=tag
-        )
-
     def get_or_compute(
         self,
         topology: Topology,

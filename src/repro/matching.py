@@ -139,8 +139,9 @@ class Matching:
     @cached_property
     def dst_row(self) -> np.ndarray:
         """Read-only ``(n,)`` int64 array with ``row[src] = dst`` and
-        ``-1`` for idle ranks — the packed form the vectorized
-        closed-form kernels stack, materialized once per matching."""
+        ``-1`` for idle ranks — the columns
+        :meth:`repro.sim.FlowRates.over` reads, materialized once per
+        matching."""
         row = np.full(self._n, -1, dtype=np.int64)
         for src, dst in self._pairs:
             row[src] = dst

@@ -80,6 +80,23 @@ _PLAN_CONTEXTS_MAX = 16
 _ONLINE_SESSIONS_MAX = 32
 
 
+def _theta_affinity(scenario):
+    """A scenario's theta-reuse group: everything that determines its
+    step *patterns* and their estimator — message size and cost scalars
+    deliberately excluded (they never change theta)."""
+    return (
+        scenario.topology,
+        scenario.collective.algorithm,
+        scenario.collective.options,
+        scenario.theta_method,
+        scenario.path_rule,
+        scenario.multiport_radix,
+        # A degraded fabric has its own theta values: keep its cells
+        # out of pristine cells' groups.
+        None if scenario.health is None else scenario.health.fingerprint(),
+    )
+
+
 def _error_outcome(exc: BaseException) -> Outcome:
     code = "solver" if isinstance(exc, ReproError) else "internal"
     return ("error", ServiceError(code=code, message=f"{type(exc).__name__}: {exc}"))
@@ -464,8 +481,6 @@ class PlannerDaemon:
             expires_at=expires_at,
         )
         if isinstance(request.body, PlanBody):
-            from ..engine.api import _theta_affinity
-
             job.affinity = repr(_theta_affinity(request.body.scenario))
             self._pending.append(job)
             if len(self._pending) >= self._max_batch:

@@ -145,7 +145,10 @@ class ServiceServer:
     async def _handle_line(self, line: bytes, write) -> None:
         try:
             payload = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers JSONDecodeError and the UnicodeDecodeError
+            # of a line that is not UTF-8; a deeply nested line exhausts
+            # the parser's recursion instead.
             await write(
                 _parse_error_response(self.daemon, f"invalid JSON: {exc}")
             )

@@ -23,12 +23,7 @@ from .observation import (
 from .rates import RATE_METHODS, FlowRate, FlowRates, allocate_rates
 from .runner import SimulationReport, simulate
 from .trace import EventKind, Trace, TraceEvent
-from .workload import (
-    PhaseSimResult,
-    WorkloadSimResult,
-    simulate_workload,
-    workload_many,
-)
+from .workload import PhaseSimResult, WorkloadSimResult, simulate_workload
 
 __all__ = [
     "EventQueue",
@@ -51,7 +46,6 @@ __all__ = [
     "PhaseSimResult",
     "WorkloadSimResult",
     "simulate_workload",
-    "workload_many",
     "EventKind",
     "Trace",
     "TraceEvent",

@@ -13,17 +13,16 @@ plan's physically accounted per-phase totals, and the executor asserts
 that anchor — the workload-level analogue of ``simulate_plan``'s
 model check.
 
-:func:`workload_many` batches whole workload sweeps, mirroring
-:func:`~repro.engine.plan_many` / :func:`~repro.engine.sim_many`:
-one shared theta cache, results in input order.  It is a shim over
-the unified evaluation engine (:func:`repro.engine.workload_many`),
-which adds the persistent disk cache tier.
+:func:`repro.engine.workload_many` batches whole workload sweeps,
+mirroring :func:`~repro.engine.plan_many` /
+:func:`~repro.engine.sim_many`: one shared theta cache, results in
+input order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 
 from .._validation import require_field as _require
 from ..exceptions import SimulationError
@@ -42,7 +41,7 @@ from .observation import (
 from .rates import RATE_METHODS
 from .trace import EventKind, Trace
 
-__all__ = ["PhaseSimResult", "WorkloadSimResult", "simulate_workload", "workload_many"]
+__all__ = ["PhaseSimResult", "WorkloadSimResult", "simulate_workload"]
 
 
 @dataclass(frozen=True)
@@ -402,42 +401,4 @@ def simulate_workload(
         n_reconfigurations=n_reconf,
         phases=tuple(phases),
         trace=trace,
-    )
-
-
-def workload_many(
-    items: Iterable[Workload | WorkloadPlan],
-    policy: str = "replan",
-    solver: str = "dp",
-    cache: "ThroughputCache | None" = default_cache,
-    rate_method: str = "mcf",
-    reconfiguration_model: ReconfigurationModel | None = None,
-    collect_utilization: bool = False,
-    check_model: bool = True,
-    observe_rates: bool = False,
-    **options,
-) -> list[WorkloadSimResult]:
-    """Plan and execute a batch of workloads.
-
-    A shim over :func:`repro.engine.workload_many` — see that function
-    for the full parameter documentation.  The workload twin of
-    :func:`~repro.engine.plan_many` and :func:`~repro.engine.sim_many`:
-    bare :class:`~repro.workload.Workload` items are planned with
-    ``policy`` / ``solver`` / ``reconfiguration_model`` first, prepared
-    :class:`~repro.workload.WorkloadPlan` items are executed as-is, and
-    mixed batches are fine.  Results come back in input order.
-    """
-    from ..engine.api import workload_many as _engine_workload_many
-
-    return _engine_workload_many(
-        items,
-        policy=policy,
-        solver=solver,
-        cache=cache,
-        rate_method=rate_method,
-        reconfiguration_model=reconfiguration_model,
-        collect_utilization=collect_utilization,
-        check_model=check_model,
-        observe_rates=observe_rates,
-        **options,
     )

@@ -22,7 +22,7 @@ configuration the next phase inherits?
 
 Execution lives in :mod:`repro.sim`: :func:`repro.sim.simulate_workload`
 replays a plan on the flow-level simulator and
-:func:`repro.sim.workload_many` batches whole workload sweeps.
+:func:`repro.engine.workload_many` batches whole workload sweeps.
 
 Quickstart::
 

@@ -1,12 +1,12 @@
 """Generators for the differential correctness harness.
 
-This package pins every fast path introduced by the batch-first theta
-rewrite against its reference implementation, pairwise, over *generated
-scenario families* rather than hand-picked cases:
+This package pins every fast path against its reference
+implementation, pairwise, over *generated scenario families* rather
+than hand-picked cases:
 
-* scalar closed forms  vs  the vectorized batch kernels,
+* the closed forms  vs  the certified ``max_concurrent_flow``,
 * the blockwise decomposition  vs  the flat ``max_concurrent_flow``,
-* serial  vs  thread  vs  process execution backends.
+* each batch entry point  vs  a loop of its one-item twin.
 
 Every exact theta taken through :func:`certified_theta` also has its
 certificate rechecked by the numpy-only verifier.

@@ -1,17 +1,20 @@
 """Each batch entry point equals a loop of its scalar twin.
 
 ``plan_many`` / ``sim_many`` / ``workload_many`` / ``plan_workload_many``
-run their items in one serial loop over a shared cache (with a
-closed-form prewarm in front of ``plan_many``).  Neither the sharing nor
-the prewarm may show in the scientific payload: a batch must return
-exactly what ``plan`` / ``simulate_plan`` / ``simulate_workload`` /
-``plan_workload`` return item by item on a fresh cache.  The batches
-mix the cells that stress the engine hardest — closed-form grids
-(prewarmed), degraded fabrics (LP families), a pod fabric and a
-bound-priced cell.
+run their items in one serial loop over a shared cache.  The sharing may
+not show in the scientific payload: a batch must return exactly what
+``plan`` / ``simulate_plan`` / ``simulate_workload`` / ``plan_workload``
+return item by item on a fresh cache.  ``plan_many`` does nothing
+before that loop either, so on a fresh cache of its own it also counts
+exactly the cache hits and misses a loop of ``plan`` counts.  The
+batches mix the cells that stress the engine hardest — closed-form
+grids, degraded fabrics (LP families), a pod fabric and a bound-priced
+cell.
 """
 
 from __future__ import annotations
+
+import pytest
 
 from repro.engine import plan_many, plan_workload_many, sim_many, workload_many
 from repro.fabric.degradation import random_failures, uniform_degradation
@@ -56,6 +59,26 @@ def mixed_scenarios():
         ),
         base.replace(theta_method="sp", name="sp-priced"),
     ]
+
+
+def alltoall_grid():
+    """A 2x2 grid (message size x reconfiguration delay) of one n=16
+    ``alltoall``: every cell asks for the same 15 ring shifts."""
+    return [
+        Scenario.create(
+            "alltoall",
+            n=16,
+            message_size=size,
+            alpha=ns(100),
+            delta=ns(100),
+            reconfiguration_delay=delay,
+        )
+        for size in (KiB(64), MiB(4))
+        for delay in (us(1), us(10))
+    ]
+
+
+GRIDS = {"mixed": mixed_scenarios, "alltoall": alltoall_grid}
 
 
 def mixed_workloads():
@@ -103,6 +126,39 @@ class TestBatchEqualsScalarLoop:
         batch = plan_many(scenarios, cache=ThroughputCache())
         loop = [plan(s, cache=ThroughputCache()) for s in scenarios]
         assert stripped(batch) == stripped(loop)
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_plan_many_counts_what_a_plan_loop_counts(self, grid):
+        """On fresh caches of their own, ``plan_many`` and a loop of
+        ``plan`` return equal results, ``cache_stats`` included, and
+        leave equal cache statistics, cold and again warm."""
+        scenarios = GRIDS[grid]()
+        batch_cache, loop_cache = ThroughputCache(), ThroughputCache()
+        for _ in ("cold", "warm"):
+            batch = plan_many(scenarios, cache=batch_cache)
+            loop = [plan(s, cache=loop_cache) for s in scenarios]
+            assert [r.to_dict() for r in batch] == [r.to_dict() for r in loop]
+            assert batch_cache.stats() == loop_cache.stats()
+
+    def test_plan_many_prices_closed_forms_through_compute_theta(
+        self, monkeypatch
+    ):
+        """On a fresh cache ``plan_many`` reaches the closed forms only
+        through ``compute_theta``: one ``try_closed_form_theta`` call per
+        distinct pattern, each a cache miss."""
+        import repro.flows
+
+        calls = []
+        scalar = repro.flows.try_closed_form_theta
+
+        def counting(topology, matching):
+            calls.append(matching)
+            return scalar(topology, matching)
+
+        monkeypatch.setattr(repro.flows, "try_closed_form_theta", counting)
+        cache = ThroughputCache()
+        plan_many(alltoall_grid(), cache=cache)
+        assert len(calls) == len(set(calls)) == cache.stats().misses == 15
 
     def test_sim_many_with_degraded_cells(self):
         scenarios = mixed_scenarios()[:5]

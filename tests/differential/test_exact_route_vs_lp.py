@@ -30,6 +30,7 @@ from repro.flows import (
     compute_theta,
     max_concurrent_flow,
     theta_tag,
+    try_closed_form_theta,
 )
 from repro.matching import Matching
 from repro.topology import PodFabric, full_mesh, matched_topology, ring
@@ -70,6 +71,30 @@ class TestExactRouteAgreesWithTheLP:
         assert cache.stats().misses == len(variants)
         # Degradation must actually change the answers we compared.
         assert len(set(thetas)) >= 3
+
+    @pytest.mark.parametrize(
+        "pristine",
+        [
+            ring(8, RATE),
+            ring(8, RATE, bidirectional=False),
+            matched_topology(Matching.shift(8, 1), RATE),
+        ],
+        ids=["ring", "ring-unidirectional", "matched"],
+    )
+    def test_degraded_topologies_never_take_the_closed_form(self, pristine):
+        """A degraded fabric drops its family metadata, so every
+        pattern goes to pod blocks or the LP, never to a formula of the
+        pristine graph."""
+        shifts = [Matching.shift(8, k) for k in range(1, 8)]
+        assert any(try_closed_form_theta(pristine, m) is not None for m in shifts)
+        for health, topology in degraded_variants(pristine, 8):
+            if health is None:
+                continue
+            for matching in shifts:
+                assert try_closed_form_theta(topology, matching) is None, (
+                    health.name,
+                    matching,
+                )
 
     def test_workload_phases_agree_and_hit_on_repeat(self):
         n = 8

@@ -3,55 +3,45 @@
 Hypothesis generates the scenario families the hand-written cases can't
 anticipate — random partial matchings, random permutations, random
 port-dimming and lane-failure states — and the differential contracts
-must hold on every draw: batch kernels equal scalar closed forms, and
-degraded fabrics agree between the batch and scalar routes and the
+must hold on every draw: a closed form, wherever one applies, equals the
+certified LP, and on degraded fabrics the exact route agrees with the
 certified LP at 1e-9.
 """
 
 from __future__ import annotations
 
-import math
-
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from families import RATE, agree, certified_theta, health_states, matchings
-from repro.flows import commodities_from_matching, compute_theta, theta_batch
-from repro.flows.closed_forms import (
-    closed_form_theta_batch,
-    try_closed_form_theta,
-)
-from repro.topology import hypercube, ring
+from repro.flows import commodities_from_matching, compute_theta
+from repro.flows.closed_forms import try_closed_form_theta
+from repro.matching import Matching
+from repro.topology import coprime_rings, hypercube, matched_topology, ring
 
 #: Domain sizes: small enough for fast LPs, varied enough to matter.
 SIZES = (4, 8)
 
+#: Every topology family with a closed form, built at ``n`` ranks.
+CLOSED_FORM_TOPOLOGIES = {
+    "ring": lambda n: ring(n, RATE),
+    "ring-unidirectional": lambda n: ring(n, RATE, bidirectional=False),
+    "hypercube": lambda n: hypercube(n, RATE),
+    "coprime-rings": lambda n: coprime_rings(n, (3,), RATE),
+    "matched": lambda n: matched_topology(Matching.shift(n, 1), RATE),
+}
 
+
+@pytest.mark.parametrize("family", sorted(CLOSED_FORM_TOPOLOGIES))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), n=st.sampled_from(SIZES))
-def test_batch_closed_form_equals_scalar_on_random_matchings(data, n):
-    topology = data.draw(
-        st.sampled_from([ring(n, RATE), hypercube(n, RATE)])
-    )
-    batch = [data.draw(matchings(n)) for _ in range(5)]
-    values = closed_form_theta_batch(topology, batch)
-    for matching, value in zip(batch, values):
-        scalar = try_closed_form_theta(topology, matching)
-        if scalar is None:
-            assert math.isnan(value)
-        else:
-            assert value == scalar
-
-
-@settings(max_examples=25, deadline=None)
-@given(data=st.data(), n=st.sampled_from(SIZES))
-def test_theta_batch_equals_compute_theta_on_random_rows(data, n):
-    topology = data.draw(
-        st.sampled_from([ring(n, RATE), hypercube(n, RATE)])
-    )
-    rows = [data.draw(matchings(n)) for _ in range(4)]
-    values = theta_batch(topology, rows, RATE, cache=None)
-    for matching, value in zip(rows, values):
-        assert agree(value, compute_theta(topology, matching, RATE, cache=None))
+def test_closed_form_equals_certified_lp_on_random_matchings(family, data, n):
+    topology = CLOSED_FORM_TOPOLOGIES[family](n)
+    matching = data.draw(matchings(n))
+    closed = try_closed_form_theta(topology, matching)
+    if closed is not None:
+        lp = certified_theta(topology, commodities_from_matching(matching))
+        assert agree(closed, lp), (topology.name, matching)
 
 
 @settings(max_examples=25, deadline=None)
@@ -70,17 +60,3 @@ def test_exact_route_equals_cold_lp_on_random_states(data, n):
     assert agree(cold, exact)
     assert compute_theta(degraded, matching, RATE, cache=cache) == exact
     assert cache.stats().misses == 1
-
-
-@settings(max_examples=20, deadline=None)
-@given(data=st.data(), n=st.sampled_from(SIZES))
-def test_degraded_batch_rows_route_to_lp_and_agree(data, n):
-    topology = ring(n, RATE)
-    health = data.draw(health_states(n))
-    degraded = health.apply(topology)
-    rows = [data.draw(matchings(n)) for _ in range(3)]
-    values = theta_batch(degraded, rows, RATE, cache=None)
-    for matching, value in zip(rows, values):
-        assert agree(
-            value, compute_theta(degraded, matching, RATE, cache=None)
-        )

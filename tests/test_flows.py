@@ -27,6 +27,7 @@ from repro.flows import (
     theta_upper_bound_ports,
     try_closed_form_theta,
 )
+from repro.flows.closed_forms import rate_factor
 from repro.matching import Matching
 from repro.topology import Topology, dgx, full_mesh, hypercube, matched_topology, ring, star
 from repro.units import Gbps
@@ -181,6 +182,18 @@ class TestClosedForms:
         lp = max_concurrent_flow(t, commodities_from_matching(m), B).theta
         cf = try_closed_form_theta(t, m)
         assert cf == pytest.approx(lp, rel=1e-6)
+
+    def test_rate_factor_rescales_to_the_asked_reference(self):
+        t = ring(8, B)
+        assert rate_factor(t, B) == 1.0
+        assert rate_factor(t, B / 4) == 4.0
+        bare = Topology(4, list(ring(4, B).edges()), name="bare")  # no metadata
+        assert rate_factor(bare, B / 4) == 1.0
+        # compute_theta applies it to the formula's value.
+        m = Matching.shift(8, 3)
+        assert compute_theta(t, m, B / 4, cache=None) == (
+            try_closed_form_theta(t, m) * 4.0
+        )
 
     def test_hypercube_closed_form(self):
         t = hypercube(8, B)

@@ -275,21 +275,6 @@ class TestComputeThetaDelta:
             compute_theta_delta(bare, Matching.shift(8, 1), cache=None)
 
 
-class TestCacheSeed:
-    def test_seed_publishes_and_existing_entry_wins(self):
-        cache = ThroughputCache()
-        topology = fabric().flat_topology()
-        matching = Matching.shift(12, 1)
-        assert cache.seed(topology, matching, 0.25, tag="theta:test") == 0.25
-        # Compute-once: the seeded value is served, the compute ignored.
-        served = cache.get_or_compute(
-            topology, matching, lambda: 0.75, tag="theta:test"
-        )
-        assert served == 0.25
-        # Seeding over an existing entry keeps the original.
-        assert cache.seed(topology, matching, 0.99, tag="theta:test") == 0.25
-
-
 class TestDeltaPolicies:
     def _workload(self) -> Workload:
         dim = FabricHealth(port_multipliers={5: 0.5})

@@ -112,6 +112,16 @@ class TestProperties:
         assert len(m) == 0
         assert not m.is_full
 
+    def test_dst_row_packs_destinations(self):
+        m = Matching(6, [(0, 3), (4, 1)])
+        row = m.dst_row
+        assert row.dtype == np.int64
+        assert row.tolist() == [3, -1, -1, -1, 1, -1]
+        assert m.dst_row is row  # materialized once
+        with pytest.raises(ValueError):
+            row[1] = 2  # read-only: every reader shares the one array
+        assert Matching.identity(3).dst_row.tolist() == [-1, -1, -1]
+
 
 class TestAlgebra:
     def test_compose_shifts(self):

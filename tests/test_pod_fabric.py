@@ -25,7 +25,6 @@ from repro.flows import (
     pod_structure,
     pod_theta,
     reset_block_stats,
-    theta_batch,
     theta_tag,
 )
 from repro.matching import Matching
@@ -205,11 +204,11 @@ class TestBlockTheta:
         assert first == second == pod_theta(topology, matching, RATE)
         assert cache.stats().hits >= 1
 
-    def test_theta_batch_duplicate_rows_hit_the_cache(self):
+    def test_duplicate_rows_hit_the_cache(self):
         topology = fabric((4, 4)).flat_topology()
         rows = [Matching.shift(8, 1), Matching.shift(8, 2), Matching.shift(8, 1)]
         cache = ThroughputCache()
-        values = theta_batch(topology, rows, RATE, cache=cache)
+        values = [compute_theta(topology, m, RATE, cache=cache) for m in rows]
         assert values[0] == values[2]
         assert (cache.stats().misses, cache.stats().hits) == (2, 1)
         assert values[0] == pytest.approx(flat_lp(topology, rows[0]), rel=1e-9)
@@ -237,11 +236,9 @@ class TestEngineAndPlannerIntegration:
         # from it is planning on the flat LP.
         flat_cache = ThroughputCache()
         for step in scenario.build_collective().steps:
-            flat_cache.seed(
-                topology,
-                step.matching,
-                flat_lp(topology, step.matching),
-                tag=theta_tag(RATE),
+            value = flat_lp(topology, step.matching)
+            flat_cache.get_or_compute(
+                topology, step.matching, lambda: value, tag=theta_tag(RATE)
             )
         seeded = flat_cache.stats().misses
         blocked = plan(scenario, cache=ThroughputCache())

@@ -13,12 +13,7 @@ import time
 
 import pytest
 
-from repro.flows import (
-    block_stats,
-    pod_theta,
-    reset_block_stats,
-    theta_batch,
-)
+from repro.flows import block_stats, compute_theta, pod_theta, reset_block_stats
 from repro.matching import Matching
 from repro.topology import PodFabric
 from repro.units import Gbps
@@ -31,12 +26,10 @@ def test_n256_block_battery_is_subsecond():
     topology = fabric.flat_topology()
     reset_block_stats()
     start = time.perf_counter()
-    values = theta_batch(
-        topology,
-        [Matching.shift(256, k) for k in (1, 64, 128)],
-        RATE,
-        cache=None,
-    )
+    values = [
+        compute_theta(topology, Matching.shift(256, k), RATE, cache=None)
+        for k in (1, 64, 128)
+    ]
     elapsed = time.perf_counter() - start
     assert all(v > 0 for v in values)
     assert elapsed < 10.0, f"n=256 battery took {elapsed:.1f}s"
@@ -55,7 +48,7 @@ def test_n1024_theta_end_to_end_under_budget():
     matchings += [Matching.xor_exchange(n, 1 << d) for d in range(0, 10, 3)]
     reset_block_stats()
     start = time.perf_counter()
-    values = theta_batch(topology, matchings, RATE, cache=None)
+    values = [compute_theta(topology, m, RATE, cache=None) for m in matchings]
     elapsed = time.perf_counter() - start
     assert all(v > 0 for v in values)
     # The acceptance criterion: the whole battery (9 patterns), not

@@ -13,6 +13,7 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.planner import Scenario
 from repro.service import (
@@ -44,6 +45,21 @@ def socket_path(tmp_path):
 
 def run(coro):
     return asyncio.run(coro)
+
+
+#: Lines the JSON parser refuses, each for a different reason: not JSON,
+#: not UTF-8 (a byte UTF-8 never uses, a continuation byte with no lead
+#: byte, a sequence cut short, an overlong encoding), or nested past the
+#: parser's recursion limit.
+GARBAGE_LINES = [
+    b"this is not json\n",
+    b"\xff\n",
+    b"\x80\n",
+    b'{"kind": "\xc3"}\n',
+    b"\xc0\xaf\n",
+    b"[" * 100_000 + b"\n",
+    b'{"a": ' * 100_000 + b"\n",
+]
 
 
 class TestUnixSocket:
@@ -95,8 +111,21 @@ class TestUnixSocket:
         assert metrics["coalesced"] + metrics["batched_requests"] > 1
         assert metrics["coalesced"] > 0
 
+    @pytest.mark.parametrize(
+        "garbage",
+        GARBAGE_LINES,
+        ids=[
+            "not-json",
+            "invalid-byte",
+            "lone-continuation-byte",
+            "truncated-multibyte",
+            "overlong-encoding",
+            "deep-array",
+            "deep-object",
+        ],
+    )
     def test_garbage_line_gets_error_response_and_connection_survives(
-        self, socket_path
+        self, socket_path, garbage
     ):
         async def main():
             async with ServiceServer(PlannerDaemon()) as server:
@@ -104,9 +133,13 @@ class TestUnixSocket:
                 reader, writer = await asyncio.open_unix_connection(
                     socket_path
                 )
-                writer.write(b"this is not json\n")
+                writer.write(garbage)
                 await writer.drain()
-                garbage_reply = json.loads(await reader.readline())
+                # Bounded: a line the server never answers must fail
+                # here, not hang the suite.
+                garbage_reply = json.loads(
+                    await asyncio.wait_for(reader.readline(), 10)
+                )
                 writer.write(
                     json.dumps(
                         {"kind": "metrics", "id": "m1", "body": {}}
@@ -114,7 +147,9 @@ class TestUnixSocket:
                     + b"\n"
                 )
                 await writer.drain()
-                metrics_reply = json.loads(await reader.readline())
+                metrics_reply = json.loads(
+                    await asyncio.wait_for(reader.readline(), 10)
+                )
                 writer.close()
                 return garbage_reply, metrics_reply
 
@@ -122,6 +157,27 @@ class TestUnixSocket:
         assert garbage_reply["ok"] is False
         assert garbage_reply["error"]["code"] == "validation"
         assert metrics_reply["ok"] is True and metrics_reply["id"] == "m1"
+
+    @settings(max_examples=60, deadline=None)
+    @given(line=st.binary())
+    def test_any_byte_line_is_answered_without_raising(self, line):
+        async def main():
+            daemon = PlannerDaemon(workers=1)
+            await daemon.start()
+            responses = []
+
+            async def write(response):
+                responses.append(response)
+
+            try:
+                await asyncio.wait_for(
+                    ServiceServer(daemon)._handle_line(line, write), 10
+                )
+            finally:
+                await daemon.stop()
+            return responses
+
+        assert len(run(main())) >= 1
 
     def test_streaming_over_the_wire(self, socket_path):
         async def main():
@@ -208,6 +264,37 @@ class TestServeCli:
         assert code == 0
         assert "smoke: OK" in output
         assert "0 failed" in output
+
+    def test_stdio_answers_undecodable_and_deep_lines(self):
+        """``serve --stdio`` answers a non-UTF-8 line and a too-deep line
+        with ``validation`` errors, then serves the next request, and
+        writes nothing to stderr."""
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        lines = b"\xff\n" + b"[" * 100_000 + b"\n" + b'{"kind": "metrics"}\n'
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.experiments", "serve", "--stdio"],
+            input=lines,
+            capture_output=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 0
+        assert done.stderr == b""
+        replies = [json.loads(line) for line in done.stdout.splitlines()]
+        # Each line is its own task, so replies may arrive in any order.
+        assert sorted(
+            (r["ok"], r["kind"], r.get("error", {}).get("code"))
+            for r in replies
+        ) == [
+            (False, "unknown", "validation"),
+            (False, "unknown", "validation"),
+            (True, "metrics", None),
+        ]
 
     def test_version_flag(self, capsys):
         import repro

@@ -26,7 +26,6 @@ from repro.flows import (
     compute_theta,
     max_concurrent_flow,
     reset_block_stats,
-    theta_batch,
     try_closed_form_theta,
     verify_certificate,
 )
@@ -124,8 +123,11 @@ class TestExactRoute:
         assert math.isclose(half, 2 * full, rel_tol=1e-9)
         assert math.isclose(half, _lp(topology, matching, B / 2), rel_tol=RTOL)
         assert cache.stats().misses == 2
-        batch = theta_batch(topology, [matching] * 2, [B, B / 2], cache=None)
-        assert list(batch) == [full, half]
+        uncached = [
+            compute_theta(topology, matching, reference_rate=rate, cache=None)
+            for rate in (B, B / 2)
+        ]
+        assert uncached == [full, half]
 
     @pytest.mark.parametrize(
         "topology, matching",
@@ -153,8 +155,6 @@ class TestExactRoute:
         topology = ring(8, B)
         with pytest.raises(FlowError, match="unknown theta method"):
             compute_theta(topology, Matching.shift(8, 1), method=method)
-        with pytest.raises(FlowError, match="unknown theta method"):
-            theta_batch(topology, [Matching.shift(8, 1)], method=method)
 
 
 class TestThetaEnvelope:
@@ -238,15 +238,14 @@ class TestEdgeCases:
         assert upper >= exact - RTOL
 
     @pytest.mark.parametrize("method", METHODS)
-    def test_theta_batch_handles_empty_and_mixed_rows(self, method):
+    def test_compute_theta_prices_empty_and_mixed_rows(self, method):
         topology = ring(8, B)
-        rows = [Matching(8, []), Matching.shift(8, 1), Matching(8, [(0, 5)])]
-        values = theta_batch(topology, rows, B, method=method, cache=None)
-        assert math.isinf(values[0])
-        for matching, value in zip(rows[1:], values[1:]):
-            assert value == compute_theta(
-                topology, matching, B, method=method, cache=None
-            )
+        assert math.isinf(
+            compute_theta(topology, Matching(8, []), B, method=method, cache=None)
+        )
+        for matching in (Matching.shift(8, 1), Matching(8, [(0, 5)])):
+            value = compute_theta(topology, matching, B, method=method, cache=None)
+            assert value > 0
             if method == "auto":
                 assert math.isclose(
                     value, _lp(topology, matching, B), rel_tol=RTOL, abs_tol=RTOL

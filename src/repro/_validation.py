@@ -2,9 +2,46 @@
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Collection, Mapping
 
 from .exceptions import ConfigurationError, ReproError
+
+_JSON_TYPES = (
+    (bool, "boolean"),
+    ((int, float), "number"),
+    (str, "string"),
+    ((list, tuple), "array"),
+    (Mapping, "object"),
+)
+
+
+def json_type(value: object) -> str:
+    """The JSON type name of a decoded value (``"array"`` for a list);
+    the Python type name for anything JSON cannot hold."""
+    if value is None:
+        return "null"
+    for types, name in _JSON_TYPES:
+        if isinstance(value, types):
+            return name
+    return type(value).__name__
+
+
+def require_keys(
+    data: object,
+    allowed: Collection[str],
+    what: str,
+    exc_type: type[ReproError] = ConfigurationError,
+) -> None:
+    """The one key check behind every ``from_dict``: ``data`` must be a
+    JSON object (a mapping) whose keys are all in ``allowed``.  Raises
+    ``exc_type`` naming ``what`` and, for a non-object, its JSON type."""
+    if not isinstance(data, Mapping):
+        raise exc_type(f"{what} must be a JSON object, got {json_type(data)}")
+    unknown = set(data) - set(allowed)
+    if unknown:
+        raise exc_type(
+            f"unknown {what} keys {sorted(unknown)}; allowed: {sorted(allowed)}"
+        )
 
 
 def require_field(data: Mapping[str, object], key: str, what: str) -> object:

@@ -41,7 +41,7 @@ import random
 from dataclasses import dataclass, replace
 from collections.abc import Iterable, Mapping
 
-from .._validation import require_field as _require
+from .._validation import require_field as _require, require_keys
 from ..exceptions import FabricError
 from ..matching import Matching
 from ..topology.base import Topology
@@ -343,19 +343,18 @@ class FabricHealth:
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "FabricHealth":
         """Inverse of :meth:`to_dict`; rejects unknown keys."""
-        allowed = {
-            "port_multipliers",
-            "failed_transceivers",
-            "dead_wavelengths",
-            "total_wavelengths",
-            "name",
-        }
-        unknown = set(data) - allowed
-        if unknown:
-            raise FabricError(
-                f"unknown fabric health keys {sorted(unknown)}; allowed: "
-                f"{sorted(allowed)}"
-            )
+        require_keys(
+            data,
+            {
+                "port_multipliers",
+                "failed_transceivers",
+                "dead_wavelengths",
+                "total_wavelengths",
+                "name",
+            },
+            "fabric health",
+            FabricError,
+        )
         return cls(
             port_multipliers=tuple(
                 (int(rank), float(value))

@@ -26,6 +26,7 @@ from collections.abc import Mapping, Sequence
 from .._validation import require_non_negative
 from ..exceptions import FabricError
 from ..matching import Matching
+from ..memo import BoundedMemo
 from ..topology.base import Topology
 
 __all__ = [
@@ -42,10 +43,16 @@ __all__ = [
 
 Configuration = frozenset  # of (tx, rx) pairs
 
+_TOPOLOGY_CONFIG_MEMO_MAX = 256
+_TOPOLOGY_CONFIG_MEMO: BoundedMemo[Configuration] = BoundedMemo(
+    _TOPOLOGY_CONFIG_MEMO_MAX
+)
+
 
 def configuration_from_matching(matching: Matching) -> Configuration:
-    """The circuit set realizing a matching."""
-    return frozenset(matching.pairs)
+    """The circuit set realizing a matching (one frozenset per
+    matching, built once)."""
+    return matching.pair_set
 
 
 def configuration_from_topology(topology: Topology) -> Configuration:
@@ -59,37 +66,31 @@ def configuration_from_topology(topology: Topology) -> Configuration:
     layer, while the rank-to-core uplinks are static electrical
     infrastructure, so the configuration is the intra-pod circuit set
     with relay-incident edges excluded.
+
+    Computed once per topology structure: the memo key is the
+    fingerprint plus whether ``metadata["pods"]`` is a dict, the one
+    input the fingerprint does not cover.
     """
-    if topology.relay_nodes:
-        circuits = _pod_optical_circuits(topology)
-        if circuits is not None:
-            return circuits
-        raise FabricError(
-            f"topology {topology.name!r} contains relay nodes and is not "
-            "an optical circuit configuration"
-        )
-    return frozenset((u, v) for u, v, _ in topology.edges())
+    pods = isinstance(topology.metadata.get("pods"), dict)
+    return _TOPOLOGY_CONFIG_MEMO.get_or_compute(
+        (topology.fingerprint(), pods),
+        lambda: _configuration_from_topology(topology, pods),
+    )
 
 
-def _pod_optical_circuits(topology: Topology) -> Configuration | None:
-    """The rank-to-rank circuit layer of a pod-structured fabric.
-
-    Pod fabrics (``metadata["pods"]``) split their edges in two tiers:
-    photonic rank-to-rank circuits inside each pod, and static uplinks
-    into the electrical core relay.  Only the former participate in
-    reconfiguration accounting.  Returns ``None`` when the topology is
-    not pod-structured or has no rank-to-rank circuits at all (then the
-    relay rejection above applies).
-    """
-    if not isinstance(topology.metadata.get("pods"), dict):
-        return None
+def _configuration_from_topology(topology: Topology, pods: bool) -> Configuration:
     relays = frozenset(topology.relay_nodes)
     circuits = frozenset(
         (u, v)
         for u, v, _ in topology.edges()
         if u not in relays and v not in relays
     )
-    return circuits or None
+    if relays and not (pods and circuits):
+        raise FabricError(
+            f"topology {topology.name!r} contains relay nodes and is not "
+            "an optical circuit configuration"
+        )
+    return circuits
 
 
 def touched_ports(previous: Configuration, target: Configuration) -> frozenset:

@@ -137,16 +137,21 @@ class Matching:
         return self._pairs
 
     @cached_property
-    def dst_row(self) -> np.ndarray:
-        """Read-only ``(n,)`` int64 array with ``row[src] = dst`` and
-        ``-1`` for idle ranks — the columns
-        :meth:`repro.sim.FlowRates.over` reads, materialized once per
-        matching."""
-        row = np.full(self._n, -1, dtype=np.int64)
-        for src, dst in self._pairs:
-            row[src] = dst
-        row.setflags(write=False)
-        return row
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pairs as read-only int64 ``(src, dst)`` columns, in
+        :attr:`pairs` order — what :meth:`repro.sim.FlowRates.over`
+        reads, materialized once per matching."""
+        pairs = np.array(self._pairs, dtype=np.int64).reshape(-1, 2)
+        src, dst = np.ascontiguousarray(pairs.T)
+        src.setflags(write=False)
+        dst.setflags(write=False)
+        return src, dst
+
+    @cached_property
+    def pair_set(self) -> frozenset[tuple[int, int]]:
+        """The pairs as a frozenset (the matching's circuit set),
+        built once per matching."""
+        return frozenset(self._pairs)
 
     def __len__(self) -> int:
         return len(self._pairs)

@@ -24,6 +24,7 @@ import weakref
 from dataclasses import dataclass, field, replace
 from collections.abc import Mapping, Sequence
 
+from .._validation import require_keys
 from ..collectives.base import Collective
 from ..collectives.registry import available_collectives, make_collective
 from ..core.cost_model import CostParameters, StepCost, evaluate_step_costs
@@ -283,7 +284,7 @@ class TopologySpec:
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "TopologySpec":
         """Inverse of :meth:`to_dict`; rejects unknown keys."""
-        _check_keys(data, {"family", "n", "bandwidth", "options"}, "topology")
+        require_keys(data, {"family", "n", "bandwidth", "options"}, "topology")
         return cls(
             family=str(data.get("family", "ring")),
             n=int(data.get("n", 64)),
@@ -359,21 +360,11 @@ class CollectiveSpec:
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "CollectiveSpec":
         """Inverse of :meth:`to_dict`; rejects unknown keys."""
-        _check_keys(data, {"algorithm", "message_size", "options"}, "collective")
+        require_keys(data, {"algorithm", "message_size", "options"}, "collective")
         return cls(
             algorithm=str(data.get("algorithm", "allreduce_recursive_doubling")),
             message_size=float(data.get("message_size", 0.0)),
             options=_freeze_options(data.get("options")),
-        )
-
-
-def _check_keys(
-    data: Mapping[str, object], allowed: set[str], what: str
-) -> None:
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigurationError(
-            f"unknown {what} keys {sorted(unknown)}; allowed: {sorted(allowed)}"
         )
 
 
@@ -727,7 +718,7 @@ class Scenario:
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "Scenario":
         """Inverse of :meth:`to_dict`; rejects unknown keys."""
-        _check_keys(
+        require_keys(
             data,
             {
                 "topology",
@@ -741,8 +732,8 @@ class Scenario:
             },
             "scenario",
         )
-        cost_data = dict(data.get("cost", {}))
-        _check_keys(
+        cost_data = data.get("cost", {})
+        require_keys(
             cost_data,
             {"alpha", "bandwidth", "delta", "reconfiguration_delay"},
             "cost",

@@ -29,7 +29,7 @@ import uuid
 from dataclasses import dataclass, field, replace
 from collections.abc import Mapping, Sequence
 
-from .._validation import require_field as _require
+from .._validation import require_field as _require, require_keys
 from .._version import detect_version
 from ..exceptions import ConfigurationError
 from ..fabric.reconfiguration import (
@@ -80,18 +80,6 @@ def new_request_id() -> str:
     return uuid.uuid4().hex
 
 
-def _check_keys(data: Mapping, allowed: set[str], what: str) -> None:
-    if not isinstance(data, Mapping):
-        raise ConfigurationError(
-            f"{what} must be a mapping, got {type(data).__name__}"
-        )
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigurationError(
-            f"unknown {what} keys {sorted(unknown)}; allowed: {sorted(allowed)}"
-        )
-
-
 # -- request bodies ----------------------------------------------------------
 
 
@@ -119,7 +107,7 @@ class PlanBody:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "PlanBody":
-        _check_keys(data, {"scenario", "solver", "options"}, "plan body")
+        require_keys(data, {"scenario", "solver", "options"}, "plan body")
         return cls(
             scenario=Scenario.from_dict(_require(data, "scenario", "plan body")),
             solver=str(data.get("solver", "dp")),
@@ -154,7 +142,7 @@ class PlanBatchBody:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "PlanBatchBody":
-        _check_keys(data, {"scenarios", "solver", "options"}, "plan_batch body")
+        require_keys(data, {"scenarios", "solver", "options"}, "plan_batch body")
         raw = _require(data, "scenarios", "plan_batch body")
         if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):
             raise ConfigurationError(
@@ -195,7 +183,7 @@ class SimulateBody:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "SimulateBody":
-        _check_keys(
+        require_keys(
             data,
             {"scenario", "solver", "rate_method", "accounting", "options"},
             "simulate body",
@@ -240,7 +228,7 @@ class WorkloadBody:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "WorkloadBody":
-        _check_keys(
+        require_keys(
             data,
             {"workload", "policy", "solver", "reconfiguration_model", "options"},
             "workload body",
@@ -318,7 +306,7 @@ class OnlineBody:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "OnlineBody":
-        _check_keys(
+        require_keys(
             data,
             {"session", "scenario", "seq", "policy", "observations",
              "options"},
@@ -370,7 +358,7 @@ class DegradationBody:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "DegradationBody":
-        _check_keys(data, {"scenario", "seed", "solvers"}, "degradation body")
+        require_keys(data, {"scenario", "seed", "solvers"}, "degradation body")
         return cls(
             scenario=Scenario.from_dict(
                 _require(data, "scenario", "degradation body")
@@ -391,7 +379,7 @@ class MetricsBody:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "MetricsBody":
-        _check_keys(data, set(), "metrics body")
+        require_keys(data, set(), "metrics body")
         return cls()
 
 
@@ -494,7 +482,7 @@ class ServiceRequest:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "ServiceRequest":
-        _check_keys(
+        require_keys(
             data, {"id", "kind", "body", "priority", "deadline_s"}, "request"
         )
         kind = str(_require(data, "kind", "request"))
@@ -541,7 +529,7 @@ class ServiceError:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "ServiceError":
-        _check_keys(data, {"code", "message", "details"}, "error")
+        require_keys(data, {"code", "message", "details"}, "error")
         return cls(
             code=str(_require(data, "code", "error")),
             message=str(_require(data, "message", "error")),
@@ -602,7 +590,7 @@ class ServiceResponse:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "ServiceResponse":
-        _check_keys(
+        require_keys(
             data,
             {
                 "id",

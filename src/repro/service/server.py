@@ -24,8 +24,11 @@ protocol over stdin/stdout, one client, EOF terminates.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
+import os
 import sys
+import threading
 
 from .daemon import PlannerDaemon
 from .schemas import ServiceError, ServiceResponse, new_request_id
@@ -164,39 +167,69 @@ class ServiceServer:
             pass  # client went away mid-response; nothing to tell it
 
 
+class _StdinFeed:
+    """Stdin fed into an :class:`asyncio.StreamReader` by blocking reads
+    in a daemon thread.
+
+    Blocking reads work on a pipe, a tty and a regular file alike (an
+    event loop can only watch the first two), and a daemon thread never
+    holds up exit.  The reader pauses the feed past twice its line limit
+    and resumes it once drained, as it would a socket transport.
+    """
+
+    def __init__(self, reader: asyncio.StreamReader) -> None:
+        self._resumed = threading.Event()
+        self._resumed.set()
+        reader.set_transport(self)
+        args = (sys.stdin.fileno(), reader, asyncio.get_running_loop())
+        threading.Thread(target=self._run, args=args, daemon=True).start()
+
+    def pause_reading(self) -> None:
+        self._resumed.clear()
+
+    def resume_reading(self) -> None:
+        self._resumed.set()
+
+    def _run(self, fd: int, reader: asyncio.StreamReader, loop) -> None:
+        # Raw reads: a daemon thread blocked inside the buffered
+        # sys.stdin would hold its lock while the interpreter exits.
+        with contextlib.suppress(RuntimeError):  # the loop closed first
+            try:
+                while chunk := os.read(fd, 1 << 16):
+                    loop.call_soon_threadsafe(reader.feed_data, chunk)
+                    self._resumed.wait()
+            except OSError as exc:
+                loop.call_soon_threadsafe(reader.set_exception, exc)
+            else:
+                loop.call_soon_threadsafe(reader.feed_eof)
+
+
+class _StdoutWriter:
+    """The part of :class:`asyncio.StreamWriter` a connection writes
+    through, over stdout (a pipe or a regular file)."""
+
+    def write(self, data: bytes) -> None:
+        sys.stdout.buffer.write(data)
+
+    async def drain(self) -> None:
+        sys.stdout.buffer.flush()
+
+    def close(self) -> None:
+        sys.stdout.buffer.flush()
+
+
 async def serve_stdio(daemon: PlannerDaemon) -> None:
     """Serve the JSONL protocol over stdin/stdout until EOF.
 
-    Turns any process manager's stdio pipe into a planner service —
-    no sockets, no ports.  Responses for concurrent requests interleave
-    exactly as over a socket.
+    Turns any process manager's stdio into a planner service — no
+    sockets, no ports.  Stdin may be a pipe or a regular file.  It is
+    one connection of :class:`ServiceServer`, so responses for
+    concurrent requests interleave exactly as over a socket, and an
+    over-long line is answered with ``request line too long`` and ends
+    the session.
     """
-    loop = asyncio.get_running_loop()
-    await daemon.start()
     reader = asyncio.StreamReader(limit=MAX_LINE_BYTES)
-    await loop.connect_read_pipe(
-        lambda: asyncio.StreamReaderProtocol(reader), sys.stdin
-    )
-    write_lock = asyncio.Lock()
-
-    async def write(response: ServiceResponse) -> None:
-        async with write_lock:
-            sys.stdout.write(
-                json.dumps(response.to_dict(), sort_keys=True) + "\n"
-            )
-            sys.stdout.flush()
-
-    pending: set[asyncio.Task] = set()
-    server = ServiceServer(daemon)
-    while True:
-        line = await reader.readline()
-        if not line:
-            break
-        if not line.strip():
-            continue
-        task = asyncio.ensure_future(server._handle_line(line, write))
-        pending.add(task)
-        task.add_done_callback(pending.discard)
-    if pending:
-        await asyncio.gather(*tuple(pending), return_exceptions=True)
+    _StdinFeed(reader)
+    await daemon.start()
+    await ServiceServer(daemon)._handle_connection(reader, _StdoutWriter())
     await daemon.stop()

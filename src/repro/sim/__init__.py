@@ -11,7 +11,6 @@ Two layers:
   (:func:`repro.engine.sim_many` batches it).
 """
 
-from .events import EventQueue
 from .executor import SimResult, SimStep, simulate_plan
 from .flowsim import FlowLevelSimulator, SimulationResult, StepTiming
 from .observation import (
@@ -26,7 +25,6 @@ from .trace import EventKind, Trace, TraceEvent
 from .workload import PhaseSimResult, WorkloadSimResult, simulate_workload
 
 __all__ = [
-    "EventQueue",
     "FlowLevelSimulator",
     "SimulationResult",
     "StepTiming",

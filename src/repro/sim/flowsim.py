@@ -47,10 +47,9 @@ from ..fabric.reconfiguration import (
 from ..flows import ThroughputCache, default_cache
 from ..matching import Matching
 from ..topology.base import Topology
-from .events import EventQueue
 from .observation import RateObservations
 from .rates import FlowRates, allocate_rates
-from .trace import EventKind, Trace
+from .trace import EventKind, Trace, TraceEvent
 
 __all__ = ["StepTiming", "SimulationResult", "FlowLevelSimulator"]
 
@@ -232,7 +231,15 @@ class FlowLevelSimulator:
             )
             return 0.0 if both_base else self.params.reconfiguration_delay
         assert current_config is not None and target_config is not None
-        return self.reconfiguration_model.delay(current_config, target_config)
+        delay = self.reconfiguration_model.delay(current_config, target_config)
+        if not delay >= 0:
+            # The run's clock only moves forward: a barrier is never
+            # before the wire went idle.
+            raise SimulationError(
+                f"{self.reconfiguration_model!r} returned delay {delay!r}; "
+                "a reconfiguration delay must be >= 0"
+            )
+        return delay
 
     # -- main entry -----------------------------------------------------------------
 
@@ -313,8 +320,11 @@ class FlowLevelSimulator:
                         )
         pending = sorted(faults, key=lambda event: event.time)
 
-        queue = EventQueue()
-        trace = Trace()
+        # The run is barrier-synchronous, so its clock is one float that
+        # only moves forward: each step's barrier is at or after the
+        # moment the wire went idle, and its end at or after its start.
+        now = 0.0
+        events: list[TraceEvent] = []  # recording order; Trace sorts once
         timings: list[StepTiming] = []
         reconf_total = 0.0
         n_reconf = 0
@@ -322,7 +332,7 @@ class FlowLevelSimulator:
         live_health = self.health
         fault_log: list[tuple[float, str, str]] = []
         fault_pod_log: list[tuple[float, tuple[int, ...]]] = []
-        observed: list[tuple[np.ndarray, ...]] = []  # one block per step
+        observed: list[tuple] = []  # (index, start, matched, flows, completion)
         delta_index = None
         if pending:
             from ..flows import DeltaIndex, pod_structure
@@ -340,7 +350,7 @@ class FlowLevelSimulator:
         compute_until = 0.0  # when the previous step's compute finishes
 
         for index, step in enumerate(collective.steps):
-            while pending and pending[0].time <= queue.now + 1e-18:
+            while pending and pending[0].time <= now + 1e-18:
                 event = pending.pop(0)
                 previous_health = live_health
                 if event.health is None or event.health.is_pristine:
@@ -360,8 +370,8 @@ class FlowLevelSimulator:
                 label = event.label or (
                     "" if event.health is None else event.health.name
                 )
-                trace.record(queue.now, trace_kind, index, detail=label)
-                fault_log.append((queue.now, kind, label))
+                events.append(TraceEvent(now, trace_kind, index, label))
+                fault_log.append((now, kind, label))
                 if delta_index is not None:
                     delta = delta_index.diff_health(previous_health, live_health)
                     dirty = (
@@ -369,7 +379,7 @@ class FlowLevelSimulator:
                         if delta.full
                         else tuple(sorted(delta.dirty_pods))
                     )
-                    fault_pod_log.append((queue.now, dirty))
+                    fault_pod_log.append((now, dirty))
             decision = schedule.decisions[index]
             if self.accounting == "physical":
                 if decision is Decision.MATCHED:
@@ -382,32 +392,31 @@ class FlowLevelSimulator:
                 previous, decision, current_config, target_config
             )
 
-            communication_done = queue.now
             if compute_overlap:
                 # Reconfiguration starts as soon as the wire is idle and
                 # runs concurrently with local compute.
-                reconf_start = communication_done
-                barrier_at = max(compute_until, reconf_start + delay)
+                reconf_start = now
+                barrier_time = max(compute_until, reconf_start + delay)
             else:
-                reconf_start = max(compute_until, communication_done)
-                barrier_at = reconf_start + delay
+                reconf_start = max(compute_until, now)
+                barrier_time = reconf_start + delay
             if delay > 0:
-                trace.record(reconf_start, EventKind.RECONFIG_START, index)
-                trace.record(
+                events.append(
+                    TraceEvent(reconf_start, EventKind.RECONFIG_START, index)
+                )
+                events.append(TraceEvent(
                     reconf_start + delay,
                     EventKind.RECONFIG_END,
                     index,
-                    detail="matched" if decision is Decision.MATCHED else "base",
-                )
+                    "matched" if decision is Decision.MATCHED else "base",
+                ))
                 reconf_total += delay
                 n_reconf += 1
-            queue.schedule(barrier_at, lambda: None)
-            queue.run()
 
-            trace.record(queue.now, EventKind.BARRIER, index)
-            barrier_time = queue.now
+            now = barrier_time
+            events.append(TraceEvent(now, EventKind.BARRIER, index))
             start = barrier_time + self.params.alpha
-            trace.record(start, EventKind.STEP_START, index, detail=step.label)
+            events.append(TraceEvent(start, EventKind.STEP_START, index, step.label))
 
             end = start
             slowest: tuple[int, int] | None = None
@@ -423,19 +432,18 @@ class FlowLevelSimulator:
                     end = float(completion[k])
                     slowest = (int(flows.src[k]), int(flows.dst[k]))
                 if observe_rates:
-                    size = len(completion)
                     observed.append((
-                        np.full(size, index), flows.src, flows.dst, flows.rate,
-                        np.full(size, start), completion, flows.hops,
-                        np.full(size, decision is Decision.MATCHED),
+                        index, start, decision is Decision.MATCHED, flows,
+                        completion,
                     ))
-            queue.schedule(end, lambda: None)
-            queue.run()
-            trace.record(end, EventKind.STEP_END, index)
+            now = end
+            events.append(TraceEvent(end, EventKind.STEP_END, index))
 
             if step.compute_time > 0:
                 compute_until = end + step.compute_time
-                trace.record(compute_until, EventKind.COMPUTE_END, index)
+                events.append(
+                    TraceEvent(compute_until, EventKind.COMPUTE_END, index)
+                )
             else:
                 compute_until = end
 
@@ -453,12 +461,12 @@ class FlowLevelSimulator:
             if self.accounting == "physical":
                 current_config = target_config
 
-        final = max(queue.now, compute_until)
-        trace.record(final, EventKind.COLLECTIVE_END)
+        final = max(now, compute_until)
+        events.append(TraceEvent(final, EventKind.COLLECTIVE_END))
         return SimulationResult(
             total_time=final,
             steps=tuple(timings),
-            trace=trace,
+            trace=Trace(events),
             reconfiguration_time=reconf_total,
             n_reconfigurations=n_reconf,
             final_configuration=(
@@ -467,8 +475,24 @@ class FlowLevelSimulator:
             fault_log=tuple(fault_log),
             fault_pod_log=tuple(fault_pod_log),
             rate_observations=(
-                RateObservations(*map(np.concatenate, zip(*observed)))
-                if observe_rates
-                else ()
+                _observations(observed) if observe_rates else ()
             ),
         )
+
+
+def _observations(observed: list[tuple]) -> RateObservations:
+    """A run's telemetry block from its observed steps'
+    ``(index, start, matched, flows, completion)`` records: the flow
+    columns concatenated, each step's scalars repeated once per flow."""
+    if not observed:
+        return RateObservations()
+    index, start, matched, flows, completion = zip(*observed)
+    sizes = [len(column) for column in completion]
+    src, dst, rate, hops = (
+        np.concatenate([getattr(block, name) for block in flows])
+        for name in ("src", "dst", "rate", "hops")
+    )
+    return RateObservations(
+        np.repeat(index, sizes), src, dst, rate, np.repeat(start, sizes),
+        np.concatenate(completion), hops, np.repeat(matched, sizes),
+    )

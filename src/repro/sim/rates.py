@@ -20,9 +20,10 @@ keeps n=1024 fabrics tractable.  The differential suite pins both
 allocators bit for bit against a dense masked-numpy oracle.  Every
 policy returns one :class:`FlowRates` block: the step's rates and path
 lengths as numpy columns in the matching's pair order.  The
-incidence structure is memoized per ``(topology fingerprint,
-matching)``, with :func:`incidence_build_count` exposing the build
-counter so tests can assert one build per key.
+incidence structure and the hop column are each memoized per
+``(topology fingerprint, matching)``, with :func:`incidence_build_count`
+exposing the incidence build counter so tests can assert one build per
+key.
 """
 
 from __future__ import annotations
@@ -85,13 +86,14 @@ class FlowRates(_ColumnBlock):
     @classmethod
     def over(cls, matching: Matching, rate, hops) -> "FlowRates":
         """``matching``'s pairs (source order, as ``Matching.pairs``)
-        at ``rate`` and ``hops``, each a scalar or one value per pair."""
-        row = matching.dst_row
-        src = np.flatnonzero(row >= 0)
-        return cls(
-            src, row[src], np.full(src.shape, rate, dtype=np.float64),
-            np.full(src.shape, hops, dtype=np.float64),
-        )
+        at ``rate`` and ``hops``, each a scalar or a float64 column with
+        one value per pair (a column is used as is, not copied)."""
+        src, dst = matching.columns
+        return cls(src, dst, *(
+            value if isinstance(value, np.ndarray)
+            else np.full(src.shape, value, dtype=np.float64)
+            for value in (rate, hops)
+        ))
 
 
 @dataclass(frozen=True)
@@ -118,6 +120,7 @@ class _Incidence:
 
 
 _INCIDENCE_MEMO: BoundedMemo[_Incidence] = BoundedMemo(_INCIDENCE_MEMO_MAX)
+_HOPS_MEMO: BoundedMemo[np.ndarray] = BoundedMemo(_INCIDENCE_MEMO_MAX)
 _builds = Counters("incidence")
 
 
@@ -132,8 +135,28 @@ def incidence_build_count() -> int:
 
 
 def clear_incidence_cache() -> None:
-    """Drop every memoized incidence structure (test isolation hook)."""
+    """Drop every memoized incidence structure and hop column (test
+    isolation hook)."""
     _INCIDENCE_MEMO.clear()
+    _HOPS_MEMO.clear()
+
+
+def _hops(topology: Topology, matching: Matching) -> np.ndarray:
+    """The read-only float64 column of each pair's shortest-path length
+    on ``topology``, in the matching's pair order, memoized per
+    (topology fingerprint, matching).  A disconnected pair raises
+    :class:`~repro.exceptions.TopologyError` on every call (a failed
+    compute is not memoized)."""
+
+    def build() -> np.ndarray:
+        hops = np.array(
+            [topology.hop_distance(src, dst) for src, dst in matching],
+            dtype=np.float64,
+        )
+        hops.setflags(write=False)
+        return hops
+
+    return _HOPS_MEMO.get_or_compute((topology.fingerprint(), matching), build)
 
 
 def _incidence(topology: Topology, matching: Matching) -> _Incidence:
@@ -267,5 +290,4 @@ def allocate_rates(
         rates = _maxmin_rates(topology, matching)
     else:
         rates = _equal_share_rates(topology, matching)
-    hops = [topology.hop_distance(src, dst) for src, dst in matching]
-    return FlowRates.over(matching, rates, hops)
+    return FlowRates.over(matching, rates, _hops(topology, matching))

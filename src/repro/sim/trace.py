@@ -55,9 +55,12 @@ class Trace:
     events: list[TraceEvent] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        # record() inserts into a sorted list; a stable sort keeps
-        # equal-time events in the order given.
+        # A stable sort keeps equal-time events in the order given, so
+        # building a trace from a list of events orders it exactly as
+        # record()-ing them one by one would.
         self.events.sort(key=_event_time)
+        if self.events and self.events[0].time < 0:
+            raise ValueError(f"negative event time {self.events[0].time}")
 
     def record(
         self,

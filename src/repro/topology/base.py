@@ -27,6 +27,28 @@ __all__ = ["Topology"]
 NodeId = Hashable
 
 
+class Fingerprint(tuple):
+    """A topology fingerprint: a plain tuple that hashes once.
+
+    Every theta, hop, incidence and pod-block memo key hashes the
+    fingerprint, and a fabric's fingerprint holds one string triple per
+    edge.  It compares, hashes and ``repr``-s exactly like the plain
+    tuple (so content digests are unchanged); the cached hash is dropped
+    on pickling and copying, because string hashes differ between
+    processes.
+    """
+
+    def __hash__(self) -> int:
+        try:
+            return self.__dict__["hash"]
+        except KeyError:
+            value = self.__dict__["hash"] = tuple.__hash__(self)
+            return value
+
+    def __reduce__(self):
+        return Fingerprint, (tuple(self),)
+
+
 class Topology:
     """A directed, capacitated interconnect topology.
 
@@ -69,7 +91,7 @@ class Topology:
                 graph.add_edge(u, v, capacity=capacity)
         self._graph = graph
         self._hop_cache: dict[NodeId, dict[NodeId, int]] = {}
-        self._fingerprint: tuple | None = None
+        self._fingerprint: Fingerprint | None = None
 
     # -- identity ------------------------------------------------------------
 
@@ -93,7 +115,7 @@ class Topology:
         """The underlying networkx digraph (treat as read-only)."""
         return self._graph
 
-    def fingerprint(self) -> tuple:
+    def fingerprint(self) -> Fingerprint:
         """A hashable structural key: ``(n_ranks, sorted edge triples)``.
 
         Used to key throughput caches; two topologies with identical
@@ -106,7 +128,7 @@ class Topology:
                     for u, v, data in self._graph.edges(data=True)
                 )
             )
-            self._fingerprint = (self._n_ranks, edge_key)
+            self._fingerprint = Fingerprint((self._n_ranks, edge_key))
         return self._fingerprint
 
     def __repr__(self) -> str:

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from collections.abc import Iterable, Mapping, Sequence
 
+from .._validation import json_type, require_keys
 from ..exceptions import FabricError, WorkloadError
 from ..fabric.reconfiguration import (
     Configuration,
@@ -143,16 +144,14 @@ class Workload:
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "Workload":
         """Inverse of :meth:`to_dict`; rejects unknown keys."""
-        unknown = set(data) - {"phases", "name"}
-        if unknown:
+        require_keys(data, {"phases", "name"}, "workload", WorkloadError)
+        phases = data.get("phases", ())
+        if not isinstance(phases, (list, tuple)):
             raise WorkloadError(
-                f"unknown workload keys {sorted(unknown)}; allowed: "
-                "['name', 'phases']"
+                f"workload phases must be a JSON array, got {json_type(phases)}"
             )
         return cls(
-            phases=tuple(
-                Scenario.from_dict(phase) for phase in data.get("phases", ())
-            ),
+            phases=tuple(Scenario.from_dict(phase) for phase in phases),
             name=str(data.get("name", "")),
         )
 

@@ -39,7 +39,6 @@ from repro.sim import (
     allocate_rates,
     simulate_plan,
 )
-from repro.sim.events import EventQueue
 from repro.sim.flowsim import SimulationResult, StepTiming
 from repro.sim.trace import EventKind, Trace
 from repro.topology import ring
@@ -83,14 +82,14 @@ def reference_run(sim, collective, schedule, faults=()):
     """The simulator's run loop with the per-flow step (no compute
     overlap, no carried configuration)."""
     pending = sorted(faults, key=lambda event: event.time)
-    queue, trace = EventQueue(), Trace()
+    now, trace = 0.0, Trace()
     timings, observations, fault_log = [], [], []
     reconf_total, n_reconf = 0.0, 0
     live_topology, live_health = sim._live_topology, sim.health
     previous, current_config = Decision.BASE, sim._base_config
     compute_until = 0.0
     for index, step in enumerate(collective.steps):
-        while pending and pending[0].time <= queue.now + 1e-18:
+        while pending and pending[0].time <= now + 1e-18:
             event = pending.pop(0)
             if event.health is None or event.health.is_pristine:
                 live_health, live_topology = sim.health, sim._live_topology
@@ -104,8 +103,8 @@ def reference_run(sim, collective, schedule, faults=()):
                 live_topology = live_health.apply(sim.topology)
                 kind, trace_kind = "inject", EventKind.FAULT_INJECT
             label = event.label or ("" if event.health is None else event.health.name)
-            trace.record(queue.now, trace_kind, index, detail=label)
-            fault_log.append((queue.now, kind, label))
+            trace.record(now, trace_kind, index, detail=label)
+            fault_log.append((now, kind, label))
         decision = schedule.decisions[index]
         target_config = None
         if sim.accounting == "physical":
@@ -117,7 +116,7 @@ def reference_run(sim, collective, schedule, faults=()):
         delay = sim._reconfiguration_delay(
             previous, decision, current_config, target_config
         )
-        reconf_start = max(compute_until, queue.now)
+        reconf_start = max(compute_until, now)
         barrier_at = reconf_start + delay
         if delay > 0:
             trace.record(reconf_start, EventKind.RECONFIG_START, index)
@@ -129,10 +128,10 @@ def reference_run(sim, collective, schedule, faults=()):
             )
             reconf_total += delay
             n_reconf += 1
-        queue.schedule(barrier_at, lambda: None)
-        queue.run()
-        trace.record(queue.now, EventKind.BARRIER, index)
-        barrier_time = queue.now
+        assert barrier_at >= now
+        now = barrier_at
+        trace.record(now, EventKind.BARRIER, index)
+        barrier_time = now
         start = barrier_time + sim.params.alpha
         trace.record(start, EventKind.STEP_START, index, detail=step.label)
         end, slowest = start, None
@@ -162,8 +161,8 @@ def reference_run(sim, collective, schedule, faults=()):
                         ),
                     )
                 )
-        queue.schedule(end, lambda: None)
-        queue.run()
+        assert end >= now
+        now = end
         trace.record(end, EventKind.STEP_END, index)
         compute_until = end + step.compute_time if step.compute_time > 0 else end
         if step.compute_time > 0:
@@ -172,7 +171,7 @@ def reference_run(sim, collective, schedule, faults=()):
         previous = decision
         if sim.accounting == "physical":
             current_config = target_config
-    final = max(queue.now, compute_until)
+    final = max(now, compute_until)
     trace.record(final, EventKind.COLLECTIVE_END)
     return SimulationResult(
         total_time=final,

@@ -17,7 +17,7 @@ from repro.fabric import (
     touched_ports,
 )
 from repro.matching import Matching
-from repro.topology import ring, star
+from repro.topology import Topology, pod_fabric, ring, star
 from repro.units import Gbps, ns, us
 
 B = Gbps(800)
@@ -41,6 +41,35 @@ class TestConfigurations:
         after = frozenset({(0, 1), (2, 4)})
         assert touched_ports(before, after) == frozenset({2, 3, 4})
         assert touched_ports(before, before) == frozenset()
+
+
+class TestCircuitSets:
+    def test_matching_circuits_are_built_once(self):
+        matching = Matching(4, [(0, 1), (2, 3)])
+        config = configuration_from_matching(matching)
+        assert configuration_from_matching(matching) is config
+        equal = configuration_from_matching(Matching(4, [(2, 3), (0, 1)]))
+        assert equal == config == frozenset({(0, 1), (2, 3)})
+
+    @pytest.mark.parametrize("pods_first", [True, False])
+    def test_topology_memo_key_covers_the_pods_metadata(self, pods_first):
+        """A relay fabric with a pod fabric's edges but no ``pods``
+        metadata has the same fingerprint and no circuit set."""
+        pods = pod_fabric(8, B, pods=2, uplinks_per_pod=1)
+        relay = Topology(pods.n_ranks, pods.edges(), name="relay")
+        assert relay.fingerprint() == pods.fingerprint()
+        ranks = range(pods.n_ranks)
+        circuits = frozenset(
+            (u, v) for u, v, _ in pods.edges() if u in ranks and v in ranks
+        )
+        calls = [pods, relay] if pods_first else [relay, pods]
+        for _ in range(2):
+            for topology in calls:
+                if topology is pods:
+                    assert configuration_from_topology(pods) == circuits
+                else:
+                    with pytest.raises(FabricError, match="'relay'"):
+                        configuration_from_topology(relay)
 
 
 class TestDelayModels:

@@ -112,15 +112,18 @@ class TestProperties:
         assert len(m) == 0
         assert not m.is_full
 
-    def test_dst_row_packs_destinations(self):
-        m = Matching(6, [(0, 3), (4, 1)])
-        row = m.dst_row
-        assert row.dtype == np.int64
-        assert row.tolist() == [3, -1, -1, -1, 1, -1]
-        assert m.dst_row is row  # materialized once
-        with pytest.raises(ValueError):
-            row[1] = 2  # read-only: every reader shares the one array
-        assert Matching.identity(3).dst_row.tolist() == [-1, -1, -1]
+    def test_columns_pack_pairs(self):
+        m = Matching(6, [(4, 1), (0, 3)])
+        src, dst = m.columns
+        assert src.dtype == dst.dtype == np.int64
+        assert (src.tolist(), dst.tolist()) == ([0, 4], [3, 1])  # pairs order
+        assert m.columns is m.columns  # materialized once
+        for column in (src, dst):
+            with pytest.raises(ValueError):
+                column[0] = 2  # read-only: every reader shares the one array
+        empty_src, empty_dst = Matching.identity(3).columns
+        assert empty_src.shape == empty_dst.shape == (0,)
+        assert empty_src.dtype == empty_dst.dtype == np.int64
 
 
 class TestAlgebra:

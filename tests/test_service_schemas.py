@@ -258,6 +258,61 @@ class TestValidator:
             assert request is None
             assert error is not None and error.code == "validation"
 
+    @pytest.mark.parametrize(
+        "value, json_type",
+        [([], "array"), ("x", "string"), (1, "number"), (True, "boolean")],
+    )
+    @pytest.mark.parametrize(
+        "kind, body, field",
+        [
+            ("plan", lambda s, v: {"scenario": v}, "scenario"),
+            ("plan_batch", lambda s, v: {"scenarios": [v]}, "scenario"),
+            ("simulate", lambda s, v: {"scenario": v}, "scenario"),
+            ("degradation", lambda s, v: {"scenario": v}, "scenario"),
+            ("online", lambda s, v: {"session": "a", "scenario": v}, "scenario"),
+            ("workload", lambda s, v: {"workload": v}, "workload"),
+            ("workload", lambda s, v: {"workload": {"phases": [v]}}, "scenario"),
+            ("plan", lambda s, v: {"scenario": {**s, "topology": v}}, "topology"),
+            (
+                "plan",
+                lambda s, v: {"scenario": {**s, "collective": v}},
+                "collective",
+            ),
+            ("plan", lambda s, v: {"scenario": {**s, "cost": v}}, "cost"),
+            ("plan", lambda s, v: {"scenario": {**s, "health": v}}, "health"),
+        ],
+    )
+    def test_non_object_spec_field_names_field_and_type(
+        self, small_scenario, kind, body, field, value, json_type
+    ):
+        """A spec field that must be a JSON object is type-checked: the
+        answer is a ``validation`` error naming the field and the JSON
+        type it got (never an AttributeError, and never silently read as
+        the all-default value, as ``"cost": []`` once was)."""
+        payload = {"kind": kind, "body": body(small_scenario.to_dict(), value)}
+        request, error = try_validate(payload)
+        assert request is None
+        assert error is not None and error.code == "validation"
+        assert field in error.message
+        assert f"must be a JSON object, got {json_type}" in error.message
+
+    def test_workload_phases_must_be_an_array(self, small_scenario):
+        request, error = try_validate(
+            {"kind": "workload", "body": {"workload": {"phases": "x"}}}
+        )
+        assert request is None and error.code == "validation"
+        assert "workload phases must be a JSON array, got string" in error.message
+
+    def test_null_stays_valid_where_to_dict_writes_it(self, small_scenario):
+        scenario = {
+            **small_scenario.to_dict(), "health": None, "multiport_radix": None
+        }
+        request, error = try_validate(
+            {"kind": "plan", "body": {"scenario": scenario}}
+        )
+        assert error is None
+        assert request.body.scenario == small_scenario
+
     def test_typed_request_revalidates_registries(self, small_scenario):
         # A typed request built against a solver that has since been
         # unregistered must still be rejected at admission.

@@ -296,6 +296,88 @@ class TestServeCli:
             (True, "metrics", None),
         ]
 
+    @staticmethod
+    def _serve_stdio(**stdin):
+        """``serve --stdio`` in a subprocess fed ``stdin=`` a file or
+        ``input=`` bytes through a pipe: ``(returncode, replies,
+        stderr)``."""
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.experiments", "serve", "--stdio"],
+            **stdin,
+            capture_output=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        replies = [json.loads(line) for line in done.stdout.splitlines()]
+        return done.returncode, replies, done.stderr
+
+    def test_stdio_reads_a_regular_file(self, tmp_path):
+        """``serve --stdio < requests.jsonl``: stdin is a regular file,
+        which an event loop cannot watch."""
+        requests = tmp_path / "requests.jsonl"
+        requests.write_bytes(b'{"kind": "metrics"}\n')
+        with requests.open("rb") as stdin:
+            code, replies, stderr = self._serve_stdio(stdin=stdin)
+        assert (code, stderr) == (0, b"")
+        assert [(r["ok"], r["kind"]) for r in replies] == [(True, "metrics")]
+
+    def test_stdio_answers_an_over_long_line(self):
+        """A line past the 16 MiB limit is answered as over a socket
+        (``request line too long``, which ends the session), not with a
+        traceback."""
+        from repro.service.server import MAX_LINE_BYTES
+
+        lines = b"x" * (MAX_LINE_BYTES + (1 << 20)) + b"\n"
+        lines += b'{"kind": "metrics"}\n'
+        code, replies, stderr = self._serve_stdio(input=lines)
+        assert (code, stderr) == (0, b"")
+        assert [
+            (r["ok"], r["error"]["code"], r["error"]["message"]) for r in replies
+        ] == [(False, "validation", "request line too long")]
+
+    def test_stdin_feed_pauses_past_the_reader_limit(self, monkeypatch):
+        """The stdin feed stops reading while the reader holds more than
+        twice its line limit, resumes once it drains, and every line
+        still arrives, in order, before EOF."""
+        import sys
+        import types
+
+        from repro.service.server import _StdinFeed
+
+        class CountingFeed(_StdinFeed):
+            pauses = 0
+
+            def pause_reading(self):
+                CountingFeed.pauses += 1
+                super().pause_reading()
+
+        lines = [b"line %d\n" % i for i in range(200)]
+        read_fd, write_fd = os.pipe()
+        os.write(write_fd, b"".join(lines))
+        os.close(write_fd)
+        stdin = types.SimpleNamespace(fileno=lambda: read_fd)
+        monkeypatch.setattr(sys, "stdin", stdin)
+
+        async def main():
+            reader = asyncio.StreamReader(limit=16)
+            CountingFeed(reader)
+            got = []
+            while line := await asyncio.wait_for(reader.readline(), 10):
+                got.append(line)
+            return got
+
+        try:
+            assert run(main()) == lines
+        finally:
+            os.close(read_fd)
+        assert CountingFeed.pauses >= 1
+
     def test_version_flag(self, capsys):
         import repro
         from repro.experiments.__main__ import main

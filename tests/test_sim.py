@@ -1,4 +1,4 @@
-"""Flow-level simulator: event queue, rates, timeline, and the
+"""Flow-level simulator: rates, timeline, and the
 simulator-equals-analytic-model anchor invariant."""
 
 import json
@@ -16,12 +16,15 @@ from repro.core import (
     evaluate_step_costs,
     optimize_schedule,
 )
-from repro.exceptions import SimulationError
-from repro.fabric import FabricHealth, PerPortReconfigurationDelay
+from repro.exceptions import SimulationError, TopologyError
+from repro.fabric import (
+    FabricHealth,
+    PerPortReconfigurationDelay,
+    ReconfigurationModel,
+)
 from repro.matching import Matching
 from repro.sim import (
     EventKind,
-    EventQueue,
     FlowLevelSimulator,
     FlowRate,
     FlowRates,
@@ -32,7 +35,8 @@ from repro.sim import (
     observations_to_rows,
     simulate,
 )
-from repro.topology import Topology, ring, star
+from repro.sim.rates import RATE_METHODS, _hops, clear_incidence_cache
+from repro.topology import Topology, pod_fabric, ring, star, torus
 from repro.units import Gbps, MiB, ns, us
 
 B = Gbps(800)
@@ -42,46 +46,6 @@ def make_params(alpha_r=us(10)):
     return CostParameters(
         alpha=ns(100), bandwidth=B, delta=ns(100), reconfiguration_delay=alpha_r
     )
-
-
-class TestEventQueue:
-    def test_fifo_within_same_time(self):
-        queue = EventQueue()
-        order = []
-        queue.schedule(1.0, lambda: order.append("a"))
-        queue.schedule(1.0, lambda: order.append("b"))
-        queue.schedule(0.5, lambda: order.append("c"))
-        queue.run()
-        assert order == ["c", "a", "b"]
-
-    def test_clock_advances(self):
-        queue = EventQueue()
-        queue.schedule(2.0, lambda: None)
-        assert queue.run() == 2.0
-        assert queue.now == 2.0
-
-    def test_past_scheduling_rejected(self):
-        queue = EventQueue()
-        queue.schedule(1.0, lambda: None)
-        queue.run()
-        with pytest.raises(SimulationError):
-            queue.schedule(0.5, lambda: None)
-
-    def test_schedule_after(self):
-        queue = EventQueue()
-        queue.schedule_after(1.5, lambda: None)
-        assert queue.run() == 1.5
-        with pytest.raises(SimulationError):
-            queue.schedule_after(-1.0, lambda: None)
-
-    def test_run_until(self):
-        queue = EventQueue()
-        hits = []
-        queue.schedule(1.0, lambda: hits.append(1))
-        queue.schedule(5.0, lambda: hits.append(5))
-        queue.run(until=2.0)
-        assert hits == [1]
-        assert len(queue) == 1
 
 
 class TestRateAllocation:
@@ -121,6 +85,58 @@ class TestRateAllocation:
     def test_unknown_method(self):
         with pytest.raises(SimulationError):
             allocate_rates(ring(4, B), Matching.shift(4, 1), B, method="tcp")
+
+
+def _hop_topologies():
+    return {
+        "ring": ring(8, B),
+        "torus": torus((2, 4), B),
+        "pod-fabric": pod_fabric(8, B, pods=2, uplinks_per_pod=1),
+        # A dark 1->2 lane sends the (1, 2) pair the long way round.
+        "dark-lane-ring": FabricHealth(failed_transceivers=((1, 2),)).apply(
+            ring(8, B)
+        ),
+    }
+
+
+class TestHopColumns:
+    """``allocate_rates``' hops come from one read-only column memoized
+    per (topology fingerprint, matching), and always equal
+    :meth:`Topology.hop_distance` pair by pair."""
+
+    @pytest.mark.parametrize("method", RATE_METHODS)
+    @pytest.mark.parametrize("name", sorted(_hop_topologies()))
+    def test_hops_equal_hop_distance_cold_and_memoized(self, name, method):
+        topology = _hop_topologies()[name]
+        matching = Matching.shift(8, 1)
+        expected = [float(topology.hop_distance(s, d)) for s, d in matching]
+        clear_incidence_cache()
+        cold = allocate_rates(topology, matching, B, method=method, cache=None)
+        warm = allocate_rates(topology, matching, B, method=method, cache=None)
+        assert cold.hops.tolist() == expected
+        assert warm.hops is cold.hops  # served from the memo
+        assert not cold.hops.flags.writeable
+
+    def test_dark_lane_changes_the_column(self):
+        hops = allocate_rates(
+            _hop_topologies()["dark-lane-ring"], Matching.shift(8, 1), B
+        ).hops
+        assert hops.tolist() == [1.0, 7.0] + [1.0] * 6
+
+    def test_disconnected_pair_raises_on_every_call(self):
+        halves = Topology(4, [(0, 1, B), (1, 0, B), (2, 3, B), (3, 2, B)])
+        matching = Matching(4, [(0, 2)])
+        for _ in range(2):  # a failed build is not memoized
+            with pytest.raises(TopologyError):
+                _hops(halves, matching)
+
+    def test_clear_incidence_cache_empties_the_hop_memo(self):
+        topology, matching = ring(8, B), Matching.shift(8, 3)
+        first = allocate_rates(topology, matching, B, method="equal").hops
+        clear_incidence_cache()
+        again = allocate_rates(topology, matching, B, method="equal").hops
+        assert again is not first
+        assert again.tolist() == first.tolist()
 
 
 class TestSimulatorEqualsModel:
@@ -195,6 +211,30 @@ class TestSimulatorBehaviour:
             collective, Schedule.always_reconfigure(collective.num_steps)
         )
         assert result.reconfiguration_time > 0
+
+    @pytest.mark.parametrize("compute_overlap", [False, True])
+    def test_negative_reconfiguration_delay_is_rejected(self, compute_overlap):
+        """The run's clock only moves forward: a delay model that prices
+        a change below zero is refused, even where compute would hide
+        it."""
+
+        class Rewind(ReconfigurationModel):
+            def delay_for_ports(self, n_ports):
+                return -us(1)
+
+        collective = make_collective("allreduce_ring", 8, MiB(1))
+        simulator = FlowLevelSimulator(
+            ring(8, B),
+            make_params(),
+            accounting="physical",
+            reconfiguration_model=Rewind(),
+        )
+        with pytest.raises(SimulationError, match="must be >= 0"):
+            simulator.run(
+                collective,
+                Schedule.always_reconfigure(collective.num_steps),
+                compute_overlap=compute_overlap,
+            )
 
     def test_physical_accounting_rejects_relay_base(self):
         params = make_params()

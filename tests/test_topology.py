@@ -1,8 +1,15 @@
 """Topology substrate: construction, queries, audits, constructors."""
 
+import copy
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 
 from repro.exceptions import TopologyError
+from repro.flows import theta_key_digest, theta_tag
 from repro.matching import Matching
 from repro.topology import (
     Topology,
@@ -102,6 +109,68 @@ class TestTopologyBase:
     def test_diameter(self):
         assert ring(8, B).diameter_over_ranks() == 4
         assert ring(8, B, bidirectional=False).diameter_over_ranks() == 7
+
+
+class TestFingerprint:
+    """The fingerprint hashes once but is the plain tuple to every
+    reader: equality, hash, ``repr`` and content digests."""
+
+    def test_behaves_as_the_plain_tuple(self):
+        fingerprint = ring(8, B).fingerprint()
+        plain = tuple(fingerprint)
+        assert fingerprint == plain and plain == fingerprint
+        assert hash(fingerprint) == hash(plain)
+        assert hash(fingerprint) == hash(plain)  # the cached value
+        assert repr(fingerprint) == repr(plain)
+        assert ring(8, B).fingerprint() == fingerprint
+        assert {plain: 1}[fingerprint] == 1
+
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda fp: pickle.loads(pickle.dumps(fp)), copy.deepcopy],
+        ids=["pickle", "deepcopy"],
+    )
+    def test_copies_drop_the_cached_hash(self, clone):
+        fingerprint = ring(8, B).fingerprint()
+        hash(fingerprint)
+        copied = clone(fingerprint)
+        assert type(copied) is type(fingerprint)
+        assert vars(copied) == {}  # nothing cached is carried over
+        assert copied == fingerprint
+        assert hash(copied) == hash(tuple(fingerprint))
+
+    def test_pickled_fingerprint_hashes_freshly_in_another_process(self):
+        fingerprint = ring(8, B).fingerprint()
+        hash(fingerprint)
+        import repro
+
+        child = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import pickle, sys; fp = pickle.loads(sys.stdin.buffer.read()); "
+                "print(hash(fp) == hash(tuple(fp)))",
+            ],
+            input=pickle.dumps(fingerprint),
+            capture_output=True,
+            timeout=60,
+            env={
+                **os.environ,
+                "PYTHONHASHSEED": "12345",
+                "PYTHONPATH": os.path.dirname(os.path.dirname(repro.__file__)),
+            },
+        )
+        assert child.stdout.strip() == b"True", child.stderr
+
+    def test_theta_digest_is_pinned(self):
+        key = (
+            ring(8, Gbps(800)).fingerprint(),
+            Matching.shift(8, 1),
+            theta_tag(Gbps(800)),
+        )
+        assert theta_key_digest(key) == (
+            "e0196c021568aa5ddcde45e6f0c84fb3ad6380a7c49a304ceb8fd6759cf1b684"
+        )
 
 
 class TestRing:

@@ -1,5 +1,5 @@
 """Simulator benches: model agreement, allocator cost, event throughput,
-and batched sim-in-the-loop execution (``sim_many``)."""
+and a sim-in-the-loop sweep (a loop of ``simulate_plan``)."""
 
 from __future__ import annotations
 
@@ -9,8 +9,7 @@ from repro.collectives import make_collective
 from repro.core import CostParameters, Schedule
 from repro.matching import Matching
 from repro.planner import Scenario, scenario_grid
-from repro.engine import sim_many
-from repro.sim import FlowLevelSimulator, allocate_rates, simulate
+from repro.sim import FlowLevelSimulator, allocate_rates, simulate, simulate_plan
 from repro.topology import ring
 from repro.units import Gbps, KiB, MiB, ns, us
 
@@ -69,8 +68,8 @@ def test_sim_event_throughput(benchmark, shared_cache):
 
 
 @pytest.mark.benchmark(group="sim")
-def test_sim_many_grid(benchmark, shared_cache, results_dir):
-    """Plan + execute a 4x4 sweep through sim_many."""
+def test_simulate_plan_grid(benchmark, shared_cache, results_dir):
+    """Plan + execute a 4x4 sweep, one ``simulate_plan`` per cell."""
     base = Scenario.create(
         "allreduce_swing",
         n=16,
@@ -86,7 +85,10 @@ def test_sim_many_grid(benchmark, shared_cache, results_dir):
         [us(1), us(10), us(100), us(1000)],
     )
     results = benchmark.pedantic(
-        lambda: sim_many(grid, cache=shared_cache),
+        lambda: [
+            simulate_plan(cell, cache=shared_cache, collect_utilization=False)
+            for cell in grid
+        ],
         rounds=1,
         iterations=1,
     )
@@ -96,7 +98,7 @@ def test_sim_many_grid(benchmark, shared_cache, results_dir):
         f"sim={r.sim_time:.6e}s err={r.model_error:.2e}"
         for r in results
     ]
-    (results_dir / "sim_many_grid.txt").write_text("\n".join(lines) + "\n")
+    (results_dir / "sim_grid.txt").write_text("\n".join(lines) + "\n")
     assert all(r.model_error < 1e-9 for r in results)
 
 

@@ -9,15 +9,14 @@ by event.  This example closes that loop three ways:
    total equals the analytic Eq. 7 objective to float precision;
 2. the ablation — with max-min fair rates (a TCP-like transport) the
    measurement quantifies how optimistic the model is;
-3. the batch — ``sim_many`` executes a whole (message x alpha_r) sweep
-   through one shared theta cache.
+3. the sweep — a loop of ``simulate_plan`` executes a whole
+   (message x alpha_r) grid through one shared theta cache.
 
 Run:  python examples/sim_in_the_loop.py
 """
 
 from repro import Gbps, MiB, Scenario, plan
 from repro.planner import scenario_grid
-from repro.engine import sim_many
 from repro.sim import simulate_plan
 from repro.units import KiB, format_time, ns, us
 
@@ -59,7 +58,7 @@ def main() -> None:
     # 3. Execute a whole sweep through one shared theta cache.
     grid = scenario_grid(scenario, [KiB(64), MiB(1), MiB(16)],
                          [us(1), us(100), us(10000)])
-    results = sim_many(grid, solver="dp")
+    results = [simulate_plan(cell, solver="dp") for cell in grid]
     print("\nsweep (rows: message size, cols: alpha_r, cell: simulated time)")
     for row in range(3):
         cells = results[row * 3:(row + 1) * 3]

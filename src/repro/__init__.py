@@ -56,10 +56,7 @@ from .engine import (
     ThetaEnvelope,
     activate_disk_cache,
     plan_many,
-    plan_workload_many,
-    sim_many,
     theta_envelope,
-    workload_many,
 )
 from .collectives import (
     Collective,
@@ -158,8 +155,6 @@ __all__ = [
     "ServiceRequest",
     "ServiceResponse",
     # the unified evaluation engine
-    "sim_many",
-    "plan_workload_many",
     "theta_envelope",
     "ThetaEnvelope",
     "DiskStore",
@@ -222,7 +217,6 @@ __all__ = [
     "WorkloadSimResult",
     "plan_workload",
     "simulate_workload",
-    "workload_many",
     "interleave",
     "steady_trace",
     "bursty_trace",

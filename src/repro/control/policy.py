@@ -3,7 +3,7 @@
 ``online-ewma``, ``online-window``, and ``online-static`` plug the
 :class:`~repro.control.OnlineController` loop into the standard policy
 registry, so every existing comparison surface — ``plan_workload``,
-``workload_many``, :func:`~repro.analysis.compare_policies`, the
+``simulate_workload``, :func:`~repro.analysis.compare_policies`, the
 experiment grids, the service daemon — can run the estimation-driven
 planner next to ``replan`` / ``hysteresis`` / ``oracle`` unchanged.
 
@@ -25,28 +25,85 @@ estimation mistake is *paid for*, not hidden.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 
 from ..core.schedule import Schedule
+from ..exceptions import WorkloadError
 from ..sim.flowsim import FlowLevelSimulator
 from ..workload.policies import (
     PolicyContext,
     _policy_options,
     register_policy,
 )
-from .controller import DEFAULT_PRIOR_MESSAGE_SIZE, OnlineController, mask_demand
+from .controller import (
+    DEFAULT_PRIOR_MESSAGE_SIZE,
+    OnlineController,
+    make_trigger,
+    mask_demand,
+)
 
 __all__ = ["ONLINE_POLICIES", "run_controller_loop"]
 
-#: Options every online policy accepts (forwarded to the controller).
-_ONLINE_OPTIONS = (
-    "prior_message_size",
-    "trigger",
-    "drift_threshold",
-    "replan_every",
-    "beta",
-    "window",
-)
+#: name -> (estimator kind, default trigger spec)
+ONLINE_POLICIES: dict[str, tuple["str | None", str]] = {
+    "online-ewma": ("ewma", "drift+fault"),
+    "online-window": ("window", "drift+fault"),
+    "online-static": (None, "never"),
+}
+
+#: Options every online policy accepts: name -> (parser, default).  A
+#: missing or ``None`` value takes the default; the trigger's default is
+#: the policy's own (``ONLINE_POLICIES``).
+_ONLINE_OPTIONS = {
+    "prior_message_size": (float, DEFAULT_PRIOR_MESSAGE_SIZE),
+    "trigger": (str, None),
+    "drift_threshold": (float, 0.1),
+    "replan_every": (int, 4),
+    "beta": (float, 0.5),
+    "window": (int, 4),
+}
+
+
+def _online_options(
+    policy: str, options: Mapping[str, object]
+) -> dict[str, object]:
+    """An online policy's options as :class:`OnlineController` keyword
+    arguments, defaults filled in and the trigger built.
+
+    Raises :class:`~repro.exceptions.ReproError` for a name no online
+    policy takes, a value its parser refuses, or a trigger spec
+    :func:`~repro.control.make_trigger` rejects — before any controller
+    exists, so the service validator can answer it at admission.
+    """
+    options = _policy_options(options, _ONLINE_OPTIONS)
+    estimator, default_trigger = ONLINE_POLICIES[policy]
+    parsed: dict[str, object] = {}
+    for name, (parse, default) in _ONLINE_OPTIONS.items():
+        value = options.get(name)
+        if value is None:
+            value = default_trigger if name == "trigger" else default
+        try:
+            parsed[name] = parse(value)
+        except (TypeError, ValueError) as exc:
+            raise WorkloadError(
+                f"online option {name!r} must be a {parse.__name__}, "
+                f"got {value!r}"
+            ) from exc
+    parsed["trigger"] = make_trigger(
+        parsed["trigger"],
+        drift_threshold=parsed.pop("drift_threshold"),
+        replan_every=parsed.pop("replan_every"),
+    )
+    return {"estimator": estimator, **parsed}
+
+
+def _online_controller(
+    policy: str, options: Mapping[str, object], **kwargs
+) -> OnlineController:
+    """The :class:`OnlineController` online ``policy`` runs under
+    ``options``; ``kwargs`` (cache, reconfiguration model) pass
+    through."""
+    return OnlineController(**_online_options(policy, options), **kwargs)
 
 
 def run_controller_loop(
@@ -96,23 +153,12 @@ def run_controller_loop(
     return schedules
 
 
-def _online_policy(
-    estimator: "str | None",
-    default_trigger: str,
-):
+def _online_policy(name: str):
     def policy(context: PolicyContext) -> Sequence[Schedule]:
-        options = _policy_options(context, _ONLINE_OPTIONS)
-        controller = OnlineController(
-            estimator=estimator,
-            trigger=str(options.get("trigger", default_trigger)),
-            prior_message_size=float(
-                options.get("prior_message_size", DEFAULT_PRIOR_MESSAGE_SIZE)
-            ),
+        controller = _online_controller(
+            name,
+            context.options,
             reconfiguration_model=context.model,
-            beta=float(options.get("beta", 0.5)),
-            window=int(options.get("window", 4)),
-            drift_threshold=float(options.get("drift_threshold", 0.1)),
-            replan_every=int(options.get("replan_every", 4)),
             cache=context.cache,
         )
         return run_controller_loop(controller, context)
@@ -120,13 +166,6 @@ def _online_policy(
     return policy
 
 
-#: name -> (estimator kind, default trigger spec)
-ONLINE_POLICIES: dict[str, tuple["str | None", str]] = {
-    "online-ewma": ("ewma", "drift+fault"),
-    "online-window": ("window", "drift+fault"),
-    "online-static": (None, "never"),
-}
-
-for _name, (_estimator, _trigger) in ONLINE_POLICIES.items():
-    register_policy(_name, _online_policy(_estimator, _trigger))
-del _name, _estimator, _trigger
+for _name in ONLINE_POLICIES:
+    register_policy(_name, _online_policy(_name))
+del _name

@@ -21,12 +21,12 @@ evaluation path around one shared memo:
 * **Incremental pricing** (:mod:`~repro.engine.incremental`) — the
   delta-aware :class:`PlanContext` carried across phases and requests.
 
-The batch entry points are :func:`plan_many`, :func:`sim_many`,
-:func:`workload_many` and :func:`plan_workload_many`; each runs its
-items in one serial loop, in input order.
+The batch entry point is :func:`plan_many`: one serial loop of
+:func:`repro.planner.plan`, in input order.  Simulations and workloads
+batch as plain loops of their scalar functions over one cache.
 """
 
-from .api import plan_many, plan_workload_many, sim_many, workload_many
+from .api import plan_many
 from .envelope import ThetaEnvelope, theta_envelope
 from .incremental import (
     PlanContext,
@@ -45,11 +45,8 @@ from .store import (
 )
 
 __all__ = [
-    # batch entry points
+    # batch entry point
     "plan_many",
-    "sim_many",
-    "workload_many",
-    "plan_workload_many",
     # theta envelopes
     "ThetaEnvelope",
     "theta_envelope",

@@ -13,9 +13,9 @@ unconstrained optimum; the gap between the two columns is the premium
 that caution costs (zero in regimes where the optimum already stays on
 the base fabric, as with the default high ``alpha_r``).
 
-The whole grid is two engine batches (:func:`repro.engine.plan_many`
-then :func:`repro.engine.sim_many`), so it inherits the shared two-tier
-theta cache.
+The whole grid is one engine batch (:func:`repro.engine.plan_many`)
+and a loop of :func:`repro.sim.simulate_plan` over its plans, so it
+inherits the shared two-tier theta cache.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from ..engine import plan_many, sim_many
+from ..engine import plan_many
 from ..exceptions import ConfigurationError
 from ..fabric.degradation import (
     FabricHealth,
@@ -33,6 +33,7 @@ from ..fabric.degradation import (
 )
 from ..flows import ThroughputCache, default_cache
 from ..planner import PlanRequest, Scenario
+from ..sim.executor import simulate_plan
 from ..units import MiB, format_time, ns, us
 from .config import PAPER_CONFIG, PaperConfig
 
@@ -166,7 +167,10 @@ def run_degradation_grid(
         for solver in solvers
     ]
     plans = plan_many(requests, cache=cache)
-    sims = sim_many(plans, cache=cache, collect_utilization=False)
+    sims = [
+        simulate_plan(result, cache=cache, collect_utilization=False)
+        for result in plans
+    ]
     anchor_name = next(
         name for name, health in conditions if _is_pristine(health)
     )

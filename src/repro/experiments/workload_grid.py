@@ -16,12 +16,13 @@ from dataclasses import dataclass
 from collections.abc import Callable, Sequence
 
 from ..analysis.adaptivity import DEFAULT_POLICIES
-from ..engine import plan_workload_many
+from ..engine import activate_disk_cache
 from ..exceptions import ConfigurationError
 from ..fabric.reconfiguration import ReconfigurationModel
 from ..flows import ThroughputCache, default_cache
 from ..planner import Scenario
 from ..units import MiB, format_time, ns
+from ..workload.policies import plan_workload
 from ..workload.spec import Workload
 from ..workload.traces import (
     bursty_trace,
@@ -156,31 +157,28 @@ def run_workload_grid(
     ``config`` / ``message_size`` are not consulted; the traces
     override the collective per phase as usual).
 
-    The whole grid is one :func:`repro.engine.plan_workload_many`
-    batch.
+    The whole grid is one loop of :func:`repro.workload.plan_workload`
+    over ``cache``; the default cache gains the ``REPRO_CACHE_DIR`` disk
+    tier first, as in :func:`repro.engine.plan_many`.
     """
     if base is None:
         base = workload_base_scenario(config, message_size=message_size)
+    if cache is default_cache:
+        activate_disk_cache(cache=cache)
     evaluated = tuple(dict.fromkeys(("replan",) + tuple(policies)))
     workloads = {name: build_trace(name, base, phases) for name in traces}
-    keys = [
-        (trace_name, policy) for trace_name in traces for policy in evaluated
-    ]
-    jobs = [
-        (
+    by_cell = {
+        (trace_name, policy): plan_workload(
             workloads[trace_name],
-            policy,
-            {"threshold": threshold} if policy == "hysteresis" else {},
+            policy=policy,
+            solver=solver,
+            reconfiguration_model=reconfiguration_model,
+            cache=cache,
+            **({"threshold": threshold} if policy == "hysteresis" else {}),
         )
-        for trace_name, policy in keys
-    ]
-    plans = plan_workload_many(
-        jobs,
-        solver=solver,
-        reconfiguration_model=reconfiguration_model,
-        cache=cache,
-    )
-    by_cell = dict(zip(keys, plans))
+        for trace_name in traces
+        for policy in evaluated
+    }
     cells: list[WorkloadCell] = []
     for trace_name in traces:
         anchor = by_cell[(trace_name, "replan")].total_time

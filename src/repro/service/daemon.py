@@ -40,7 +40,7 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
-from collections.abc import AsyncIterator, Mapping
+from collections.abc import AsyncIterator, Callable, Iterable, Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -341,9 +341,16 @@ class PlannerDaemon:
         self.metrics_.streams += 1
         queue: asyncio.Queue = asyncio.Queue()
         worker = loop.run_in_executor(
-            self._executor, self._solve_plan_batch_streaming, request.body,
-            loop, queue,
+            self._executor,
+            self._plan_batch,
+            _plan_requests([request.body]),
+            lambda index, outcome: loop.call_soon_threadsafe(
+                queue.put_nowait, (index, outcome)
+            ),
         )
+        # Done callbacks run on the loop after every chunk the worker
+        # handed over, so the sentinel always comes last.
+        worker.add_done_callback(lambda _: queue.put_nowait(None))
         ok_count = 0
         error_count = 0
         while True:
@@ -525,10 +532,8 @@ class PlannerDaemon:
                 live.append(job)
         if not live:
             return
-        outcomes = await loop.run_in_executor(
-            self._executor,
-            self._solve_plan_batch,
-            [job.request.body for job in live],
+        outcomes = await self._plan_outcomes(
+            _plan_requests(job.request.body for job in live)
         )
         for job, outcome in zip(live, outcomes):
             if outcome[0] == "error":
@@ -541,12 +546,35 @@ class PlannerDaemon:
             self.metrics_.deadline_errors += 1
             self._resolve(job, _DEADLINE_OUTCOME)
             return
-        outcome = await loop.run_in_executor(
-            self._executor, self._solve_one, job.request.body
-        )
+        body = job.request.body
+        if isinstance(body, PlanBatchBody):
+            outcomes = await self._plan_outcomes(_plan_requests([body]))
+            errors = [outcome for outcome in outcomes if outcome[0] == "error"]
+            results = [payload for _, payload in outcomes]
+            outcome = (
+                errors[0]
+                if errors
+                else ("ok", {"count": len(results), "results": results})
+            )
+        else:
+            outcome = await loop.run_in_executor(
+                self._executor, self._solve_one, body
+            )
         if outcome[0] == "error":
             self.metrics_.solver_errors += 1
         self._resolve(job, outcome)
+
+    async def _plan_outcomes(self, requests: list) -> list[Outcome]:
+        """Run :meth:`_plan_batch` on a worker thread; one outcome per
+        request, in input order."""
+        outcomes: list[Outcome] = []
+        await self._loop.run_in_executor(
+            self._executor,
+            self._plan_batch,
+            requests,
+            lambda index, outcome: outcomes.append(outcome),
+        )
+        return outcomes
 
     def _resolve(self, job: _Job, outcome: Outcome) -> None:
         if not job.future.done():
@@ -607,24 +635,11 @@ class PlannerDaemon:
         """The resident :class:`~repro.control.OnlineController` (and its
         serializing lock) for a streaming session, creating it from the
         step's policy and options on first sight."""
-        from ..control.controller import OnlineController
-        from ..control.policy import ONLINE_POLICIES
+        from ..control.policy import _online_controller
 
         def start() -> "tuple[object, threading.Lock]":
-            estimator, default_trigger = ONLINE_POLICIES[body.policy]
-            options = dict(body.options)
-            kwargs = {}
-            if options.get("prior_message_size") is not None:
-                kwargs["prior_message_size"] = float(options["prior_message_size"])
-            controller = OnlineController(
-                estimator=estimator,
-                trigger=str(options.get("trigger", default_trigger)),
-                beta=float(options.get("beta", 0.5)),
-                window=int(options.get("window", 4)),
-                drift_threshold=float(options.get("drift_threshold", 0.1)),
-                replan_every=int(options.get("replan_every", 4)),
-                cache=self.cache,
-                **kwargs,
+            controller = _online_controller(
+                body.policy, dict(body.options), cache=self.cache
             )
             return (controller, threading.Lock())
 
@@ -653,112 +668,43 @@ class PlannerDaemon:
 
     # -- solving (worker threads; no daemon state mutation) ------------------
 
-    def _solve_plan_batch(self, bodies: list[PlanBody]) -> list[Outcome]:
-        """One ``plan_many`` call for the whole micro-batch; on any
-        failure, fall back to per-item solving so exactly the failing
-        requests error (theta values computed before the failure are
-        cached, so the fallback re-solve is cheap)."""
+    def _plan_batch(
+        self, requests: list, emit: Callable[[int, Outcome], None]
+    ) -> None:
+        """Plan ``requests`` through one ``plan_many`` call, handing each
+        item's outcome to ``emit(index, outcome)`` as soon as it exists.
+
+        If the call aborts mid-batch, the items it never delivered are
+        planned one by one, so exactly the failing items error (theta
+        values computed before the failure are cached, so the re-plan
+        is cheap)."""
         from ..engine.api import plan_many
         from ..planner.registry import plan
-        from ..planner.result import PlanRequest
 
-        requests = [
-            PlanRequest(
-                scenario=body.scenario,
-                solver=body.solver,
-                options=body.options,
-            )
-            for body in bodies
-        ]
-        self._prewarm_incremental([body.scenario for body in bodies])
+        self._prewarm_incremental([request.scenario for request in requests])
+        delivered = 0
+
+        def deliver(index: int, result) -> None:
+            nonlocal delivered
+            emit(index, ("ok", result.to_dict()))
+            delivered = index + 1
+
         try:
-            results = plan_many(requests, cache=self.cache)
-            return [("ok", result.to_dict()) for result in results]
+            plan_many(requests, cache=self.cache, on_result=deliver)
         except Exception:
-            outcomes: list[Outcome] = []
-            for request in requests:
+            for index in range(delivered, len(requests)):
                 try:
-                    outcomes.append(
-                        ("ok", plan(request, cache=self.cache).to_dict())
+                    outcome = (
+                        "ok",
+                        plan(requests[index], cache=self.cache).to_dict(),
                     )
                 except Exception as exc:
-                    outcomes.append(_error_outcome(exc))
-            return outcomes
-
-    def _solve_plan_batch_streaming(
-        self,
-        body: PlanBatchBody,
-        loop: asyncio.AbstractEventLoop,
-        queue: asyncio.Queue,
-    ) -> None:
-        """Stream a batch through the engine's ``on_result`` hook.
-
-        Runs on a worker thread; every ``(index, outcome)`` pair is
-        handed to the loop thread-safely, terminated by a ``None``
-        sentinel.  If the engine call aborts mid-batch, the unreached
-        items are solved individually so each gets its own chunk."""
-        from ..engine.api import plan_many
-        from ..planner.registry import plan
-        from ..planner.result import PlanRequest
-
-        requests = [
-            PlanRequest(
-                scenario=scenario, solver=body.solver, options=body.options
-            )
-            for scenario in body.scenarios
-        ]
-        self._prewarm_incremental(body.scenarios)
-        delivered: set[int] = set()
-
-        def emit(index: int, outcome: Outcome) -> None:
-            delivered.add(index)
-            loop.call_soon_threadsafe(queue.put_nowait, (index, outcome))
-
-        try:
-            plan_many(
-                requests,
-                cache=self.cache,
-                on_result=lambda index, result: emit(
-                    index, ("ok", result.to_dict())
-                ),
-            )
-        except Exception:
-            for index, request in enumerate(requests):
-                if index in delivered:
-                    continue
-                try:
-                    emit(index, ("ok", plan(request, cache=self.cache).to_dict()))
-                except Exception as exc:
-                    emit(index, _error_outcome(exc))
-        finally:
-            loop.call_soon_threadsafe(queue.put_nowait, None)
+                    outcome = _error_outcome(exc)
+                emit(index, outcome)
 
     def _solve_one(self, body) -> Outcome:
         """Solve one non-plan request on a worker thread."""
         try:
-            if isinstance(body, PlanBatchBody):
-                from ..engine.api import plan_many
-                from ..planner.result import PlanRequest
-
-                self._prewarm_incremental(body.scenarios)
-                results = plan_many(
-                    [
-                        PlanRequest(
-                            scenario=scenario,
-                            solver=body.solver,
-                            options=body.options,
-                        )
-                        for scenario in body.scenarios
-                    ],
-                    cache=self.cache,
-                )
-                return (
-                    "ok",
-                    {
-                        "count": len(results),
-                        "results": [result.to_dict() for result in results],
-                    },
-                )
             if isinstance(body, SimulateBody):
                 from ..sim.executor import simulate_plan
 
@@ -828,24 +774,27 @@ class PlannerDaemon:
                     cache=self.cache,
                 )
                 return ("ok", {"cells": [cell.to_dict() for cell in cells]})
-            if isinstance(body, PlanBody):  # direct path; normally batched
-                from ..planner.registry import plan
-                from ..planner.result import PlanRequest
-
-                result = plan(
-                    PlanRequest(
-                        scenario=body.scenario,
-                        solver=body.solver,
-                        options=body.options,
-                    ),
-                    cache=self.cache,
-                )
-                return ("ok", result.to_dict())
             raise ConfigurationError(
                 f"no handler for body type {type(body).__name__}"
             )
         except Exception as exc:
             return _error_outcome(exc)
+
+
+def _plan_requests(bodies: Iterable) -> list:
+    """One :class:`~repro.planner.PlanRequest` per scenario of the given
+    plan and plan-batch bodies, in order."""
+    from ..planner.result import PlanRequest
+
+    return [
+        PlanRequest(scenario=scenario, solver=body.solver, options=body.options)
+        for body in bodies
+        for scenario in (
+            body.scenarios
+            if isinstance(body, PlanBatchBody)
+            else (body.scenario,)
+        )
+    ]
 
 
 def _identify(request: "ServiceRequest | Mapping[str, object]") -> tuple[str, str]:

@@ -152,7 +152,7 @@ def _check_registries(request: ServiceRequest) -> None:
                 path="body.policy",
             )
     if isinstance(body, OnlineBody):
-        from ..control.policy import ONLINE_POLICIES
+        from ..control.policy import ONLINE_POLICIES, _online_options
         from ..sim.observation import RateObservation
 
         if body.policy not in ONLINE_POLICIES:
@@ -161,6 +161,10 @@ def _check_registries(request: ServiceRequest) -> None:
                 f"{tuple(sorted(ONLINE_POLICIES))}",
                 path="body.policy",
             )
+        try:
+            _online_options(body.policy, dict(body.options))
+        except ReproError as exc:
+            raise _fail(str(exc), path="body.options") from exc
         for index, row in enumerate(body.observations):
             try:
                 RateObservation.from_row(row)

@@ -7,8 +7,7 @@ Two layers:
 * the planner-facing executor (:func:`simulate_plan`,
   :class:`SimResult`) that lowers declarative
   :class:`~repro.planner.Scenario` / :class:`~repro.planner.PlanResult`
-  items onto the simulator — plan it, then replay it
-  (:func:`repro.engine.sim_many` batches it).
+  items onto the simulator — plan it, then replay it.
 """
 
 from .executor import SimResult, SimStep, simulate_plan

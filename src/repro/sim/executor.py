@@ -10,9 +10,8 @@ flow simulator and reporting what actually happened:
   with the measured completion time, per-step timing rows, link
   utilization on the base fabric, and the analytic prediction it was
   planned against;
-* :func:`repro.engine.sim_many` batches the
-  same lowering over many scenarios, mirroring
-  :func:`repro.engine.plan_many`.
+* a sweep is a plain loop of :func:`simulate_plan` over one cache,
+  like the planning loop :func:`repro.engine.plan_many`.
 
 Under the idealized settings (``mcf`` rates, ``paper`` accounting) the
 measured total provably equals the analytic Eq. 7 objective, and

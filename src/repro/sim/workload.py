@@ -13,10 +13,8 @@ plan's physically accounted per-phase totals, and the executor asserts
 that anchor — the workload-level analogue of ``simulate_plan``'s
 model check.
 
-:func:`repro.engine.workload_many` batches whole workload sweeps,
-mirroring :func:`~repro.engine.plan_many` /
-:func:`~repro.engine.sim_many`: one shared theta cache, results in
-input order.
+A workload sweep is a plain loop of :func:`simulate_workload` over one
+shared theta cache.
 """
 
 from __future__ import annotations

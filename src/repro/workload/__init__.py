@@ -21,8 +21,7 @@ configuration the next phase inherits?
   dict-round-trippable results.
 
 Execution lives in :mod:`repro.sim`: :func:`repro.sim.simulate_workload`
-replays a plan on the flow-level simulator and
-:func:`repro.engine.workload_many` batches whole workload sweeps.
+replays a plan on the flow-level simulator.
 
 Quickstart::
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Collection, Mapping, Sequence
 from typing import TYPE_CHECKING
 
 from ..core.cost_model import StepCost
@@ -148,16 +148,16 @@ def get_policy(name: str) -> PolicyFn:
 
 
 def _policy_options(
-    context: PolicyContext, allowed: Sequence[str]
+    options: Mapping[str, object], allowed: Collection[str]
 ) -> dict[str, object]:
-    """The context's options, rejecting anything the policy ignores."""
-    unknown = set(context.options) - set(allowed)
+    """A policy's options, rejecting anything the policy ignores."""
+    unknown = set(options) - set(allowed)
     if unknown:
         raise WorkloadError(
             f"policy does not accept options {sorted(unknown)}; "
             f"allowed: {sorted(allowed)}"
         )
-    return dict(context.options)
+    return dict(options)
 
 
 def _ending_configuration(
@@ -212,7 +212,7 @@ def _hold_decision(
 
 def _hysteresis(context: PolicyContext) -> list[Schedule]:
     """Physical-model DP per phase, sticky about the standing circuits."""
-    options = _policy_options(context, ("threshold",))
+    options = _policy_options(context.options, ("threshold",))
     threshold = float(options.get("threshold", 0.0))
     if threshold < 0:
         raise WorkloadError(f"threshold must be >= 0, got {threshold}")
@@ -254,7 +254,7 @@ def _hysteresis(context: PolicyContext) -> list[Schedule]:
 
 def _oracle(context: PolicyContext) -> list[Schedule]:
     """Full-horizon physical-model DP over all phases at once."""
-    _policy_options(context, ())
+    _policy_options(context.options, ())
     phases = context.workload.phases
     shared_cost = phases[0].cost
     for index, scenario in enumerate(phases):

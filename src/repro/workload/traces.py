@@ -39,7 +39,7 @@ processes, the raw material of the online-control loop
 
 Every generator — stochastic ones included — is a pure function of its
 arguments: the same ``(args, seed)`` always expand to the same
-workload, which is what makes ``workload_many``'s results (and the
+workload, which is what makes simulated workload sweeps (and the
 golden fixtures) reproducible.
 """
 

@@ -42,8 +42,7 @@ from repro.control import (
     make_trigger,
     mask_demand,
 )
-from repro.engine import sim_many, workload_many
-from repro.exceptions import SimulationError, WorkloadError
+from repro.exceptions import ReproError, SimulationError, WorkloadError
 from repro.flows import ThroughputCache
 from repro.planner import Scenario
 from repro.service import (
@@ -57,6 +56,8 @@ from repro.sim import (
     SimResult,
     observations_from_rows,
     observations_to_rows,
+    simulate_plan,
+    simulate_workload,
 )
 from repro.units import Gbps, MiB, ns, us
 from repro.workload import (
@@ -66,6 +67,7 @@ from repro.workload import (
     plan_workload,
     poisson_arrivals,
     poisson_multitenant_trace,
+    steady_trace,
 )
 
 
@@ -161,7 +163,9 @@ class TestTelemetryPayloads:
     """Stochastic traces and telemetry through the engine's payloads."""
 
     @pytest.mark.slow
-    def test_workload_many_repeats_identically_on_stochastic_traces(self):
+    def test_simulated_workloads_repeat_identically_on_stochastic_traces(
+        self,
+    ):
         # The second run meets warm process-global memos (topologies,
         # skeletons, incidences); they must not change a payload.
         base = base_scenario(n=8, message_mib=1.0)
@@ -169,15 +173,15 @@ class TestTelemetryPayloads:
             poisson_multitenant_trace(base, 6, seed=5),
             drifting_moe_trace(base, 3, seed=5),
         ]
-        runs = [
-            [
-                r.to_dict()
-                for r in workload_many(
-                    workloads, policy="replan", cache=ThroughputCache()
-                )
-            ]
-            for _ in range(2)
-        ]
+        runs = []
+        for _ in range(2):
+            cache = ThroughputCache()
+            runs.append(
+                [
+                    simulate_workload(w, policy="replan", cache=cache).to_dict()
+                    for w in workloads
+                ]
+            )
         assert runs[0] == runs[1]
 
     def test_observed_rates_survive_a_json_round_trip(self):
@@ -187,12 +191,16 @@ class TestTelemetryPayloads:
             base_scenario(n=8, message_mib=1.0),
             base_scenario(n=8, message_mib=4.0),
         ]
-        results = sim_many(
-            scenarios,
-            accounting="physical",
-            observe_rates=True,
-            cache=ThroughputCache(),
-        )
+        cache = ThroughputCache()
+        results = [
+            simulate_plan(
+                scenario,
+                accounting="physical",
+                observe_rates=True,
+                cache=cache,
+            )
+            for scenario in scenarios
+        ]
         for result in results:
             assert result.rate_observations  # the hook actually fired
             restored = SimResult.from_dict(
@@ -201,10 +209,9 @@ class TestTelemetryPayloads:
             assert restored.rate_observations == result.rate_observations
 
     def test_observations_stay_out_of_payloads_when_disabled(self):
-        result = sim_many(
-            [base_scenario(n=8, message_mib=1.0)],
-            cache=ThroughputCache(),
-        )[0]
+        result = simulate_plan(
+            base_scenario(n=8, message_mib=1.0), cache=ThroughputCache()
+        )
         assert result.rate_observations == ()
         assert "rate_observations" not in result.to_dict()
 
@@ -393,6 +400,39 @@ class TestOnlineService:
             )
         )
         assert request is None and "8" in error.message
+
+    @pytest.mark.parametrize(
+        "options",
+        [{"bogus": 1}, {"beta": "abc"}, {"window": "x"}, {"trigger": "nope"}],
+        ids=["unknown-name", "beta-str", "window-str", "trigger-unknown"],
+    )
+    def test_daemon_refuses_a_bad_option(self, options):
+        """The daemon's sessions parse options the way the online
+        policies do, and refuse a bad one at admission."""
+
+        async def drive():
+            async with PlannerDaemon() as daemon:
+                response = await daemon.submit(
+                    ServiceRequest(
+                        body=OnlineBody(
+                            session="opts",
+                            scenario=self.scenario(),
+                            options=options,
+                        )
+                    )
+                )
+                return response, daemon.metrics()
+
+        response, metrics = asyncio.run(drive())
+        assert not response.ok and response.error.code == "validation"
+        assert response.error.details == ("at body.options",)
+        assert metrics["online"] == {"sessions": 0}
+        with pytest.raises(ReproError):
+            plan_workload(
+                steady_trace(base_scenario(n=8), 2),
+                policy="online-ewma",
+                **options,
+            )
 
     def test_seq_breaks_coalescing_retries_do_not(self):
         body = OnlineBody(session="s", scenario=self.scenario(), seq=1)

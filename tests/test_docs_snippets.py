@@ -16,7 +16,9 @@ block-vs-flat exactness claim live on every suite run.
 
 Source anchors — ``src/…py:N``, and the short ``/ `:N``` form that
 reuses the previous anchor's file — must land on a ``def`` or
-``class`` line, so a reader following one lands on the symbol.
+``class`` line of the symbol the doc names: the defined name appears
+as a word in a backticked span (other than an anchor) on the anchor's
+line or the line before, so a reader following one lands on it.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ DOC_FILES = ("architecture.md", "cookbook.md", "paper_map.md", "service.md")
 
 _FENCE = re.compile(r"```python\n(.*?)```", re.DOTALL)
 _ANCHOR = re.compile(r"`(src/[\w/]+\.py):(\d+)`|`:(\d+)`")
+_SPAN = re.compile(r"`([^`]+)`")
+_DEFINES = re.compile(r"(?:async\s+)?(?:def|class)\s+(\w+)")
 
 
 def python_snippets(name: str) -> list[str]:
@@ -67,11 +71,19 @@ def test_snippets_execute(name):
             )
 
 
-def source_anchors() -> list[tuple[str, str, int]]:
-    """``(where, path, line)`` for every source anchor in ``docs/``."""
+def source_anchors() -> list[tuple[str, str, int, list[str]]]:
+    """``(where, path, line, names)`` for every source anchor in
+    ``docs/``; ``names`` are the backticked spans, anchors excepted, on
+    the anchor's line and the line before."""
     anchors = []
     for doc in sorted(DOCS.glob("*.md")):
+        previous = ""
         for number, text in enumerate(doc.read_text().splitlines(), 1):
+            names = [
+                span
+                for span in _SPAN.findall(previous + "\n" + text)
+                if not _ANCHOR.fullmatch(f"`{span}`")
+            ]
             path = None
             for match in _ANCHOR.finditer(text):
                 if match.group(1):
@@ -79,7 +91,8 @@ def source_anchors() -> list[tuple[str, str, int]]:
                 else:
                     assert path, f"{doc.name}:{number}: `:N` with no file before it"
                     line = match.group(3)
-                anchors.append((f"{doc.name}:{number}", path, int(line)))
+                anchors.append((f"{doc.name}:{number}", path, int(line), names))
+            previous = text
     return anchors
 
 
@@ -87,9 +100,13 @@ def test_source_anchors_land_on_definitions():
     anchors = source_anchors()
     assert len(anchors) >= 40
     wrong = []
-    for where, path, line in anchors:
+    for where, path, line, names in anchors:
         lines = (ROOT / path).read_text().splitlines()
         target = lines[line - 1].lstrip() if line <= len(lines) else ""
-        if not target.startswith(("def ", "class ")):
+        defined = _DEFINES.match(target)
+        if defined is None or not any(
+            re.search(rf"\b{re.escape(defined.group(1))}\b", name)
+            for name in names
+        ):
             wrong.append(f"{where} -> {path}:{line}: {target!r}")
     assert not wrong, "\n".join(wrong)

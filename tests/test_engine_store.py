@@ -220,6 +220,32 @@ class TestEnvironmentActivation:
         assert activate_disk_cache() is None
         assert default_cache.store is before
 
+    @pytest.mark.parametrize("batch", ["plan_many", "run_workload_grid"])
+    def test_default_cache_batches_attach_the_env_store(
+        self, batch, tmp_path, monkeypatch
+    ):
+        """A batch planned on the default cache attaches the
+        ``REPRO_CACHE_DIR`` store first."""
+        from repro.experiments import run_workload_grid
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        before = default_cache.store
+        try:
+            if batch == "plan_many":
+                plan_many(small_grid())
+            else:
+                run_workload_grid(
+                    small_config(8),
+                    traces=("steady",),
+                    policies=("replan",),
+                    phases=2,
+                    message_size=MiB(4),
+                )
+            store = default_cache.store
+            assert isinstance(store, DiskStore) and store.directory == tmp_path
+        finally:
+            default_cache.attach_store(before)
+
     def test_explicit_cache_is_hermetic_despite_env(self, tmp_path, monkeypatch):
         """An explicitly passed cache keeps a batch off the user's
         REPRO_CACHE_DIR store — the environment only reaches the

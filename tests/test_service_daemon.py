@@ -268,6 +268,96 @@ class TestErrorIsolation:
         assert "injected mid-batch failure" in fail4.error.message
         assert metrics["solver_errors"] == 1
 
+    def test_plan_batch_answers_its_failing_item_or_all_results(self):
+        def failing(request, cache):
+            if request.scenario.n == 8:
+                raise ScheduleError("injected batch-item failure")
+            return plan(request.scenario, solver="dp", cache=cache)
+
+        sizes = (4, 8, 16)
+
+        def batch(solver):
+            return ServiceRequest(
+                body=PlanBatchBody(
+                    scenarios=tuple(scenario(n=n) for n in sizes),
+                    solver=solver,
+                )
+            )
+
+        register_solver("batch-failing", failing)
+        try:
+
+            async def main():
+                async with PlannerDaemon() as daemon:
+                    failed = await daemon.submit(batch("batch-failing"))
+                    clean = await daemon.submit(batch("dp"))
+                    return failed, clean, daemon.metrics()
+
+            failed, clean, metrics = run(main())
+        finally:
+            unregister_solver("batch-failing")
+        assert not failed.ok and failed.result is None
+        assert failed.error.code == "solver"
+        assert failed.error.message == "ScheduleError: injected batch-item failure"
+        assert metrics["solver_errors"] == 1
+        assert clean.ok and clean.result["count"] == len(sizes)
+        assert [r["scenario"] for r in clean.result["results"]] == [
+            scenario(n=n).to_dict() for n in sizes
+        ]
+        assert [r["total_time"] for r in clean.result["results"]] == [
+            plan(scenario(n=n), cache=ThroughputCache()).total_time
+            for n in sizes
+        ]
+
+    @pytest.mark.parametrize("path", ["micro-batch", "stream", "plan_batch"])
+    def test_aborted_batch_replans_only_its_undelivered_items(self, path):
+        """Every plan batch is one ``plan_many`` pass; when it aborts,
+        only the items it never delivered are planned again."""
+        calls = []
+        lock = threading.Lock()
+
+        def failing(request, cache):
+            size = request.scenario.collective.message_size
+            with lock:
+                calls.append(size)
+            if size == KiB(128):
+                raise ScheduleError("injected batch-item failure")
+            return plan(request.scenario, solver="dp", cache=cache)
+
+        # One theta affinity, so the micro-batch keeps admission order.
+        scenarios = [scenario(msg_kib=kib) for kib in (64, 128, 256)]
+        register_solver("counted-failing", failing)
+        try:
+
+            async def main():
+                async with PlannerDaemon(batch_window_s=0.05) as daemon:
+                    if path == "micro-batch":
+                        return await asyncio.gather(
+                            *(
+                                daemon.submit(
+                                    plan_request(sc, solver="counted-failing")
+                                )
+                                for sc in scenarios
+                            )
+                        )
+                    request = ServiceRequest(
+                        body=PlanBatchBody(
+                            scenarios=tuple(scenarios), solver="counted-failing"
+                        )
+                    )
+                    if path == "stream":
+                        return [c async for c in daemon.submit_stream(request)]
+                    return [await daemon.submit(request)]
+
+            responses = run(main())
+        finally:
+            unregister_solver("counted-failing")
+        assert [r.error.code for r in responses if not r.ok] == (
+            ["solver", "solver"] if path == "stream" else ["solver"]
+        )
+        # The pass delivers 64 KiB and aborts at 128 KiB.
+        assert calls == [KiB(64), KiB(128), KiB(128), KiB(256)]
+
     def test_bad_collective_option_is_a_solver_error(self):
         bad = scenario(n=8).replace(
             collective=CollectiveSpec("allreduce_ring", KiB(64), {"root": 1})

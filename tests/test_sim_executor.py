@@ -1,6 +1,7 @@
-"""Sim-in-the-loop execution: ``simulate_plan`` / ``sim_many``, the
-vectorized rate allocators, and the closed-form cross-validation anchor
-(sim-measured completion time == alpha-beta model, within tolerance)."""
+"""Sim-in-the-loop execution: ``simulate_plan`` over single scenarios
+and grids, the vectorized rate allocators, and the closed-form
+cross-validation anchor (sim-measured completion time == alpha-beta
+model, within tolerance)."""
 
 from __future__ import annotations
 
@@ -13,7 +14,6 @@ from repro.exceptions import SimulationError
 from repro.flows import ThroughputCache
 from repro.matching import Matching
 from repro.planner import PlanResult, Scenario, plan, scenario_grid
-from repro.engine import sim_many
 from repro.sim import SimResult, SimStep, allocate_rates, simulate_plan
 from repro.topology import hypercube, ring, torus
 from repro.units import Gbps, KiB, MiB, ns, us
@@ -198,7 +198,7 @@ class TestSimResultSerialization:
         assert SimStep.from_dict(empty.to_dict()) == empty
 
 
-class TestSimMany:
+class TestSimulatePlanGrid:
     def grid(self):
         return scenario_grid(
             scenario_for(n=16, message_size=KiB(64)),
@@ -206,20 +206,20 @@ class TestSimMany:
             [us(1), us(10), us(1000)],
         )
 
-    def test_results_in_input_order(self):
+    def test_every_cell_matches_the_model(self):
         grid = self.grid()
-        results = sim_many(grid, cache=ThroughputCache())
+        cache = ThroughputCache()
+        results = [simulate_plan(scenario, cache=cache) for scenario in grid]
         assert [r.scenario for r in results] == grid
         assert all(r.model_error < 1e-9 for r in results)
 
-    def test_mixed_items(self):
+    def test_scenario_and_prepared_plan(self):
         scenario = scenario_for(n=8)
         cache = ThroughputCache()
-        results = sim_many(
-            [scenario, plan(scenario, solver="static", cache=cache)],
-            solver="dp",
-            cache=cache,
-        )
+        results = [
+            simulate_plan(scenario, solver="dp", cache=cache),
+            simulate_plan(plan(scenario, solver="static", cache=cache), cache=cache),
+        ]
         assert [r.solver for r in results] == ["dp", "static"]
         assert results[0].sim_time <= results[1].sim_time
 
@@ -229,7 +229,7 @@ class TestSimMany:
         # There is no worker-count knob: a stale one is an unknown
         # solver option.
         with pytest.raises(ConfigurationError, match="parallel"):
-            sim_many([scenario_for(n=4)], parallel=4)
+            simulate_plan(scenario_for(n=4), parallel=4)
 
 
 class TestClosedFormCrossValidation:

@@ -14,11 +14,10 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.engine import plan_many, plan_workload_many, sim_many, workload_many
+from repro.engine import plan_many
 from repro.flows import ThroughputCache
 from repro.planner import Scenario, scenario_grid
 from repro.units import Gbps, KiB, MiB, ns, us
-from repro.workload import steady_trace
 
 
 def base_scenario(n=8):
@@ -81,34 +80,6 @@ class TestOnResultHook:
         # The hook sees the same objects the call returns.
         for index, result in seen:
             assert result is results[index]
-
-    def test_sim_many_and_workload_many_support_on_result(self):
-        seen = []
-        sim_many(
-            [base_scenario(n=4), base_scenario(n=8)],
-            cache=ThroughputCache(),
-            on_result=lambda index, result: seen.append(index),
-        )
-        assert seen == [0, 1]
-        seen.clear()
-        workload_many(
-            [steady_trace(base_scenario(n=4), phases=2)],
-            cache=ThroughputCache(),
-            on_result=lambda index, result: seen.append(index),
-        )
-        assert seen == [0]
-
-    def test_plan_workload_many_supports_on_result(self):
-        workload = steady_trace(base_scenario(n=4), phases=2)
-        seen = []
-        plans = plan_workload_many(
-            [(workload, "replan"), (workload, "hysteresis")],
-            cache=ThroughputCache(),
-            on_result=lambda index, result: seen.append((index, result)),
-        )
-        assert [index for index, _ in seen] == [0, 1]
-        for index, result in seen:
-            assert result is plans[index]
 
     def test_hook_exception_aborts_the_batch(self):
         grid = small_grid()

@@ -26,7 +26,6 @@ from repro.fabric.reconfiguration import (
 )
 from repro.flows import ThroughputCache
 from repro.planner import Scenario
-from repro.engine import plan_workload_many, workload_many
 from repro.sim import EventKind, WorkloadSimResult, simulate_workload
 from repro.units import Gbps, MiB, ns, us
 from repro.workload import (
@@ -578,31 +577,25 @@ class TestSimulateWorkload:
         assert all(phase.link_utilization for phase in result.phases)
 
 
-class TestWorkloadMany:
-    def test_mixed_items_and_order(self):
+class TestWorkloadLoops:
+    def test_plans_and_workloads_both_simulate(self):
         items = [
             plan_workload(steady_trace(base_scenario(), 2)),
             training_loop_trace(base_scenario(), 1),
         ]
-        results = workload_many(items)
+        cache = ThroughputCache()
+        results = [simulate_workload(item, cache=cache) for item in items]
         assert results[0].plan is items[0]
         assert results[1].workload == items[1]
-
-    def test_plan_workload_many_keeps_per_item_policies(self):
-        workload = steady_trace(base_scenario(), 2)
-        jobs = [(workload, "replan", {}), (workload, "hysteresis", {})]
-        plans = plan_workload_many(jobs, cache=ThroughputCache())
-        assert [p.policy for p in plans] == ["replan", "hysteresis"]
-        assert plans[0].to_dict() == plan_workload(workload).to_dict()
 
     def test_rejects_bad_parallel(self):
         # There is no worker-count knob: a stale one is an unknown
         # solver option, on both workload entry points.
         workload = steady_trace(base_scenario(), 2)
         with pytest.raises(ConfigurationError, match="parallel"):
-            workload_many([workload], parallel=4)
+            simulate_workload(workload, parallel=4)
         with pytest.raises(ConfigurationError, match="parallel"):
-            plan_workload_many([workload], parallel=4)
+            plan_workload(workload, parallel=4)
 
 
 # -- analysis + experiment grid ---------------------------------------------

@@ -64,7 +64,10 @@ def test_sim_event_throughput(benchmark, shared_cache):
     simulator = FlowLevelSimulator(RING, PARAMS, cache=shared_cache)
     schedule = Schedule.static(collective.num_steps)
     result = benchmark(lambda: simulator.run(collective, schedule))
-    assert len(result.trace) >= 3 * collective.num_steps
+    # one row per step, in order
+    assert [row.index for row in result.steps] == list(
+        range(collective.num_steps)
+    )
 
 
 @pytest.mark.benchmark(group="sim")

@@ -5,7 +5,7 @@ MoE training alternates expert dispatch (All-to-All) with gradient
 synchronization (AllReduce).  The paper notes (§3.3) that the
 optimization framework applies unchanged to *sequences* of collectives;
 this script composes the two, runs the flow-level simulator on the
-optimized schedule, and prints the event timeline of the first steps.
+optimized schedule, and prints the simulator's first step rows.
 
 It also demonstrates the base-topology-pool extension: adding a second
 co-prime ring to the pool shortens All-to-All's long shifts.
@@ -60,12 +60,17 @@ def main() -> None:
         f"{result.cost.n_reconfigurations} reconfigurations"
     )
 
-    # run it through the flow-level simulator and show the timeline head
+    # run it through the flow-level simulator and show the first steps
     report = simulate(iteration, topology, params, schedule=result.schedule)
     print(f"simulated total: {format_time(report.simulation.total_time)} "
           f"(model error {report.model_error:.1e})")
-    print("\nfirst simulator events:")
-    print(report.simulation.trace.render(limit=10))
+    print("\nfirst simulated steps:")
+    for row in report.simulation.steps[:5]:
+        print(
+            f"  step {row.index:>2} {row.decision:<7} {row.label:<28} "
+            f"reconfig {format_time(row.reconfiguration):>8}  "
+            f"{format_time(row.start):>9} -> {format_time(row.end):>9}"
+        )
 
     # extension: a pool of two co-prime rings as standing topologies
     pool = [topology, coprime_rings(n, (7,), bandwidth, bidirectional=True)]

@@ -2,8 +2,8 @@
 """Sim-in-the-loop planning: plan a collective, then *execute* the plan.
 
 The planner predicts completion times from the closed-form alpha-beta
-cost model; the flow-level simulator replays the planned schedule event
-by event.  This example closes that loop three ways:
+cost model; the flow-level simulator replays the planned schedule step
+by step.  This example closes that loop three ways:
 
 1. the correctness anchor — under idealized rates ("mcf") the measured
    total equals the analytic Eq. 7 objective to float precision;
@@ -32,7 +32,7 @@ def main() -> None:
         reconfiguration_delay=us(100),
     )
 
-    # 1. Plan, then execute the plan on the event-driven simulator.
+    # 1. Plan, then execute the plan on the flow-level simulator.
     planned = plan(scenario, solver="dp")
     result = simulate_plan(planned)
     print(f"schedule: {''.join('G' if d == 'base' else 'M' for d in result.decisions)}")

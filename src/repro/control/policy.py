@@ -25,6 +25,7 @@ estimation mistake is *paid for*, not hidden.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping, Sequence
 
 from ..core.schedule import Schedule
@@ -71,7 +72,8 @@ def _online_options(
     arguments, defaults filled in and the trigger built.
 
     Raises :class:`~repro.exceptions.ReproError` for a name no online
-    policy takes, a value its parser refuses, or a trigger spec
+    policy takes, a value its parser refuses or that is out of range
+    (checked whichever policy is named), or a trigger spec
     :func:`~repro.control.make_trigger` rejects — before any controller
     exists, so the service validator can answer it at admission.
     """
@@ -89,6 +91,19 @@ def _online_options(
                 f"online option {name!r} must be a {parse.__name__}, "
                 f"got {value!r}"
             ) from exc
+    # Each check is written so that NaN fails it.
+    for name, in_range, bound in (
+        ("beta", 0 < parsed["beta"] <= 1, "in (0, 1]"),
+        ("window", parsed["window"] >= 1, ">= 1"),
+        ("replan_every", parsed["replan_every"] >= 1, ">= 1"),
+        ("drift_threshold", parsed["drift_threshold"] >= 0, ">= 0"),
+        ("prior_message_size", 0 < parsed["prior_message_size"] < math.inf,
+         "finite and > 0"),
+    ):
+        if not in_range:
+            raise WorkloadError(
+                f"online option {name!r} must be {bound}, got {parsed[name]!r}"
+            )
     parsed["trigger"] = make_trigger(
         parsed["trigger"],
         drift_threshold=parsed.pop("drift_threshold"),

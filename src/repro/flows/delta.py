@@ -205,7 +205,7 @@ class FabricState:
 class DeltaIndex:
     """Diffs two fabric conditions or matchings into a :class:`PodDelta`.
 
-    Bound to one :class:`~repro.flows.PodStructure`; all rank-to-pod
+    Bound to one :class:`~repro.flows.block.PodStructure`; all rank-to-pod
     attribution uses its contiguous ranges.
     """
 

@@ -3,15 +3,16 @@
 Two layers:
 
 * the simulator proper (:class:`FlowLevelSimulator`, :func:`simulate`)
-  operating on library objects (collectives, topologies, schedules);
+  operating on library objects (collectives, topologies, schedules),
+  recording one :class:`SimStep` row per executed step;
 * the planner-facing executor (:func:`simulate_plan`,
   :class:`SimResult`) that lowers declarative
   :class:`~repro.planner.Scenario` / :class:`~repro.planner.PlanResult`
   items onto the simulator — plan it, then replay it.
 """
 
-from .executor import SimResult, SimStep, simulate_plan
-from .flowsim import FlowLevelSimulator, SimulationResult, StepTiming
+from .executor import SimResult, simulate_plan
+from .flowsim import FlowLevelSimulator, SimStep, SimulationResult
 from .observation import (
     RateObservation,
     RateObservations,
@@ -20,13 +21,11 @@ from .observation import (
 )
 from .rates import RATE_METHODS, FlowRate, FlowRates, allocate_rates
 from .runner import SimulationReport, simulate
-from .trace import EventKind, Trace, TraceEvent
 from .workload import PhaseSimResult, WorkloadSimResult, simulate_workload
 
 __all__ = [
     "FlowLevelSimulator",
     "SimulationResult",
-    "StepTiming",
     "FlowRate",
     "FlowRates",
     "allocate_rates",
@@ -43,7 +42,4 @@ __all__ = [
     "PhaseSimResult",
     "WorkloadSimResult",
     "simulate_workload",
-    "EventKind",
-    "Trace",
-    "TraceEvent",
 ]

@@ -1,8 +1,8 @@
 """Sim-in-the-loop execution of planned schedules.
 
 The planner answers "reconfigure or not, per step?" analytically; this
-module closes the loop by *executing* the answer on the event-driven
-flow simulator and reporting what actually happened:
+module closes the loop by *executing* the answer on the flow-level
+simulator and reporting what actually happened:
 
 * :func:`simulate_plan` lowers a :class:`~repro.planner.PlanResult` (or
   plans a :class:`~repro.planner.Scenario` first) onto
@@ -26,7 +26,8 @@ import math
 from dataclasses import dataclass
 from collections.abc import Mapping
 
-from ..collectives.base import Collective
+from ..collectives.base import Collective, Step
+from ..core.overlap import _resolve_compute_times
 from ..core.schedule import Decision, Schedule
 from ..exceptions import SimulationError
 from ..fabric.degradation import FaultEvent
@@ -40,7 +41,7 @@ from ..flows import (
 from .._validation import require_field as _require
 from ..planner import PlanResult, Scenario, plan
 from ..topology.base import Topology
-from .flowsim import FlowLevelSimulator, SimulationResult
+from .flowsim import FlowLevelSimulator, SimStep, SimulationResult
 from .observation import (
     RateObservations,
     observations_from_rows,
@@ -48,76 +49,10 @@ from .observation import (
 )
 from .rates import RATE_METHODS
 
-__all__ = ["SimStep", "SimResult", "simulate_plan"]
+__all__ = ["SimResult", "simulate_plan"]
 
 #: Relative tolerance of the simulator-equals-model correctness anchor.
 _MODEL_RTOL = 1e-9
-
-
-@dataclass(frozen=True)
-class SimStep:
-    """Measured timing of one executed collective step.
-
-    Attributes
-    ----------
-    index:
-        Step position within the collective.
-    decision:
-        Normalized label: ``"base"`` or ``"matched"``.
-    label:
-        The collective step's own label (e.g. ``"rs t=3"``).
-    reconfiguration:
-        Reconfiguration delay charged before this step, in seconds.
-    start:
-        Barrier time — when all ranks are ready to launch the step.
-    end:
-        When the slowest pair finished (transmission + propagation).
-    slowest_pair:
-        The ``(src, dst)`` pair that finished last, or ``None`` for an
-        empty step.
-    """
-
-    index: int
-    decision: str
-    label: str
-    reconfiguration: float
-    start: float
-    end: float
-    slowest_pair: tuple[int, int] | None
-
-    @property
-    def duration(self) -> float:
-        """Communication time of the step (alpha included,
-        reconfiguration and compute excluded)."""
-        return self.end - self.start
-
-    def to_dict(self) -> dict[str, object]:
-        """Plain-dict form (JSON-serializable)."""
-        return {
-            "index": self.index,
-            "decision": self.decision,
-            "label": self.label,
-            "reconfiguration": self.reconfiguration,
-            "start": self.start,
-            "end": self.end,
-            "slowest_pair": (
-                None if self.slowest_pair is None else list(self.slowest_pair)
-            ),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "SimStep":
-        """Inverse of :meth:`to_dict`."""
-        pair = data.get("slowest_pair")
-        return cls(
-            index=int(_require(data, "index", "sim step")),
-            decision=str(_require(data, "decision", "sim step")),
-            label=str(data.get("label", "")),
-            reconfiguration=float(_require(data, "reconfiguration", "sim step")),
-            start=float(_require(data, "start", "sim step")),
-            end=float(_require(data, "end", "sim step")),
-            slowest_pair=None if pair is None else (pair[0], pair[1]),
-        )
 
 
 @dataclass(frozen=True)
@@ -173,10 +108,9 @@ class SimResult:
         Per-flow achieved-rate telemetry
         (:class:`~repro.sim.RateObservation` rows, execution order) —
         collected when the run asked for ``observe_rates=True``, empty
-        otherwise.  Unlike the event trace, observations *are*
-        serialized by :meth:`to_dict`, so they survive the service
-        boundary intact (the daemon's ``simulate`` responses carry them
-        to the online controller on the far side).
+        otherwise.  Serialized by :meth:`to_dict`, so they survive the
+        service boundary intact (the daemon's ``simulate`` responses
+        carry them to the online controller on the far side).
     """
 
     plan: PlanResult
@@ -368,7 +302,6 @@ def _should_check_model(
     scenario: Scenario,
     rate_method: str,
     accounting: str,
-    compute_overlap: bool,
 ) -> bool:
     """Whether sim total must provably equal the analytic objective."""
     return (
@@ -376,8 +309,6 @@ def _should_check_model(
         and rate_method == "mcf"
         and accounting == "paper"
         and scenario.theta_method == "auto"
-        and not compute_overlap
-        and "compute_times" not in planned.metadata_dict
         and not math.isinf(planned.total_time)
     )
 
@@ -388,7 +319,6 @@ def simulate_plan(
     rate_method: str = "mcf",
     accounting: str = "paper",
     reconfiguration_model: ReconfigurationModel | None = None,
-    compute_overlap: bool = False,
     collect_utilization: bool = True,
     check_model: bool = True,
     cache: ThroughputCache | None = default_cache,
@@ -397,6 +327,11 @@ def simulate_plan(
     **options,
 ) -> SimResult:
     """Execute a planned collective on the flow-level simulator.
+
+    A plan that carries ``compute_times`` metadata (the ``overlap``
+    solver's) runs with those compute windows after its steps, each
+    overlapping the reconfiguration that follows, exactly as the plan
+    was priced; the model anchor covers it like any other plan.
 
     Parameters
     ----------
@@ -416,8 +351,6 @@ def simulate_plan(
     reconfiguration_model:
         Only for ``"physical"`` accounting; defaults to a constant
         ``alpha_r`` delay.
-    compute_overlap:
-        Let per-step compute windows hide subsequent reconfigurations.
     collect_utilization:
         Also derive per-link utilization of the base fabric (an extra
         LP solve per distinct base-step pattern under ``"mcf"``).
@@ -488,6 +421,20 @@ def simulate_plan(
     # step accounting below use the same degraded view.
     topology = scenario.build_topology()
     collective = scenario.build_collective()
+    # An overlap plan was priced with a compute window after each step
+    # hiding the next reconfiguration; the run executes the same windows.
+    windows = planned.metadata_dict.get("compute_times")
+    if windows is not None:
+        times = _resolve_compute_times(collective.steps, windows)
+        collective = Collective(
+            collective.name, collective.kind, collective.n,
+            collective.message_size,
+            [
+                Step(step.matching, step.volume, compute_time=t, label=step.label)
+                for step, t in zip(collective.steps, times)
+            ],
+            collective.chunk_size, collective.n_chunks, collective.metadata,
+        )
     simulator = FlowLevelSimulator(
         scenario.topology.build(),
         scenario.cost,
@@ -501,7 +448,7 @@ def simulate_plan(
     result = simulator.run(
         collective,
         planned.schedule,
-        compute_overlap=compute_overlap,
+        compute_overlap=windows is not None,
         faults=tuple(faults),
         observe_rates=observe_rates,
     )
@@ -510,7 +457,7 @@ def simulate_plan(
     # past the run end leaves the run fault-free, and the invariant
     # must still hold there.
     if check_model and not result.fault_log and _should_check_model(
-        planned, scenario, rate_method, accounting, compute_overlap
+        planned, scenario, rate_method, accounting
     ):
         gap = abs(result.total_time - planned.total_time)
         if gap > _MODEL_RTOL * max(planned.total_time, 1e-12):
@@ -519,18 +466,6 @@ def simulate_plan(
                 f"planned analytic total ({planned.total_time}) by {gap}"
             )
 
-    steps = tuple(
-        SimStep(
-            index=timing.index,
-            decision=planned.decisions[timing.index],
-            label=collective.steps[timing.index].label,
-            reconfiguration=timing.reconfiguration,
-            start=timing.start,
-            end=timing.end,
-            slowest_pair=timing.slowest_pair,
-        )
-        for timing in result.steps
-    )
     utilization = (
         _utilization(
             topology,
@@ -551,7 +486,7 @@ def simulate_plan(
         analytic_time=planned.total_time,
         reconfiguration_time=result.reconfiguration_time,
         n_reconfigurations=result.n_reconfigurations,
-        steps=steps,
+        steps=result.steps,
         link_utilization=utilization,
         fault_log=result.fault_log,
         fault_pod_log=result.fault_pod_log,

@@ -2,7 +2,7 @@
 evaluations using a flow-level simulator").
 
 Executes a collective under a circuit-switching schedule on a base
-topology, producing an event timeline per step:
+topology and records one :class:`SimStep` row per step:
 
 1. (if the step's configuration differs from the standing one) a
    reconfiguration interval,
@@ -28,10 +28,12 @@ asserts this equivalence step for step.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
+from .._validation import require_field as _require
 from ..collectives.base import Collective
 from ..core.cost_model import CostParameters
 from ..core.schedule import Decision, Schedule
@@ -49,19 +51,38 @@ from ..matching import Matching
 from ..topology.base import Topology
 from .observation import RateObservations
 from .rates import FlowRates, allocate_rates
-from .trace import EventKind, Trace, TraceEvent
 
-__all__ = ["StepTiming", "SimulationResult", "FlowLevelSimulator"]
+__all__ = ["SimStep", "SimulationResult", "FlowLevelSimulator"]
 
 _ACCOUNTING_MODES = ("paper", "physical")
 
 
 @dataclass(frozen=True)
-class StepTiming:
-    """Timing decomposition of one executed step."""
+class SimStep:
+    """Measured timing of one executed collective step.
+
+    Attributes
+    ----------
+    index:
+        Step position within the collective.
+    decision:
+        Normalized label: ``"base"`` or ``"matched"``.
+    label:
+        The collective step's own label (e.g. ``"rs t=3"``).
+    reconfiguration:
+        Reconfiguration delay charged before this step, in seconds.
+    start:
+        Barrier time — when all ranks are ready to launch the step.
+    end:
+        When the slowest pair finished (transmission + propagation).
+    slowest_pair:
+        The ``(src, dst)`` pair that finished last, or ``None`` for an
+        empty step.
+    """
 
     index: int
-    decision: Decision
+    decision: str
+    label: str
     reconfiguration: float
     start: float
     end: float
@@ -69,9 +90,37 @@ class StepTiming:
 
     @property
     def duration(self) -> float:
-        """Communication time of the step, alpha included
-        (reconfiguration and compute excluded)."""
+        """Communication time of the step (alpha included,
+        reconfiguration and compute excluded)."""
         return self.end - self.start
+
+    def to_dict(self) -> dict[str, object]:
+        """Plain-dict form (JSON-serializable)."""
+        return {
+            "index": self.index,
+            "decision": self.decision,
+            "label": self.label,
+            "reconfiguration": self.reconfiguration,
+            "start": self.start,
+            "end": self.end,
+            "slowest_pair": (
+                None if self.slowest_pair is None else list(self.slowest_pair)
+            ),
+        }
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, object]) -> "SimStep":
+        """Inverse of :meth:`to_dict`."""
+        pair = data.get("slowest_pair")
+        return cls(
+            index=int(_require(data, "index", "sim step")),
+            decision=str(_require(data, "decision", "sim step")),
+            label=str(data.get("label", "")),
+            reconfiguration=float(_require(data, "reconfiguration", "sim step")),
+            start=float(_require(data, "start", "sim step")),
+            end=float(_require(data, "end", "sim step")),
+            slowest_pair=None if pair is None else (pair[0], pair[1]),
+        )
 
 
 @dataclass(frozen=True)
@@ -102,8 +151,7 @@ class SimulationResult:
     """
 
     total_time: float
-    steps: tuple[StepTiming, ...]
-    trace: Trace
+    steps: tuple[SimStep, ...]
     reconfiguration_time: float
     n_reconfigurations: int
     final_configuration: Configuration | None = None
@@ -279,9 +327,8 @@ class FlowLevelSimulator:
         with the simulator's standing ``health`` (a new fault never
         silently repairs an old one); a later injection replaces any
         previously injected overlay, and ``health=None`` repairs back
-        to the standing condition.  Applications are recorded as
-        ``FAULT_INJECT`` / ``FAULT_REPAIR`` trace events and in the
-        result's ``fault_log``.
+        to the standing condition.  Applications are recorded in the
+        result's ``fault_log`` (and ``fault_pod_log`` on pod fabrics).
         """
         if collective.num_steps != schedule.num_steps:
             raise SimulationError(
@@ -324,8 +371,7 @@ class FlowLevelSimulator:
         # only moves forward: each step's barrier is at or after the
         # moment the wire went idle, and its end at or after its start.
         now = 0.0
-        events: list[TraceEvent] = []  # recording order; Trace sorts once
-        timings: list[StepTiming] = []
+        rows: list[SimStep] = []
         reconf_total = 0.0
         n_reconf = 0
         live_topology = self._live_topology
@@ -356,7 +402,7 @@ class FlowLevelSimulator:
                 if event.health is None or event.health.is_pristine:
                     live_health = self.health
                     live_topology = self._live_topology
-                    kind, trace_kind = "repair", EventKind.FAULT_REPAIR
+                    kind = "repair"
                 else:
                     # An injected fault lands ON TOP of the standing
                     # condition — it must never silently repair it.
@@ -366,11 +412,10 @@ class FlowLevelSimulator:
                         else event.health
                     )
                     live_topology = live_health.apply(self.topology)
-                    kind, trace_kind = "inject", EventKind.FAULT_INJECT
+                    kind = "inject"
                 label = event.label or (
                     "" if event.health is None else event.health.name
                 )
-                events.append(TraceEvent(now, trace_kind, index, label))
                 fault_log.append((now, kind, label))
                 if delta_index is not None:
                     delta = delta_index.diff_health(previous_health, live_health)
@@ -395,29 +440,14 @@ class FlowLevelSimulator:
             if compute_overlap:
                 # Reconfiguration starts as soon as the wire is idle and
                 # runs concurrently with local compute.
-                reconf_start = now
-                barrier_time = max(compute_until, reconf_start + delay)
+                barrier_time = max(compute_until, now + delay)
             else:
-                reconf_start = max(compute_until, now)
-                barrier_time = reconf_start + delay
+                barrier_time = max(compute_until, now) + delay
             if delay > 0:
-                events.append(
-                    TraceEvent(reconf_start, EventKind.RECONFIG_START, index)
-                )
-                events.append(TraceEvent(
-                    reconf_start + delay,
-                    EventKind.RECONFIG_END,
-                    index,
-                    "matched" if decision is Decision.MATCHED else "base",
-                ))
                 reconf_total += delay
                 n_reconf += 1
 
-            now = barrier_time
-            events.append(TraceEvent(now, EventKind.BARRIER, index))
             start = barrier_time + self.params.alpha
-            events.append(TraceEvent(start, EventKind.STEP_START, index, step.label))
-
             end = start
             slowest: tuple[int, int] | None = None
             if len(step.matching) > 0:
@@ -437,36 +467,18 @@ class FlowLevelSimulator:
                         completion,
                     ))
             now = end
-            events.append(TraceEvent(end, EventKind.STEP_END, index))
-
-            if step.compute_time > 0:
-                compute_until = end + step.compute_time
-                events.append(
-                    TraceEvent(compute_until, EventKind.COMPUTE_END, index)
-                )
-            else:
-                compute_until = end
-
-            timings.append(
-                StepTiming(
-                    index=index,
-                    decision=decision,
-                    reconfiguration=delay,
-                    start=barrier_time,
-                    end=end,
-                    slowest_pair=slowest,
-                )
-            )
+            compute_until = end + step.compute_time
+            rows.append(SimStep(
+                index, decision.value, step.label, delay, barrier_time, end,
+                slowest,
+            ))
             previous = decision
             if self.accounting == "physical":
                 current_config = target_config
 
-        final = max(now, compute_until)
-        events.append(TraceEvent(final, EventKind.COLLECTIVE_END))
         return SimulationResult(
-            total_time=final,
-            steps=tuple(timings),
-            trace=Trace(events),
+            total_time=max(now, compute_until),
+            steps=tuple(rows),
             reconfiguration_time=reconf_total,
             n_reconfigurations=n_reconf,
             final_configuration=(

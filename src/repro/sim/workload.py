@@ -5,8 +5,7 @@
 execution per phase on the shared fabric, threading the circuit
 configuration each phase ends in into the next phase's opening
 reconfiguration (physical accounting, priced by the workload plan's
-delay model), and stitches the per-phase event timelines into one
-workload trace with ``PHASE_START`` / ``PHASE_END`` markers.
+delay model), and moves each phase's step rows onto one workload clock.
 
 Under ``mcf`` rates the measured per-phase times provably equal the
 plan's physically accounted per-phase totals, and the executor asserts
@@ -19,7 +18,7 @@ shared theta cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from collections.abc import Mapping
 
 from .._validation import require_field as _require
@@ -29,15 +28,14 @@ from ..flows import ThroughputCache, default_cache
 from ..workload.policies import plan_workload
 from ..workload.result import WorkloadPlan
 from ..workload.spec import Workload
-from .executor import _MODEL_RTOL, SimStep, _utilization
-from .flowsim import FlowLevelSimulator
+from .executor import _MODEL_RTOL, _utilization
+from .flowsim import FlowLevelSimulator, SimStep
 from .observation import (
     RateObservations,
     observations_from_rows,
     observations_to_rows,
 )
 from .rates import RATE_METHODS
-from .trace import EventKind, Trace
 
 __all__ = ["PhaseSimResult", "WorkloadSimResult", "simulate_workload"]
 
@@ -46,8 +44,9 @@ __all__ = ["PhaseSimResult", "WorkloadSimResult", "simulate_workload"]
 class PhaseSimResult:
     """Measured timing of one executed workload phase.
 
-    ``start`` / ``end`` are on the workload clock (phase offsets
-    included); ``sim_time`` is the phase's own duration.
+    ``start`` / ``end`` and each step row's ``start`` / ``end`` are on
+    the workload clock (phase offsets included); ``sim_time`` is the
+    phase's own duration.
     ``analytic_time`` is the plan's physically accounted prediction for
     this phase — opening reconfiguration included — and ``eq7_time``
     the memoryless Eq. 7 prediction, kept so reports can show what a
@@ -56,8 +55,8 @@ class PhaseSimResult:
     ``rate_observations`` (collected under ``observe_rates=True``) is
     the phase's per-flow telemetry on the phase-local clock — exactly
     what the phase's own :class:`~repro.sim.FlowLevelSimulator` run
-    recorded.  It is serialized by :meth:`to_dict`, unlike the event
-    trace, so observations survive a JSON round trip.
+    recorded.  It is serialized by :meth:`to_dict`, so observations
+    survive a JSON round trip.
     """
 
     index: int
@@ -142,7 +141,6 @@ class WorkloadSimResult:
     reconfiguration_time: float
     n_reconfigurations: int
     phases: tuple[PhaseSimResult, ...]
-    trace: Trace
 
     @property
     def workload(self) -> Workload:
@@ -167,8 +165,7 @@ class WorkloadSimResult:
         return tuple(phase.sim_time for phase in self.phases)
 
     def to_dict(self) -> dict[str, object]:
-        """Plain-dict form (JSON-serializable; the merged event trace is
-        not serialized, like :class:`~repro.sim.SimResult`)."""
+        """Plain-dict form (JSON-serializable)."""
         return {
             "plan": self.plan.to_dict(),
             "rate_method": self.rate_method,
@@ -181,7 +178,7 @@ class WorkloadSimResult:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "WorkloadSimResult":
-        """Inverse of :meth:`to_dict` (the trace comes back empty)."""
+        """Inverse of :meth:`to_dict`."""
         return cls(
             plan=WorkloadPlan.from_dict(_require(data, "plan", "workload sim")),
             rate_method=str(_require(data, "rate_method", "workload sim")),
@@ -198,7 +195,6 @@ class WorkloadSimResult:
             phases=tuple(
                 PhaseSimResult.from_dict(p) for p in data.get("phases", ())
             ),
-            trace=Trace(),
         )
 
 
@@ -253,8 +249,8 @@ def simulate_workload(
     Returns
     -------
     WorkloadSimResult
-        Per-phase measurements on one continuous workload clock, the
-        merged event trace, and the plan.
+        Per-phase measurements and step rows on one continuous
+        workload clock, and the plan.
     """
     if rate_method not in RATE_METHODS:
         # Validated up front, like simulate_plan: an all-matched phase
@@ -294,7 +290,6 @@ def simulate_workload(
     workload = planned.workload
     topology = workload.build_topology()
     base = workload.base_configuration()
-    trace = Trace()
     phases: list[PhaseSimResult] = []
     clock = 0.0
     carried = base
@@ -333,27 +328,6 @@ def simulate_workload(
                     f"({phase.cost.total}) by {gap}"
                 )
 
-        trace.record(clock, EventKind.PHASE_START, phase.index, detail=scenario.name)
-        for event in result.trace:
-            trace.record(clock + event.time, event.kind, event.step, event.detail)
-        trace.record(
-            clock + result.total_time,
-            EventKind.PHASE_END,
-            phase.index,
-            detail=scenario.name,
-        )
-        steps = tuple(
-            SimStep(
-                index=timing.index,
-                decision=phase.plan.decisions[timing.index],
-                label=collective.steps[timing.index].label,
-                reconfiguration=timing.reconfiguration,
-                start=clock + timing.start,
-                end=clock + timing.end,
-                slowest_pair=timing.slowest_pair,
-            )
-            for timing in result.steps
-        )
         utilization = (
             _utilization(
                 scenario.build_topology(),
@@ -377,7 +351,10 @@ def simulate_workload(
                 eq7_time=phase.plan.total_time,
                 reconfiguration_time=result.reconfiguration_time,
                 n_reconfigurations=result.n_reconfigurations,
-                steps=steps,
+                steps=tuple(
+                    replace(step, start=clock + step.start, end=clock + step.end)
+                    for step in result.steps
+                ),
                 link_utilization=utilization,
                 rate_observations=result.rate_observations,
             )
@@ -398,5 +375,4 @@ def simulate_workload(
         reconfiguration_time=reconf_total,
         n_reconfigurations=n_reconf,
         phases=tuple(phases),
-        trace=trace,
     )

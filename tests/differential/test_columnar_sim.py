@@ -10,9 +10,7 @@ steps through the dense kernels of ``test_sparse_vs_dense``), one
 completion per flow with the strict ``>`` that keeps the first of
 equally slow flows, one :class:`~repro.sim.RateObservation` per flow,
 and the per-row demand fold.  Every output must be equal, not close:
-totals, step timings, trace events, telemetry rows and demand matrices.
-The tests use only names the per-flow simulator also had, so they pass
-on it too.
+totals, step rows, telemetry rows and demand matrices.
 """
 
 from __future__ import annotations
@@ -36,11 +34,11 @@ from repro.sim import (
     FlowRate,
     RateObservation,
     SimResult,
+    SimStep,
     allocate_rates,
     simulate_plan,
 )
-from repro.sim.flowsim import SimulationResult, StepTiming
-from repro.sim.trace import EventKind, Trace
+from repro.sim.flowsim import SimulationResult
 from repro.topology import ring
 from repro.units import MiB, ns, us
 
@@ -82,8 +80,8 @@ def reference_run(sim, collective, schedule, faults=()):
     """The simulator's run loop with the per-flow step (no compute
     overlap, no carried configuration)."""
     pending = sorted(faults, key=lambda event: event.time)
-    now, trace = 0.0, Trace()
-    timings, observations, fault_log = [], [], []
+    now = 0.0
+    rows, observations, fault_log = [], [], []
     reconf_total, n_reconf = 0.0, 0
     live_topology, live_health = sim._live_topology, sim.health
     previous, current_config = Decision.BASE, sim._base_config
@@ -93,7 +91,7 @@ def reference_run(sim, collective, schedule, faults=()):
             event = pending.pop(0)
             if event.health is None or event.health.is_pristine:
                 live_health, live_topology = sim.health, sim._live_topology
-                kind, trace_kind = "repair", EventKind.FAULT_REPAIR
+                kind = "repair"
             else:
                 live_health = (
                     sim.health.compose(event.health)
@@ -101,9 +99,8 @@ def reference_run(sim, collective, schedule, faults=()):
                     else event.health
                 )
                 live_topology = live_health.apply(sim.topology)
-                kind, trace_kind = "inject", EventKind.FAULT_INJECT
+                kind = "inject"
             label = event.label or ("" if event.health is None else event.health.name)
-            trace.record(now, trace_kind, index, detail=label)
             fault_log.append((now, kind, label))
         decision = schedule.decisions[index]
         target_config = None
@@ -119,21 +116,12 @@ def reference_run(sim, collective, schedule, faults=()):
         reconf_start = max(compute_until, now)
         barrier_at = reconf_start + delay
         if delay > 0:
-            trace.record(reconf_start, EventKind.RECONFIG_START, index)
-            trace.record(
-                reconf_start + delay,
-                EventKind.RECONFIG_END,
-                index,
-                detail="matched" if decision is Decision.MATCHED else "base",
-            )
             reconf_total += delay
             n_reconf += 1
         assert barrier_at >= now
         now = barrier_at
-        trace.record(now, EventKind.BARRIER, index)
         barrier_time = now
         start = barrier_time + sim.params.alpha
-        trace.record(start, EventKind.STEP_START, index, detail=step.label)
         end, slowest = start, None
         if len(step.matching) > 0:
             for flow in reference_flows(
@@ -163,20 +151,20 @@ def reference_run(sim, collective, schedule, faults=()):
                 )
         assert end >= now
         now = end
-        trace.record(end, EventKind.STEP_END, index)
         compute_until = end + step.compute_time if step.compute_time > 0 else end
-        if step.compute_time > 0:
-            trace.record(compute_until, EventKind.COMPUTE_END, index)
-        timings.append(StepTiming(index, decision, delay, barrier_time, end, slowest))
+        rows.append(
+            SimStep(
+                index, decision.value, step.label, delay, barrier_time, end,
+                slowest,
+            )
+        )
         previous = decision
         if sim.accounting == "physical":
             current_config = target_config
     final = max(now, compute_until)
-    trace.record(final, EventKind.COLLECTIVE_END)
     return SimulationResult(
         total_time=final,
-        steps=tuple(timings),
-        trace=trace,
+        steps=tuple(rows),
         reconfiguration_time=reconf_total,
         n_reconfigurations=n_reconf,
         final_configuration=(
@@ -201,7 +189,6 @@ def assert_same_run(sim, collective, schedule, faults=()):
     want = reference_run(sim, collective, schedule, faults)
     assert got.total_time == want.total_time
     assert got.steps == want.steps
-    assert got.trace.events == want.trace.events
     assert got.reconfiguration_time == want.reconfiguration_time
     assert got.n_reconfigurations == want.n_reconfigurations
     assert got.final_configuration == want.final_configuration

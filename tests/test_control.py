@@ -403,8 +403,36 @@ class TestOnlineService:
 
     @pytest.mark.parametrize(
         "options",
-        [{"bogus": 1}, {"beta": "abc"}, {"window": "x"}, {"trigger": "nope"}],
-        ids=["unknown-name", "beta-str", "window-str", "trigger-unknown"],
+        [
+            {"bogus": 1},
+            {"beta": "abc"},
+            {"window": "x"},
+            {"trigger": "nope"},
+            {"beta": 5},
+            {"beta": 0},
+            {"beta": math.nan},
+            {"window": 0},
+            {"replan_every": 0},
+            {"drift_threshold": math.nan},
+            {"prior_message_size": -1},
+            {"prior_message_size": math.nan},
+            {"prior_message_size": math.inf},
+        ],
+        ids=[
+            "unknown-name",
+            "beta-str",
+            "window-str",
+            "trigger-unknown",
+            "beta-above-1",
+            "beta-0",
+            "beta-nan",
+            "window-0",
+            "replan-every-0",
+            "drift-threshold-nan",
+            "prior-negative",
+            "prior-nan",
+            "prior-inf",
+        ],
     )
     def test_daemon_refuses_a_bad_option(self, options):
         """The daemon's sessions parse options the way the online

@@ -34,7 +34,6 @@ from repro.flows import ThroughputCache, compute_theta
 from repro.matching import Matching
 from repro.planner import PlanRequest, Scenario, available_solvers, plan
 from repro.sim import simulate_plan, simulate_workload
-from repro.sim.trace import EventKind
 from repro.analysis.adaptivity import compare_policies
 from repro.experiments.degradation import (
     default_conditions,
@@ -428,8 +427,7 @@ class TestFaultInjection:
             planned.schedule,
             faults=(FaultEvent(time=0.0, health=uniform_degradation(N, 0.5)),),
         )
-        injects = result.trace.of_kind(EventKind.FAULT_INJECT)
-        assert len(injects) == 1 and injects[0].time == 0.0
+        assert [entry[:2] for entry in result.fault_log] == [(0.0, "inject")]
 
 
 # -- faulty workloads ---------------------------------------------------------

@@ -19,10 +19,15 @@ reuses the previous anchor's file — must land on a ``def`` or
 ``class`` line of the symbol the doc names: the defined name appears
 as a word in a backticked span (other than an anchor) on the anchor's
 line or the line before, so a reader following one lands on it.
+
+Every fully qualified docstring cross-reference in ``src/repro``
+(``:func:`repro.…```, ``:class:``, ``:meth:``, ...) must resolve by
+import, as an API docs build would resolve it.
 """
 
 from __future__ import annotations
 
+import importlib
 import re
 from pathlib import Path
 
@@ -36,6 +41,7 @@ _FENCE = re.compile(r"```python\n(.*?)```", re.DOTALL)
 _ANCHOR = re.compile(r"`(src/[\w/]+\.py):(\d+)`|`:(\d+)`")
 _SPAN = re.compile(r"`([^`]+)`")
 _DEFINES = re.compile(r"(?:async\s+)?(?:def|class)\s+(\w+)")
+_XREF = re.compile(r":(?:func|class|meth|attr|mod|exc|data):`~?(repro\.[\w.]+)`")
 
 
 def python_snippets(name: str) -> list[str]:
@@ -109,4 +115,35 @@ def test_source_anchors_land_on_definitions():
             for name in names
         ):
             wrong.append(f"{where} -> {path}:{line}: {target!r}")
+    assert not wrong, "\n".join(wrong)
+
+
+def resolve(target: str, missing: object) -> object:
+    """The object a dotted ``repro.…`` name refers to: the longest
+    importable module prefix, then attribute lookups (``missing`` when
+    one fails; a sentinel, since a class attribute may be ``None``)."""
+    parts = target.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            found = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for name in parts[cut:]:
+            found = getattr(found, name, missing)
+        return found
+    return missing
+
+
+def test_docstring_cross_references_resolve():
+    missing = object()
+    checked, wrong = 0, []
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        text = path.read_text()
+        for match in _XREF.finditer(text):
+            checked += 1
+            if resolve(match.group(1), missing) is missing:
+                line = text.count("\n", 0, match.start()) + 1
+                where = f"{path.relative_to(ROOT)}:{line}"
+                wrong.append(f"{where}: {match.group(1)}")
+    assert checked >= 200
     assert not wrong, "\n".join(wrong)

@@ -587,6 +587,29 @@ class TestOtherKinds:
         assert latency["simulate"]["count"] == 1
         assert latency["simulate"]["p50_ms"] > 0
 
+    def test_simulate_executes_an_overlap_plan_with_its_compute(self):
+        async def main():
+            async with PlannerDaemon(batch_window_s=0.0) as daemon:
+                return await daemon.submit(
+                    ServiceRequest(
+                        body=SimulateBody(
+                            scenario=scenario(
+                                n=8, msg_kib=1024, algorithm="allreduce_swing"
+                            ),
+                            solver="overlap",
+                            options={"compute_times": us(30)},
+                        )
+                    )
+                )
+
+        response = run(main())
+        assert response.ok, response.error
+        result = response.result
+        assert result["plan"]["metadata"] == {"compute_times": us(30)}
+        assert result["sim_time"] == pytest.approx(
+            result["analytic_time"], rel=1e-9
+        )
+
     def test_response_version_matches_library(self):
         import repro
 

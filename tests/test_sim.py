@@ -24,7 +24,6 @@ from repro.fabric import (
 )
 from repro.matching import Matching
 from repro.sim import (
-    EventKind,
     FlowLevelSimulator,
     FlowRate,
     FlowRates,
@@ -178,11 +177,16 @@ class TestSimulatorBehaviour:
         result = simulator.run(
             collective, Schedule.always_reconfigure(collective.num_steps)
         )
-        starts = result.trace.of_kind(EventKind.STEP_START)
-        ends = result.trace.of_kind(EventKind.STEP_END)
-        assert len(starts) == len(ends) == collective.num_steps
-        assert result.trace.of_kind(EventKind.COLLECTIVE_END)
-        assert result.trace.reconfiguration_time() == pytest.approx(
+        rows = result.steps
+        assert [row.index for row in rows] == list(range(collective.num_steps))
+        assert [row.label for row in rows] == [
+            step.label for step in collective.steps
+        ]
+        assert all(row.decision == "matched" for row in rows)
+        assert all(row.start <= row.end for row in rows)
+        assert all(a.end <= b.start for a, b in zip(rows, rows[1:]))
+        assert rows[-1].end == result.total_time
+        assert sum(row.reconfiguration for row in rows) == pytest.approx(
             result.reconfiguration_time
         )
 

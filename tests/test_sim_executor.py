@@ -155,6 +155,39 @@ class TestSimulatePlan:
             simulate_plan(corrupted, cache=ThroughputCache())
 
 
+class TestOverlapPlans:
+    """An ``overlap`` plan runs with the compute windows it was priced
+    with, so the simulator meets its total at the 1e-9 anchor."""
+
+    @pytest.mark.parametrize("windows", ["scalar", "per-step"])
+    def test_sim_equals_the_overlap_model(self, windows):
+        scenario = scenario_for(
+            "allreduce_swing", n=8, message_size=MiB(1), alpha_r=us(20)
+        )
+        steps = scenario.build_collective().num_steps
+        compute_times = (
+            us(30) if windows == "scalar" else [us(7 * i) for i in range(steps)]
+        )
+        cache = ThroughputCache()
+        planned = plan(
+            scenario, solver="overlap", compute_times=compute_times, cache=cache
+        )
+        from_scenario = simulate_plan(
+            scenario, solver="overlap", compute_times=compute_times, cache=cache
+        )
+        from_plan = simulate_plan(planned, cache=cache)
+        shipped = simulate_plan(
+            PlanResult.from_dict(json.loads(json.dumps(planned.to_dict()))),
+            cache=cache,
+        )
+        for result in (from_scenario, from_plan, shipped):
+            assert result.analytic_time == planned.total_time
+            assert result.model_error <= 1e-9
+        assert from_scenario.steps == from_plan.steps == shipped.steps
+        # the windows the plan hid reconfigurations behind are executed
+        assert from_plan.sim_time > simulate_plan(scenario, cache=cache).sim_time
+
+
 class TestSimResultSerialization:
     def test_json_round_trip(self):
         result = simulate_plan(scenario_for(n=8), cache=ThroughputCache())

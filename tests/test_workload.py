@@ -26,7 +26,7 @@ from repro.fabric.reconfiguration import (
 )
 from repro.flows import ThroughputCache
 from repro.planner import Scenario
-from repro.sim import EventKind, WorkloadSimResult, simulate_workload
+from repro.sim import WorkloadSimResult, simulate_workload
 from repro.units import Gbps, MiB, ns, us
 from repro.workload import (
     Workload,
@@ -528,19 +528,16 @@ class TestSimulateWorkload:
 
     def test_phases_tile_the_workload_clock(self):
         result = simulate_workload(steady_trace(base_scenario(), 3))
+        assert [phase.index for phase in result.phases] == [0, 1, 2]
         clock = 0.0
         for phase in result.phases:
             assert phase.start == pytest.approx(clock)
+            assert phase.start <= phase.end
+            # the phase's step rows sit inside it on the workload clock
+            assert phase.start <= phase.steps[0].start
+            assert phase.steps[-1].end <= phase.end
             clock = phase.end
         assert result.sim_time == pytest.approx(clock)
-
-    def test_trace_has_phase_markers(self):
-        result = simulate_workload(steady_trace(base_scenario(), 3))
-        starts = result.trace.of_kind(EventKind.PHASE_START)
-        ends = result.trace.of_kind(EventKind.PHASE_END)
-        assert [e.step for e in starts] == [0, 1, 2]
-        assert [e.step for e in ends] == [0, 1, 2]
-        assert all(s.time <= e.time for s, e in zip(starts, ends))
 
     def test_executes_prepared_plans(self):
         plan = plan_workload(steady_trace(base_scenario(), 2))
@@ -565,7 +562,7 @@ class TestSimulateWorkload:
         rebuilt = WorkloadSimResult.from_dict(data)
         assert rebuilt.sim_time == result.sim_time
         assert rebuilt.per_phase_times == result.per_phase_times
-        assert len(rebuilt.trace) == 0  # traces are not serialized
+        assert rebuilt.phases == result.phases
 
     def test_collect_utilization(self):
         # a huge alpha_r keeps every step on the base ring, so the base

@@ -220,11 +220,14 @@ class Collective:
         return [(step.volume, step.matching) for step in self.steps]
 
     def aggregate_demand(self) -> np.ndarray:
-        """The aggregate demand matrix ``M = sum_i m_i M_i`` (Eq. 1)."""
+        """The aggregate demand matrix ``M = sum_i m_i M_i`` (Eq. 1).
+
+        A matching names each cell at most once, so one fancy-index add
+        per step gives every cell the same additions in the same order
+        as a per-pair loop."""
         total = np.zeros((self.n, self.n), dtype=float)
         for step in self.steps:
-            for src, dst in step.matching:
-                total[src, dst] += step.volume
+            total[step.matching.columns] += step.volume
         return total
 
     def total_volume_per_rank(self) -> float:

@@ -52,16 +52,33 @@ ONLINE_POLICIES: dict[str, tuple["str | None", str]] = {
     "online-static": (None, "never"),
 }
 
+
+def _number(value: object) -> float:
+    """``value`` as a float; a boolean is refused, not read as 0 or 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is a boolean")
+    return float(value)
+
+
+def _integer(value: object) -> int:
+    """``value`` as an int; a fractional number is refused, not
+    truncated (an integral float such as ``4.0`` is accepted)."""
+    number = _number(value)
+    if not number.is_integer():
+        raise ValueError(f"{value!r} is not integral")
+    return int(number)
+
+
 #: Options every online policy accepts: name -> (parser, default).  A
 #: missing or ``None`` value takes the default; the trigger's default is
 #: the policy's own (``ONLINE_POLICIES``).
 _ONLINE_OPTIONS = {
-    "prior_message_size": (float, DEFAULT_PRIOR_MESSAGE_SIZE),
+    "prior_message_size": (_number, DEFAULT_PRIOR_MESSAGE_SIZE),
     "trigger": (str, None),
-    "drift_threshold": (float, 0.1),
-    "replan_every": (int, 4),
-    "beta": (float, 0.5),
-    "window": (int, 4),
+    "drift_threshold": (_number, 0.1),
+    "replan_every": (_integer, 4),
+    "beta": (_number, 0.5),
+    "window": (_integer, 4),
 }
 
 
@@ -86,10 +103,10 @@ def _online_options(
             value = default_trigger if name == "trigger" else default
         try:
             parsed[name] = parse(value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
+            kind = "an integer" if parse is _integer else "a number"
             raise WorkloadError(
-                f"online option {name!r} must be a {parse.__name__}, "
-                f"got {value!r}"
+                f"online option {name!r} must be {kind}, got {value!r}"
             ) from exc
     # Each check is written so that NaN fails it.
     for name, in_range, bound in (

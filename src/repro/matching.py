@@ -139,8 +139,10 @@ class Matching:
     @cached_property
     def columns(self) -> tuple[np.ndarray, np.ndarray]:
         """The pairs as read-only int64 ``(src, dst)`` columns, in
-        :attr:`pairs` order — what :meth:`repro.sim.FlowRates.over`
-        reads, materialized once per matching."""
+        :attr:`pairs` order, materialized once per matching: the pair
+        columns of every :class:`repro.sim.FlowRates` block over it, and
+        the index of each step's add in
+        :meth:`repro.collectives.base.Collective.aggregate_demand`."""
         pairs = np.array(self._pairs, dtype=np.int64).reshape(-1, 2)
         src, dst = np.ascontiguousarray(pairs.T)
         src.setflags(write=False)

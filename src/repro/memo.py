@@ -2,9 +2,9 @@
 
 Theta depends only on the fabric and the pattern, so the engine leans
 on memoization at every layer: theta values, step costs, built
-topologies, pod subproblems, sim incidence structures and the daemon's
-resident contexts.  They all share :class:`BoundedMemo`, a keyed,
-thread-safe, **compute-once** table:
+topologies, pod subproblems, sim incidence structures, flow-rate
+blocks and the daemon's resident contexts.  They all share
+:class:`BoundedMemo`, a keyed, thread-safe, **compute-once** table:
 
 * the first thread to miss on a key claims it with an in-flight
   :class:`~concurrent.futures.Future` and computes *outside* the lock,

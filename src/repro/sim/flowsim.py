@@ -50,7 +50,7 @@ from ..flows import ThroughputCache, default_cache
 from ..matching import Matching
 from ..topology.base import Topology
 from .observation import RateObservations
-from .rates import FlowRates, allocate_rates
+from .rates import _BLOCKS, FlowRates, allocate_rates
 
 __all__ = ["SimStep", "SimulationResult", "FlowLevelSimulator"]
 
@@ -257,7 +257,10 @@ class FlowLevelSimulator:
             multiplier = (
                 1.0 if health is None else health.matched_multiplier(matching)
             )
-            return FlowRates.over(matching, self.params.bandwidth * multiplier, 1.0)
+            rate = self.params.bandwidth * multiplier
+            return _BLOCKS.get_or_compute(
+                (matching, rate), lambda: FlowRates.over(matching, rate, 1.0)
+            )
         return allocate_rates(
             live_topology,
             matching,

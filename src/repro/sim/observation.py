@@ -166,7 +166,8 @@ class _ColumnBlock(Sequence):
     (``_columns``: ``(name, dtype)`` pairs in the row's field order).
     ``len``, indexing, iteration and ``==`` go through the rows, so a
     block equals any sequence of equal rows (``== ()`` when empty); a
-    slice is a block over the sliced columns.
+    slice is a block over the sliced columns.  A block is immutable (its
+    attributes cannot be rebound), so one can be shared between callers.
     """
 
     _row: type
@@ -177,7 +178,12 @@ class _ColumnBlock(Sequence):
         for (name, dtype), values in zip(self._columns, columns or empty, strict=True):
             column = np.asarray(values, dtype=dtype)
             column.setflags(write=False)
-            setattr(self, name, column)
+            object.__setattr__(self, name, column)
+
+    def __setattr__(self, name: str, *_: object) -> None:
+        raise AttributeError(f"{type(self).__name__} blocks are immutable")
+
+    __delattr__ = __setattr__
 
     @classmethod
     def of(cls, rows: Sequence) -> "_ColumnBlock":

@@ -19,11 +19,15 @@ costs ``O(nnz)`` per saturation round instead of ``O(F * E)`` — what
 keeps n=1024 fabrics tractable.  The differential suite pins both
 allocators bit for bit against a dense masked-numpy oracle.  Every
 policy returns one :class:`FlowRates` block: the step's rates and path
-lengths as numpy columns in the matching's pair order.  The
-incidence structure and the hop column are each memoized per
-``(topology fingerprint, matching)``, with :func:`incidence_build_count`
-exposing the incidence build counter so tests can assert one build per
-key.
+lengths as numpy columns in the matching's pair order.  Blocks are
+immutable and shared: one memo holds them per ``(topology fingerprint,
+matching, method, rate)`` (``rate`` is ``theta * reference_rate`` for
+``"mcf"`` and ``None`` for the incidence-priced policies), and the
+simulator's matched steps per ``(matching, circuit rate)``; a block's
+hop column is built once, on its miss.  The incidence structure is
+memoized per ``(topology fingerprint, matching)``, with
+:func:`incidence_build_count` exposing its build counter so tests can
+assert one build per key.
 """
 
 from __future__ import annotations
@@ -120,7 +124,7 @@ class _Incidence:
 
 
 _INCIDENCE_MEMO: BoundedMemo[_Incidence] = BoundedMemo(_INCIDENCE_MEMO_MAX)
-_HOPS_MEMO: BoundedMemo[np.ndarray] = BoundedMemo(_INCIDENCE_MEMO_MAX)
+_BLOCKS: BoundedMemo[FlowRates] = BoundedMemo(_INCIDENCE_MEMO_MAX)
 _builds = Counters("incidence")
 
 
@@ -135,28 +139,10 @@ def incidence_build_count() -> int:
 
 
 def clear_incidence_cache() -> None:
-    """Drop every memoized incidence structure and hop column (test
-    isolation hook)."""
+    """Drop every memoized incidence structure and flow-rate block
+    (test isolation hook)."""
     _INCIDENCE_MEMO.clear()
-    _HOPS_MEMO.clear()
-
-
-def _hops(topology: Topology, matching: Matching) -> np.ndarray:
-    """The read-only float64 column of each pair's shortest-path length
-    on ``topology``, in the matching's pair order, memoized per
-    (topology fingerprint, matching).  A disconnected pair raises
-    :class:`~repro.exceptions.TopologyError` on every call (a failed
-    compute is not memoized)."""
-
-    def build() -> np.ndarray:
-        hops = np.array(
-            [topology.hop_distance(src, dst) for src, dst in matching],
-            dtype=np.float64,
-        )
-        hops.setflags(write=False)
-        return hops
-
-    return _HOPS_MEMO.get_or_compute((topology.fingerprint(), matching), build)
+    _BLOCKS.clear()
 
 
 def _incidence(topology: Topology, matching: Matching) -> _Incidence:
@@ -269,7 +255,8 @@ def allocate_rates(
     """Allocate a transmission rate to every pair of a step.
 
     Rates are in bits/second; ``hops`` is the pair's shortest-path
-    length (the propagation term uses it).
+    length (the propagation term uses it).  The block is shared (see
+    the module docstring); a disconnected pair raises on every call.
     """
     if method not in RATE_METHODS:
         raise SimulationError(
@@ -277,6 +264,7 @@ def allocate_rates(
         )
     if len(matching) == 0:
         return FlowRates()
+    rate = None
     if method == "mcf":
         theta = compute_theta(
             topology, matching, reference_rate=reference_rate, cache=cache
@@ -285,9 +273,16 @@ def allocate_rates(
             raise SimulationError(
                 f"pattern is not routable on topology {topology.name!r}"
             )
-        rates = theta * reference_rate
-    elif method == "maxmin":
-        rates = _maxmin_rates(topology, matching)
-    else:
-        rates = _equal_share_rates(topology, matching)
-    return FlowRates.over(matching, rates, _hops(topology, matching))
+        rate = theta * reference_rate
+
+    def build() -> FlowRates:
+        rates = (
+            rate if rate is not None
+            else _maxmin_rates(topology, matching) if method == "maxmin"
+            else _equal_share_rates(topology, matching)
+        )
+        hops = [topology.hop_distance(src, dst) for src, dst in matching]
+        return FlowRates.over(matching, rates, np.array(hops, np.float64))
+
+    key = (topology.fingerprint(), matching, method, rate)
+    return _BLOCKS.get_or_compute(key, build)

@@ -30,9 +30,11 @@ downstream code can plug in its own online strategies.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from collections.abc import Callable, Collection, Mapping, Sequence
+from numbers import Real
 from typing import TYPE_CHECKING
 
 from ..core.cost_model import StepCost
@@ -213,9 +215,15 @@ def _hold_decision(
 def _hysteresis(context: PolicyContext) -> list[Schedule]:
     """Physical-model DP per phase, sticky about the standing circuits."""
     options = _policy_options(context.options, ("threshold",))
-    threshold = float(options.get("threshold", 0.0))
-    if threshold < 0:
-        raise WorkloadError(f"threshold must be >= 0, got {threshold}")
+    threshold = options.get("threshold", 0.0)
+    # NaN would make the comparison below always hold the circuits.
+    if isinstance(threshold, bool) or not (
+        isinstance(threshold, Real) and 0 <= threshold < math.inf
+    ):
+        raise WorkloadError(
+            f"threshold must be a finite number >= 0, got {threshold!r}"
+        )
+    threshold = float(threshold)
     base = context.base_configuration
     carried = base
     schedules = []

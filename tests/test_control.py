@@ -417,6 +417,9 @@ class TestOnlineService:
             {"prior_message_size": -1},
             {"prior_message_size": math.nan},
             {"prior_message_size": math.inf},
+            {"window": 2.5},
+            {"replan_every": 1.9, "trigger": "periodic"},
+            {"beta": True},
         ],
         ids=[
             "unknown-name",
@@ -432,6 +435,9 @@ class TestOnlineService:
             "prior-negative",
             "prior-nan",
             "prior-inf",
+            "window-fractional",
+            "replan-every-fractional",
+            "beta-bool",
         ],
     )
     def test_daemon_refuses_a_bad_option(self, options):
@@ -461,6 +467,28 @@ class TestOnlineService:
                 policy="online-ewma",
                 **options,
             )
+
+    def test_online_options_refuse_booleans_and_fractional_counts(self):
+        from repro.control.policy import _online_options
+
+        parsed = _online_options(
+            "online-window",
+            {"window": 4.0, "replan_every": 2, "trigger": "periodic"},
+        )
+        assert parsed["window"] == 4 and type(parsed["window"]) is int
+        assert parsed["trigger"] == PeriodicTrigger(every=2)
+        for options, kind in (
+            ({"window": 2.7}, "an integer"),
+            ({"replan_every": 1.9, "trigger": "periodic"}, "an integer"),
+            ({"window": math.inf}, "an integer"),
+            ({"window": True}, "an integer"),
+            ({"beta": True}, "a number"),
+            ({"drift_threshold": False}, "a number"),
+            ({"prior_message_size": True}, "a number"),
+        ):
+            name = next(iter(options))
+            with pytest.raises(WorkloadError, match=f"{name}' must be {kind}"):
+                _online_options("online-window", options)
 
     def test_seq_breaks_coalescing_retries_do_not(self):
         body = OnlineBody(session="s", scenario=self.scenario(), seq=1)

@@ -409,6 +409,25 @@ class TestErrorIsolation:
         assert not response.ok
         assert response.error.code == "solver"
 
+    @pytest.mark.parametrize(
+        "threshold", ["abc", float("nan"), float("inf"), True, -1.0]
+    )
+    def test_bad_hysteresis_threshold_is_a_solver_error(self, threshold):
+        body = WorkloadBody(
+            workload=steady_trace(scenario(n=4), phases=2),
+            policy="hysteresis",
+            options={"threshold": threshold},
+        )
+
+        async def main():
+            async with PlannerDaemon(batch_window_s=0.0) as daemon:
+                return await daemon.submit(ServiceRequest(body=body))
+
+        response = run(main())
+        assert not response.ok
+        assert response.error.code == "solver"
+        assert "threshold must be a finite number >= 0" in response.error.message
+
     def test_pool_reconfiguration_model_as_a_dict(self):
         options = {"reconfiguration_model": {"kind": "constant", "alpha_r": us(5)}}
 

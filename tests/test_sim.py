@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.collectives import make_collective
+from repro.collectives import available_collectives, make_collective
 from repro.core import (
     CostParameters,
     Decision,
@@ -34,7 +34,7 @@ from repro.sim import (
     observations_to_rows,
     simulate,
 )
-from repro.sim.rates import RATE_METHODS, _hops, clear_incidence_cache
+from repro.sim.rates import _BLOCKS, RATE_METHODS, clear_incidence_cache
 from repro.topology import Topology, pod_fabric, ring, star, torus
 from repro.units import Gbps, MiB, ns, us
 
@@ -99,9 +99,9 @@ def _hop_topologies():
 
 
 class TestHopColumns:
-    """``allocate_rates``' hops come from one read-only column memoized
-    per (topology fingerprint, matching), and always equal
-    :meth:`Topology.hop_distance` pair by pair."""
+    """``allocate_rates``' hops are one read-only column built with its
+    shared block, and always equal :meth:`Topology.hop_distance` pair by
+    pair."""
 
     @pytest.mark.parametrize("method", RATE_METHODS)
     @pytest.mark.parametrize("name", sorted(_hop_topologies()))
@@ -122,20 +122,139 @@ class TestHopColumns:
         ).hops
         assert hops.tolist() == [1.0, 7.0] + [1.0] * 6
 
-    def test_disconnected_pair_raises_on_every_call(self):
+    @pytest.mark.parametrize("method", RATE_METHODS)
+    def test_disconnected_pair_raises_on_every_call(self, method):
         halves = Topology(4, [(0, 1, B), (1, 0, B), (2, 3, B), (3, 2, B)])
         matching = Matching(4, [(0, 2)])
+        error = SimulationError if method == "mcf" else TopologyError
         for _ in range(2):  # a failed build is not memoized
-            with pytest.raises(TopologyError):
-                _hops(halves, matching)
+            with pytest.raises(error):
+                allocate_rates(halves, matching, B, method=method, cache=None)
 
     def test_clear_incidence_cache_empties_the_hop_memo(self):
         topology, matching = ring(8, B), Matching.shift(8, 3)
         first = allocate_rates(topology, matching, B, method="equal").hops
         clear_incidence_cache()
+        assert len(_BLOCKS) == 0
         again = allocate_rates(topology, matching, B, method="equal").hops
         assert again is not first
         assert again.tolist() == first.tolist()
+
+
+class TestSharedBlocks:
+    """Every step's ``FlowRates`` block comes from one memo of immutable
+    blocks: ``allocate_rates`` keys it by (topology fingerprint,
+    matching, method, rate) and a matched step by (matching, circuit
+    rate), so a block is only ever shared between equal allocations."""
+
+    @pytest.mark.parametrize("method", RATE_METHODS)
+    def test_repeated_allocations_share_one_block(self, method):
+        matching = Matching.shift(8, 3)
+        first = allocate_rates(torus((2, 4), B), matching, B, method=method)
+        # An equal-fingerprint twin of the topology gets the same block.
+        again = allocate_rates(torus((2, 4), B), matching, B, method=method)
+        assert again is first
+
+    def test_repeated_matched_steps_share_one_block(self):
+        matching = Matching.xor_exchange(8, 4)
+        first, again = (
+            FlowLevelSimulator(topology, make_params())._step_flows(
+                matching, Decision.MATCHED, topology, None
+            )
+            for topology in (ring(8, B), torus((2, 4), B))
+        )
+        assert again is first
+        assert first.rate.tolist() == [B] * 8
+        assert first.hops.tolist() == [1.0] * 8
+
+    def test_blocks_refuse_rebinding_and_writes(self):
+        block = allocate_rates(ring(8, B), Matching.shift(8, 1), B)
+        columns = (block.src, block.dst, block.rate, block.hops)
+        with pytest.raises(AttributeError):
+            block.rate = np.zeros(8)
+        with pytest.raises(AttributeError):
+            del block.hops
+        with pytest.raises(AttributeError):
+            RateObservations().step = np.zeros(0)
+        assert (block.src, block.dst, block.rate, block.hops) == columns
+        for column in columns:
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 0
+
+    @pytest.mark.parametrize("method", RATE_METHODS)
+    def test_other_fabric_states_never_get_the_pristine_block(self, method):
+        matching = Matching.shift(8, 1)
+        pristine = allocate_rates(ring(8, B), matching, B, method=method)
+        others = {
+            "dimmed": FabricHealth(port_multipliers=((1, 0.5),)).apply(
+                ring(8, B)
+            ),
+            "dark-lane": FabricHealth(failed_transceivers=((1, 2),)).apply(
+                ring(8, B)
+            ),
+            "bandwidth": ring(8, 2 * B),
+        }
+        blocks = {
+            name: allocate_rates(topology, matching, B, method=method)
+            for name, topology in others.items()
+        }
+        for name, block in blocks.items():
+            assert block is not pristine and block != pristine, name
+        clear_incidence_cache()
+        for name, topology in others.items():  # each equals a cold build
+            assert allocate_rates(topology, matching, B, method=method) == (
+                blocks[name]
+            )
+
+    def test_matched_blocks_follow_the_circuit_rate(self):
+        matching = Matching.shift(8, 1)
+        health = FabricHealth(port_multipliers=((1, 0.5),))
+        fast = CostParameters(
+            alpha=ns(100), bandwidth=2 * B, delta=ns(100),
+            reconfiguration_delay=us(10),
+        )
+        rates = [
+            FlowLevelSimulator(ring(8, B), params, health=state)
+            ._step_flows(matching, Decision.MATCHED, ring(8, B), state)
+            .rate.tolist()
+            for params, state in (
+                (make_params(), None),
+                (make_params(), health),
+                (fast, None),
+            )
+        ]
+        assert rates == [[B] * 8, [B / 2] * 8, [2 * B] * 8]
+
+    @pytest.mark.parametrize("rate_method", RATE_METHODS)
+    def test_observing_rates_changes_no_step(self, rate_method):
+        collective = make_collective("allreduce_recursive_doubling", 8, MiB(1))
+        schedule = Schedule(
+            decisions=tuple(
+                Decision.MATCHED if i % 2 else Decision.BASE
+                for i in range(collective.num_steps)
+            )
+        )
+        simulator = FlowLevelSimulator(
+            ring(8, B), make_params(), rate_method=rate_method
+        )
+        clear_incidence_cache()
+        plain = simulator.run(collective, schedule)  # cold blocks
+        observed = simulator.run(collective, schedule, observe_rates=True)
+        assert plain.steps == observed.steps
+        assert plain.total_time == observed.total_time
+        assert plain.rate_observations == ()
+        assert len(observed.rate_observations) == 8 * collective.num_steps
+
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("name", available_collectives())
+    def test_aggregate_demand_equals_the_per_pair_loop(self, name, n):
+        collective = make_collective(name, n, MiB(3) / 7)
+        loop = np.zeros((n, n))
+        for step in collective.steps:
+            for src, dst in step.matching:
+                loop[src, dst] += step.volume
+        assert np.array_equal(collective.aggregate_demand(), loop)
 
 
 class TestSimulatorEqualsModel:

@@ -472,8 +472,10 @@ class TestPlanWorkload:
 
     def test_hysteresis_rejects_bad_options(self):
         workload = steady_trace(base_scenario(), 2)
-        with pytest.raises(WorkloadError, match="threshold"):
-            plan_workload(workload, policy="hysteresis", threshold=-0.5)
+        # NaN would make every comparison hold the standing circuits.
+        for threshold in (-0.5, "abc", "0.5", math.nan, math.inf, True, None):
+            with pytest.raises(WorkloadError, match="threshold"):
+                plan_workload(workload, policy="hysteresis", threshold=threshold)
         with pytest.raises(WorkloadError, match="does not accept"):
             plan_workload(workload, policy="hysteresis", bogus=1)
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from collections.abc import Collection, Mapping
+from numbers import Real
 
 from .exceptions import ConfigurationError, ReproError
 
@@ -69,11 +71,29 @@ def require_positive(value: float, name: str, exc_type: type[ReproError]) -> flo
 
 
 def require_non_negative(value: float, name: str, exc_type: type[ReproError]) -> float:
-    """Validate that a scalar parameter is non-negative."""
+    """Validate that a scalar parameter is a finite number >= 0 (NaN and
+    infinity fail)."""
     value = float(value)
-    if value < 0:
-        raise exc_type(f"{name} must be non-negative, got {value!r}")
+    if not 0 <= value < math.inf:
+        raise exc_type(f"{name} must be a finite number >= 0, got {value!r}")
     return value
+
+
+def require_count(value: object, name: str, exc_type: type[ReproError]) -> int:
+    """Validate a count of phases or samples: a whole number >= 1.
+
+    An integral float such as ``4.0`` is accepted; a boolean, a
+    non-number, a fraction, NaN or infinity raises ``exc_type`` instead
+    of being truncated or coerced."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, Real)
+        or not math.isfinite(value)
+        or value != int(value)
+        or value < 1
+    ):
+        raise exc_type(f"{name} must be a whole number >= 1, got {value!r}")
+    return int(value)
 
 
 def require_node_count(n: int, exc_type: type[ReproError], minimum: int = 2) -> int:

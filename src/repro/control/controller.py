@@ -14,10 +14,8 @@ The loop per phase:
 1. :meth:`~OnlineController.decide` — infer the demand scale for the
    phase's structure from the running estimate, plan the phase with the
    physical-accounting DP against the *estimated* scenario (threading a
-   carried circuit configuration, and a
-   :class:`~repro.engine.PlanContext` so re-plans on pod fabrics are
-   delta-priced), or reuse the structure's cached schedule when the
-   replan trigger stays quiet;
+   carried circuit configuration), or reuse the structure's cached
+   schedule when the replan trigger stays quiet;
 2. the fabric executes whatever schedule the controller issued;
 3. :meth:`~OnlineController.observe` — feed the realized per-flow rates
    back into the structure's estimator.
@@ -38,9 +36,11 @@ the same trace (:mod:`repro.analysis.regret`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .._validation import require_count, require_non_negative
 from ..core.optimizer_dp import optimize_schedule_physical
 from ..core.schedule import (
     Schedule,
@@ -60,7 +60,6 @@ from ..units import MiB
 from .estimator import DemandEstimator, make_estimator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..engine.incremental import PlanContext
     from ..sim.observation import RateObservation
 
 __all__ = [
@@ -159,9 +158,9 @@ class PeriodicTrigger(TriggerPolicy):
     every: int = 4
 
     def __post_init__(self) -> None:
-        if int(self.every) < 1:
-            raise ControlError(f"every must be >= 1 phase, got {self.every}")
-        object.__setattr__(self, "every", int(self.every))
+        object.__setattr__(
+            self, "every", require_count(self.every, "every", ControlError)
+        )
 
     def should_replan(self, signal: TriggerSignal) -> bool:
         return signal.phases_since_replan >= self.every
@@ -175,11 +174,11 @@ class DriftTrigger(TriggerPolicy):
     threshold: float = 0.1
 
     def __post_init__(self) -> None:
-        if float(self.threshold) < 0:
-            raise ControlError(
-                f"threshold must be >= 0, got {self.threshold}"
-            )
-        object.__setattr__(self, "threshold", float(self.threshold))
+        object.__setattr__(
+            self,
+            "threshold",
+            require_non_negative(self.threshold, "threshold", ControlError),
+        )
 
     def should_replan(self, signal: TriggerSignal) -> bool:
         return signal.estimate_gap > self.threshold
@@ -326,12 +325,11 @@ class OnlineController:
         Trigger parameters (forwarded to :func:`make_trigger`).
     cache:
         Shared theta memo for the estimated-scenario step costs.
-    plan_context:
-        A :class:`~repro.engine.PlanContext` threading incremental
-        theta state across re-plans, so pod-fabric phases delta-price
-        against the previous plan instead of solving cold.  A fresh
-        context is created when none is given; the service daemon
-        passes its resident one.
+
+    Raises :class:`ControlError` for a ``prior_message_size`` that is
+    not a finite number > 0, a ``beta`` outside (0, 1] or a ``window``
+    that is not a whole number >= 1 (NaN and infinity included), as
+    the online policies' admission does.
     """
 
     def __init__(
@@ -345,7 +343,6 @@ class OnlineController:
         drift_threshold: float = 0.1,
         replan_every: int = 4,
         cache: "ThroughputCache | None" = default_cache,
-        plan_context: "PlanContext | None" = None,
     ):
         if estimator is not None and estimator not in ("ewma", "window"):
             raise ControlError(
@@ -359,20 +356,17 @@ class OnlineController:
             replan_every=replan_every,
         )
         self.prior_message_size = float(prior_message_size)
-        if self.prior_message_size <= 0:
+        if not 0 < self.prior_message_size < math.inf:
             raise ControlError(
-                f"prior_message_size must be positive, got "
-                f"{self.prior_message_size}"
+                f"prior_message_size must be a finite number > 0, got "
+                f"{self.prior_message_size!r}"
             )
         self.model = reconfiguration_model
         self.beta = float(beta)
-        self.window = int(window)
+        if not 0 < self.beta <= 1:
+            raise ControlError(f"beta must be in (0, 1], got {self.beta!r}")
+        self.window = require_count(window, "window", ControlError)
         self.cache = cache
-        if plan_context is None:
-            from ..engine.incremental import PlanContext
-
-            plan_context = PlanContext()
-        self.plan_context = plan_context
         self.stats = ControllerStats()
         self._structures: dict[str, _StructureState] = {}
         self._base: Configuration | None = None
@@ -472,11 +466,6 @@ class OnlineController:
 
         if replan:
             planned = skeleton.replace(message_size=estimate)
-            from ..engine.incremental import prewarm_scenario_context
-
-            prewarm_scenario_context(
-                planned, self.plan_context, cache=self.cache
-            )
             step_costs = planned.step_costs(cache=self.cache)
             result = optimize_schedule_physical(
                 step_costs,

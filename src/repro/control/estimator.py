@@ -40,6 +40,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from .._validation import require_count
 from ..exceptions import ReproError
 from ..sim.observation import RateObservation, RateObservations
 
@@ -199,11 +200,7 @@ class SlidingWindowDemandEstimator(DemandEstimator):
 
     def __init__(self, n: int, window: int = 4):
         super().__init__(n)
-        self.window = int(window)
-        if self.window < 1:
-            raise EstimationError(
-                f"window must be >= 1 phase, got {self.window}"
-            )
+        self.window = require_count(window, "window", EstimationError)
         self._history: deque[np.ndarray] = deque(maxlen=self.window)
 
     def estimate(self) -> "np.ndarray | None":

@@ -54,9 +54,10 @@ ONLINE_POLICIES: dict[str, tuple["str | None", str]] = {
 
 
 def _number(value: object) -> float:
-    """``value`` as a float; a boolean is refused, not read as 0 or 1."""
-    if isinstance(value, bool):
-        raise TypeError(f"{value!r} is a boolean")
+    """``value`` as a float; a boolean is refused, not read as 0 or 1,
+    and a string is refused, not parsed (``"0.5"`` is not a number)."""
+    if isinstance(value, (bool, str)):
+        raise TypeError(f"{value!r} is not a number")
     return float(value)
 
 
@@ -113,7 +114,8 @@ def _online_options(
         ("beta", 0 < parsed["beta"] <= 1, "in (0, 1]"),
         ("window", parsed["window"] >= 1, ">= 1"),
         ("replan_every", parsed["replan_every"] >= 1, ">= 1"),
-        ("drift_threshold", parsed["drift_threshold"] >= 0, ">= 0"),
+        ("drift_threshold", 0 <= parsed["drift_threshold"] < math.inf,
+         "finite and >= 0"),
         ("prior_message_size", 0 < parsed["prior_message_size"] < math.inf,
          "finite and > 0"),
     ):

@@ -17,9 +17,9 @@ evaluation path around one shared memo:
   (``REPRO_CACHE_DIR``, JSON lines, safe under concurrent writers), so
   repeated grid runs across processes and CI jobs pay zero LP solves
   after the first.  Separate processes sharing one store are how a
-  grid uses more than one core.
-* **Incremental pricing** (:mod:`~repro.engine.incremental`) — the
-  delta-aware :class:`PlanContext` carried across phases and requests.
+  grid uses more than one core.  (Pod subproblems are memoized below
+  this layer, by content, in :mod:`repro.flows.block`; no pricing state
+  is carried between calls.)
 
 The batch entry point is :func:`plan_many`: one serial loop of
 :func:`repro.planner.plan`, in input order.  Simulations and workloads
@@ -28,15 +28,6 @@ batch as plain loops of their scalar functions over one cache.
 
 from .api import plan_many
 from .envelope import ThetaEnvelope, theta_envelope
-from .incremental import (
-    PlanContext,
-    compute_theta_delta,
-    delta_priced,
-    fabric_state_for,
-    prewarm_scenario_context,
-    prewarm_workload_context,
-    scenario_lineage,
-)
 from .store import (
     ENV_CACHE_DIR,
     DiskStore,
@@ -50,14 +41,6 @@ __all__ = [
     # theta envelopes
     "ThetaEnvelope",
     "theta_envelope",
-    # incremental (delta-aware) pricing
-    "PlanContext",
-    "compute_theta_delta",
-    "delta_priced",
-    "fabric_state_for",
-    "scenario_lineage",
-    "prewarm_scenario_context",
-    "prewarm_workload_context",
     # caching
     "DiskStore",
     "activate_disk_cache",

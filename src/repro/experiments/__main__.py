@@ -58,7 +58,7 @@ from ..fabric.reconfiguration import (
     ConstantReconfigurationDelay,
     PerPortReconfigurationDelay,
 )
-from ..flows import block_stats, default_cache, incremental_stats
+from ..flows import block_stats, default_cache
 from ..planner import Scenario, available_solvers, plan
 from ..sim import RATE_METHODS, simulate_plan, simulate_workload
 from ..units import Gbps, MiB, format_time, ns, us
@@ -423,20 +423,13 @@ def _print_solver_counters() -> None:
     """Extra observability lines for pod-fabric runs.
 
     Printed *in addition to* the ``theta cache:`` line (which CI greps
-    byte-for-byte) and only when the block or delta path actually did
-    work, so flat-topology output is unchanged."""
+    byte-for-byte) and only when the block solver actually did work, so
+    flat-topology output is unchanged."""
     bs = block_stats()
     if bs.pod_solves or bs.pods_screened:
         print(
             f"block solver: pod_solves={bs.pod_solves} "
             f"memo_hits={bs.memo_hits} screened={bs.pods_screened}"
-        )
-    inc = incremental_stats()
-    if inc.delta_solves or inc.full_solves:
-        print(
-            f"incremental: delta={inc.delta_solves} full={inc.full_solves} "
-            f"context_hits={inc.context_hits} "
-            f"reuse_ratio={inc.reuse_ratio:.0%}"
         )
 
 

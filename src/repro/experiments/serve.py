@@ -110,14 +110,6 @@ async def _run_smoke(args) -> int:
                 f"block solver: pod_solves={block['pod_solves']} "
                 f"memo_hits={block['memo_hits']}"
             )
-        inc = metrics.get("incremental") or {}
-        if inc.get("delta_solves") or inc.get("full_solves"):
-            print(
-                f"incremental: delta={inc['delta_solves']} "
-                f"full={inc['full_solves']} "
-                f"reuse_ratio={inc['reuse_ratio']:.0%} "
-                f"contexts={inc['contexts']}"
-            )
         if args.json:
             print(json.dumps(metrics, indent=2, default=str))
         for response in failed[:5]:

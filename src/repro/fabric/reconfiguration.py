@@ -23,7 +23,7 @@ from abc import ABC, abstractmethod
 from bisect import bisect_left
 from collections.abc import Mapping, Sequence
 
-from .._validation import require_non_negative
+from .._validation import require_field, require_keys, require_non_negative
 from ..exceptions import FabricError
 from ..matching import Matching
 from ..memo import BoundedMemo
@@ -233,16 +233,20 @@ def reconfiguration_model_from_dict(
 ) -> ReconfigurationModel:
     """Rebuild a delay model from its :meth:`~ReconfigurationModel.to_dict`
     form — the bridge that lets workload plans and CLI configs name a
-    delay model declaratively."""
+    delay model declaratively.  A missing field, an unknown key or a
+    delay that is not a finite number >= 0 raises a
+    :class:`~repro.exceptions.ReproError` naming it."""
+    what = "reconfiguration model"
+    require_keys(data, {"kind", "alpha_r", "base", "per_port", "samples"}, what)
     kind = data.get("kind")
     if kind == "constant":
-        return ConstantReconfigurationDelay(float(data["alpha_r"]))
+        return ConstantReconfigurationDelay(require_field(data, "alpha_r", what))
     if kind == "per_port":
         return PerPortReconfigurationDelay(
-            float(data["base"]), float(data["per_port"])
+            require_field(data, "base", what), require_field(data, "per_port", what)
         )
     if kind == "table":
-        samples = data["samples"]
+        samples = require_field(data, "samples", what)
         return TableReconfigurationDelay(
             [(int(p), float(d)) for p, d in samples]  # type: ignore[union-attr]
         )

@@ -38,17 +38,6 @@ from .closed_forms import (
     ring_shift_theta,
     try_closed_form_theta,
 )
-from .delta import (
-    DeltaIndex,
-    FabricState,
-    IncrementalStats,
-    PodDelta,
-    PodPart,
-    ThetaParts,
-    incremental_stats,
-    pod_theta_parts,
-    reset_incremental_stats,
-)
 from .concurrent_flow import (
     Commodity,
     ConcurrentFlowResult,
@@ -100,15 +89,6 @@ __all__ = [
     "BlockStats",
     "block_stats",
     "reset_block_stats",
-    "DeltaIndex",
-    "PodDelta",
-    "FabricState",
-    "PodPart",
-    "ThetaParts",
-    "pod_theta_parts",
-    "IncrementalStats",
-    "incremental_stats",
-    "reset_incremental_stats",
 ]
 
 _METHODS = ("auto", "sp", "proxy")

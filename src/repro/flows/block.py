@@ -34,31 +34,39 @@ matching receiver segment carries away).  The differential suite
 (``tests/differential/test_block_vs_flat.py``) pins this equality at
 1e-9 against the flat LP, hypothesis-generated fabrics included.
 
-Cheap screens before any LP
----------------------------
+Work avoided before any LP
+--------------------------
+* Every subproblem is **keyed by its content**: a pod by its size, its
+  relabeled edge triples in canonical order, its commodity multiset and
+  the rate; the coarse problem by the per-pod uplink capacity totals,
+  the pod-to-pod demand and the rate.  Two process-wide compute-once
+  memos hold each key's bounds sandwich and its exact value, so equal
+  pods of one fabric share one computation, and a fabric condition that
+  leaves a pod untouched (a fault in another pod) re-uses that pod's
+  values with no state for callers to carry.
 * The **coarse LP** runs first; its value is a valid upper bound and
   initializes the running minimum (a pod cut off from the core is
-  detected here for the price of a k-node LP).
-* Each pod gets the **bounds sandwich** — the same shortest-path lower
-  / degree-proxy upper pair the engine's ``bounds`` backend exposes as
-  ``theta_envelope`` — and pods are solved in ascending-lower-bound
-  order: a pod whose *lower* bound already meets the running minimum
-  cannot lower it and is skipped exactly; a zero-width envelope is
-  decided without an LP.
-* Pod subproblems are **deduplicated** process-wide by (subgraph
-  fingerprint, commodity multiset, rate): on a uniform pattern all
-  equal pods collapse to one LP, which is what makes n=1024 (16x64)
-  price in seconds.
+  detected here for the price of a k-node LP).  Pods whose exact value
+  is already memoized then lower the running minimum before any
+  screening.
+* Every other pod gets the **bounds sandwich** — the same shortest-path
+  lower / degree-proxy upper pair the engine's ``bounds`` backend
+  exposes as ``theta_envelope`` — and pods are solved in
+  ascending-lower-bound order: a pod whose *lower* bound already meets
+  the running minimum cannot lower it and is skipped exactly; a
+  zero-width envelope is decided without an LP.  A pod's subgraph
+  :class:`~repro.topology.Topology` is built only on a memo miss.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, fields
 
 from ..exceptions import FlowError
 from ..matching import Matching
 from ..memo import BoundedMemo, Counters
-from ..topology.base import Topology
+from ..topology.base import Fingerprint, Topology
 from .bounds import theta_lower_bound_shortest_path, theta_proxy
 from .concurrent_flow import (
     Commodity,
@@ -70,13 +78,13 @@ __all__ = [
     "PodStructure",
     "pod_structure",
     "pod_theta",
+    "changed_pods",
     "BlockStats",
     "block_stats",
     "reset_block_stats",
 ]
 
-_SOLUTION_MEMO_MAX = 4096
-_SUBGRAPH_MEMO_MAX = 32
+_MEMO_MAX = 4096
 
 
 @dataclass(frozen=True)
@@ -121,12 +129,12 @@ class BlockStats:
     """Process-wide counters of the block solver's work avoidance.
 
     ``pod_solves`` counts pod (and coarse) LPs actually run;
-    ``memo_hits`` counts subproblems served from the dedup memo;
-    ``pods_screened`` counts pods skipped because their envelope lower
-    bound met the running minimum; ``envelope_decided`` counts pods
-    priced by a zero-width envelope; ``coarse_solves`` counts coarse
-    inter-pod problems evaluated; ``flat_fallbacks`` counts
-    :func:`pod_theta` calls on topologies with no pod structure.
+    ``memo_hits`` counts subproblems whose exact value was served from
+    the memo; ``pods_screened`` counts pods skipped because their
+    envelope lower bound met the running minimum; ``envelope_decided``
+    counts pods priced by a zero-width envelope; ``coarse_solves``
+    counts coarse inter-pod problems evaluated; ``flat_fallbacks``
+    counts :func:`pod_theta` calls on topologies with no pod structure.
     """
 
     pod_solves: int = 0
@@ -150,14 +158,16 @@ def reset_block_stats() -> None:
     _counters.reset()
 
 
-_subgraph_memo: BoundedMemo[tuple[Topology, ...]] = BoundedMemo(_SUBGRAPH_MEMO_MAX)
-_solution_memo: BoundedMemo[float] = BoundedMemo(_SOLUTION_MEMO_MAX)
+#: Subproblem content key -> (lower, upper) bounds sandwich.
+_bounds_memo: BoundedMemo[tuple[float, float]] = BoundedMemo(_MEMO_MAX)
+#: Subproblem content key -> exact concurrent flow.
+_exact_memo: BoundedMemo[float] = BoundedMemo(_MEMO_MAX)
 
 
 def _clear_block_memos() -> None:
-    """Drop subgraph and subproblem memos (test isolation hook)."""
-    _subgraph_memo.clear()
-    _solution_memo.clear()
+    """Drop the bounds and exact-value memos (test isolation hook)."""
+    _bounds_memo.clear()
+    _exact_memo.clear()
 
 
 def _collect_pod_edges(
@@ -165,8 +175,10 @@ def _collect_pod_edges(
 ) -> list[list[tuple[object, object, float]]]:
     """Per-pod relabeled edge lists (one O(E) pass over the fabric).
 
-    An edge joining two pods directly (no core between) voids the
-    decomposition and raises.
+    Pod p's list holds its intra-pod edges (relabeled to local ranks
+    ``0..size-1``) plus its uplinks to and from the core node.  An edge
+    joining two pods directly (no core between) voids the decomposition
+    and raises.
     """
     core = structure.core
     starts = [start for start, _ in structure.ranges]
@@ -200,49 +212,54 @@ def _collect_pod_edges(
     return pod_edges
 
 
-def _pod_subgraphs(
+def _edge_key(edges: list[tuple[object, object, float]], core: object) -> tuple:
+    """One pod's relabeled edge triples in canonical order (the core
+    written as ``-1``, below every local rank)."""
+    return tuple(
+        sorted(
+            (-1 if u == core else u, -1 if v == core else v, capacity)
+            for u, v, capacity in edges
+        )
+    )
+
+
+def _uplink_totals(
     topology: Topology, structure: PodStructure
-) -> tuple[Topology, ...]:
-    """One relabeled subproblem topology per pod, memoized per fabric.
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Per-pod aggregate uplink capacity ``(to the core, from the
+    core)``, read off the core's own adjacency (no pass over the pod
+    edges); ``0.0`` for a pod with no uplinks."""
+    starts = [start for start, _ in structure.ranges]
 
-    Pod p's subgraph keeps its intra-pod edges (relabeled to local
-    ranks ``0..size-1``) plus its uplinks to the core node.  Equal pods
-    produce fingerprint-identical subgraphs, which is what the
-    subproblem dedup keys on.
+    def per_pod(adjacency) -> tuple[float, ...]:
+        total = [0.0] * structure.n_pods
+        for rank, data in adjacency.get(structure.core, {}).items():
+            total[bisect_right(starts, rank) - 1] += data["capacity"]
+        return tuple(total)
+
+    return per_pod(topology.graph.pred), per_pod(topology.graph.succ)
+
+
+def changed_pods(before: Topology, after: Topology) -> tuple[int, ...]:
+    """The pods whose edges differ between two conditions of one pod
+    fabric (e.g. the live topology before and after a fault); ``()``
+    when ``after`` has no pod structure.
+
+    These are exactly the pods whose subproblems a re-price cannot
+    serve from the memos; the coarse problem changes with them only
+    when their uplink totals do.
     """
-
-    def build() -> tuple[Topology, ...]:
-        pod_edges = _collect_pod_edges(topology, structure)
-        return tuple(
-            Topology(
-                size,
-                pod_edges[p],
-                name=f"{topology.name}|pod{p}",
-            )
-            for p, (_, size) in enumerate(structure.ranges)
-        )
-
-    return _subgraph_memo.get_or_compute((topology.fingerprint(), structure), build)
-
-
-def _pod_subgraphs_subset(
-    topology: Topology, structure: PodStructure, pods: set[int]
-) -> dict[int, Topology]:
-    """Subgraphs for the given pods only, skipping the fabric fingerprint.
-
-    The delta path (:mod:`repro.flows.delta`) rebuilds only dirty pods;
-    fingerprinting an n=1024 fabric just to memoize a one-pod rebuild
-    would cost more than the rebuild itself.
-    """
-    pod_edges = _collect_pod_edges(topology, structure)
-    return {
-        p: Topology(
-            structure.ranges[p][1],
-            pod_edges[p],
-            name=f"{topology.name}|pod{p}",
-        )
-        for p in pods
-    }
+    structure = pod_structure(after)
+    if structure is None:
+        return ()
+    core = structure.core
+    old = _collect_pod_edges(before, structure)
+    new = _collect_pod_edges(after, structure)
+    return tuple(
+        p
+        for p in range(structure.n_pods)
+        if _edge_key(old[p], core) != _edge_key(new[p], core)
+    )
 
 
 def _commodity_key(commodities: tuple[Commodity, ...]) -> tuple:
@@ -257,25 +274,27 @@ def _solve_subproblem(
     commodities: tuple[Commodity, ...],
     reference_rate: float,
 ) -> float:
-    """One pod (or coarse) LP, deduplicated process-wide.
+    """One pod (or coarse) LP; every LP the block solver runs goes
+    through here and counts as a ``pod_solve``."""
+    _counters.bump("pod_solves")
+    return max_concurrent_flow(topology, commodities, reference_rate).theta
 
-    The memo key is (subgraph fingerprint, commodity multiset, rate):
-    on uniform patterns every equal pod collapses onto one solve, and
-    repeated collective steps reuse values across calls.  The memo is
-    compute-once, so threads pricing the same pod run one LP between
-    them.
-    """
-    solved = False
 
-    def solve() -> float:
-        nonlocal solved
-        value = max_concurrent_flow(topology, commodities, reference_rate).theta
-        solved = True
-        return value
+def _exact(key: Fingerprint, solve) -> float:
+    """The memoized exact value of a subproblem, ``solve()`` running its
+    LP on a miss.  The memo is compute-once, so threads pricing the same
+    subproblem run one LP between them; every other lookup is a
+    ``memo_hit``."""
+    computed = False
 
-    key = (topology.fingerprint(), _commodity_key(commodities), reference_rate)
-    value = _solution_memo.get_or_compute(key, solve)
-    _counters.bump("pod_solves" if solved else "memo_hits")
+    def compute() -> float:
+        nonlocal computed
+        computed = True
+        return solve()
+
+    value = _exact_memo.get_or_compute(key, compute)
+    if not computed:
+        _counters.bump("memo_hits")
     return value
 
 
@@ -292,31 +311,21 @@ def _coarse_theta(
     topology (so degraded uplinks are priced).  This is a relaxation of
     the flat problem — intra-pod detours through the core only free
     capacity — hence a valid upper bound, and exactly the boundary
-    context the pod solutions stitch against.
+    context the pod solutions stitch against.  :func:`pod_theta` calls
+    it on a coarse memo miss only.
     """
     if not inter_demand:
         return float("inf")
     core = structure.core
-    up: dict[int, float] = {}
-    down: dict[int, float] = {}
-    pod_of: dict[object, int] = {}
-    for p, (start, size) in enumerate(structure.ranges):
-        for r in range(start, start + size):
-            pod_of[r] = p
-    for u, v, capacity in topology.edges():
-        if v == core:
-            up[pod_of[u]] = up.get(pod_of[u], 0.0) + capacity
-        elif u == core:
-            down[pod_of[v]] = down.get(pod_of[v], 0.0) + capacity
-    edges = [(p, core, c) for p, c in sorted(up.items())]
-    edges += [(core, p, c) for p, c in sorted(down.items())]
+    up, down = _uplink_totals(topology, structure)
+    edges = [(p, core, c) for p, c in enumerate(up) if c > 0]
+    edges += [(core, p, c) for p, c in enumerate(down) if c > 0]
     star = Topology(
         structure.n_pods, edges, name=f"{topology.name}|coarse"
     )
     commodities = tuple(
         Commodity(p, q, demand) for (p, q), demand in sorted(inter_demand.items())
     )
-    _counters.bump("coarse_solves")
     return _solve_subproblem(star, commodities, reference_rate)
 
 
@@ -335,8 +344,6 @@ def _partition_matching(
     ``seg_out[p]`` / ``seg_in[p]`` the aggregated segment demand each
     local sender pushes to / receiver pulls from the core, and
     ``inter_demand`` the pod-to-pod aggregate the coarse LP prices.
-    The delta layer diffs these per-pod signatures to decide which pods
-    a pattern change actually touched.
     """
     starts = [start for start, _ in structure.ranges]
 
@@ -391,9 +398,9 @@ def pod_theta(
     Equals the flat LP to 1e-9 (see the module docstring for the
     argument and the differential suite for the pins) at a fraction of
     its cost: one coarse inter-pod LP plus at most one small LP per
-    *distinct* pod subproblem, solved in ascending-lower-bound order
-    so bounds-based screening skips pods that provably cannot set the
-    minimum.
+    *distinct* pod subproblem, each memoized by its content, solved in
+    ascending-lower-bound order so bounds-based screening skips pods
+    that provably cannot set the minimum.
 
     Topologies without pod structure fall back to the flat exact LP.
     """
@@ -405,143 +412,98 @@ def pod_theta(
         ).theta
     if len(matching) == 0:
         return float("inf")
-    partition = _partition_matching(structure, matching)
-    return _cold_parts(topology, structure, *partition, reference_rate).theta
-
-
-@dataclass(frozen=True)
-class PodPart:
-    """One pod's contribution to a theta evaluation.
-
-    ``exact`` parts hold the pod subproblem optimum ``phi_p``;
-    non-exact parts hold a *certified lower bound* on ``phi_p`` (the
-    pod was screened: its bound met the running minimum, so the exact
-    value provably cannot change theta).  The invariant ``value <=
-    phi_p`` for non-exact parts is what lets later deltas re-screen a
-    clean pod without ever touching it.
-    """
-
-    value: float
-    exact: bool
-
-
-@dataclass(frozen=True)
-class ThetaParts:
-    """A theta evaluation with its blockwise decomposition retained.
-
-    ``pods[p]`` is ``None`` when pod p had no commodities (its
-    ``phi_p`` is ``inf``); ``coarse`` is the exact coarse inter-pod
-    value (``inf`` with no inter-pod demand).
-    """
-
-    theta: float
-    coarse: float
-    pods: tuple[PodPart | None, ...]
-    structure: PodStructure
-    reference_rate: float
-
-
-def _coarse_zero_parts(
-    structure: PodStructure, reference_rate: float
-) -> ThetaParts:
-    """Finalize a coarse-zero evaluation (a pod with cross-pod demand
-    is cut off from the core, so theta is exactly 0).
-
-    Pod subproblems are never built (a severed pod's subgraph has no
-    core node to route through), so no per-pod parts are recorded —
-    later deltas against this result conservatively re-solve every pod
-    they need.
-    """
-    return ThetaParts(
-        theta=0.0,
-        coarse=0.0,
-        pods=(None,) * structure.n_pods,
-        structure=structure,
-        reference_rate=reference_rate,
-    )
-
-
-def _zero_parts(
-    parts: list[PodPart | None],
-    zero_pod: int,
-    pending_pods: list[int],
-    coarse: float,
-    structure: PodStructure,
-    reference_rate: float,
-) -> ThetaParts:
-    """Finalize a zero-theta evaluation (a pod commodity is disconnected).
-
-    The zero pod is exact; every other undecided pod keeps the trivial
-    certified bound 0.0 (``phi_p >= 0`` always holds).
-    """
-    parts[zero_pod] = PodPart(0.0, exact=True)
-    for p in pending_pods:
-        if parts[p] is None and p != zero_pod:
-            parts[p] = PodPart(0.0, exact=False)
-    return ThetaParts(
-        theta=0.0,
-        coarse=coarse,
-        pods=tuple(parts),
-        structure=structure,
-        reference_rate=reference_rate,
-    )
-
-
-def _cold_parts(
-    topology: Topology,
-    structure: PodStructure,
-    intra,
-    seg_out,
-    seg_in,
-    inter_demand,
-    reference_rate: float,
-) -> ThetaParts:
-    """Cold blockwise theta of a partitioned matching, parts recorded."""
     core = structure.core
-    subgraphs = _pod_subgraphs(topology, structure)
-    coarse = _coarse_theta(topology, structure, inter_demand, reference_rate)
-    if coarse == 0.0:
-        return _coarse_zero_parts(structure, reference_rate)
-    current = coarse
-    parts: list[PodPart | None] = [None] * structure.n_pods
-    pod_commodities = [
-        _pod_commodities(core, intra[p], seg_out[p], seg_in[p])
-        for p in range(structure.n_pods)
-    ]
-    busy = [p for p, commodities in enumerate(pod_commodities) if commodities]
-    entries: list[tuple[float, float, int, Topology, tuple[Commodity, ...]]] = []
-    for p in busy:
-        subgraph, commodities = subgraphs[p], pod_commodities[p]
-        # The bounds backend's sandwich (theta_envelope edges) on the
-        # subproblem: a certified lower and optimistic upper bound.
-        lower = theta_lower_bound_shortest_path(
-            subgraph, commodities, reference_rate
+    intra, seg_out, seg_in, inter_demand = _partition_matching(structure, matching)
+    pod_edges = _collect_pod_edges(topology, structure)
+
+    if inter_demand:
+        _counters.bump("coarse_solves")
+        coarse_key = Fingerprint(
+            (
+                "coarse",
+                *_uplink_totals(topology, structure),
+                tuple(sorted(inter_demand.items())),
+                reference_rate,
+            )
         )
+        current = _exact(
+            coarse_key,
+            lambda: _coarse_theta(topology, structure, inter_demand, reference_rate),
+        )
+        if current == 0.0:
+            # A pod with cross-pod demand is cut off from the core.
+            return 0.0
+    else:
+        current = float("inf")
+
+    subgraphs: dict[int, Topology] = {}
+
+    def subgraph(p: int) -> Topology:
+        # Built on a memo miss only, and once per call.
+        if p not in subgraphs:
+            subgraphs[p] = Topology(
+                structure.ranges[p][1],
+                pod_edges[p],
+                name=f"{topology.name}|pod{p}",
+            )
+        return subgraphs[p]
+
+    # Pods whose exact value is memoized lower the running minimum
+    # first; the rest wait for screening.
+    pending: list[tuple[Fingerprint, int, tuple[Commodity, ...]]] = []
+    for p, (_, size) in enumerate(structure.ranges):
+        commodities = _pod_commodities(core, intra[p], seg_out[p], seg_in[p])
+        if not commodities:
+            continue
+        key = Fingerprint(
+            (
+                size,
+                _edge_key(pod_edges[p], core),
+                _commodity_key(commodities),
+                reference_rate,
+            )
+        )
+        value = _exact_memo.peek(key)
+        if value is None:
+            pending.append((key, p, commodities))
+            continue
+        _counters.bump("memo_hits")
+        current = min(current, value)
+
+    entries: list[tuple[float, float, Fingerprint, int, tuple[Commodity, ...]]] = []
+    for key, p, commodities in pending:
+
+        def bounds(p=p, commodities=commodities) -> tuple[float, float]:
+            # The bounds backend's sandwich (theta_envelope edges) on
+            # the subproblem: a certified lower and optimistic upper
+            # bound; a zero lower bound means a disconnected commodity.
+            lower = theta_lower_bound_shortest_path(
+                subgraph(p), commodities, reference_rate
+            )
+            if lower == 0.0:
+                return 0.0, 0.0
+            return lower, theta_proxy(subgraph(p), commodities, reference_rate)
+
+        lower, upper = _bounds_memo.get_or_compute(key, bounds)
         if lower == 0.0:
-            # Some commodity is disconnected inside the pod.
-            return _zero_parts(parts, p, busy, coarse, structure, reference_rate)
-        upper = theta_proxy(subgraph, commodities, reference_rate)
-        entries.append((lower, upper, p, subgraph, commodities))
+            return 0.0
+        entries.append((lower, upper, key, p, commodities))
     entries.sort(key=lambda e: e[0])
-    for lower, upper, p, subgraph, commodities in entries:
+    for lower, upper, key, p, commodities in entries:
         if lower >= current:
             # This pod's theta is certified >= the running minimum: it
             # cannot change the result. Exact skip, no tolerance needed.
             _counters.bump("pods_screened")
-            parts[p] = PodPart(lower, exact=False)
             continue
         if lower == upper:
             _counters.bump("envelope_decided")
             value = lower
         else:
-            value = _solve_subproblem(subgraph, commodities, reference_rate)
-        parts[p] = PodPart(value, exact=True)
-        if value < current:
-            current = value
-    return ThetaParts(
-        theta=current,
-        coarse=coarse,
-        pods=tuple(parts),
-        structure=structure,
-        reference_rate=reference_rate,
-    )
+            value = _exact(
+                key,
+                lambda p=p, commodities=commodities: _solve_subproblem(
+                    subgraph(p), commodities, reference_rate
+                ),
+            )
+        current = min(current, value)
+    return current

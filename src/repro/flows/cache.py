@@ -64,7 +64,7 @@ def theta_key_digest(key: tuple) -> str:
 def theta_tag(reference_rate: float, method: str = "auto") -> str:
     """The cache tag of a :func:`~repro.flows.compute_theta` value.
 
-    Every exact theta — closed form, pod blocks, delta-priced or LP —
+    Every exact theta — closed form, pod blocks or LP —
     is stored under the ``auto`` tag, so however it was priced one
     pattern has one entry.  The tag carries the reference rate: theta
     scales with capacity / reference_rate, so evaluations of one

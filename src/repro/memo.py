@@ -2,9 +2,9 @@
 
 Theta depends only on the fabric and the pattern, so the engine leans
 on memoization at every layer: theta values, step costs, built
-topologies, pod subproblems, sim incidence structures, flow-rate
-blocks and the daemon's resident contexts.  They all share
-:class:`BoundedMemo`, a keyed, thread-safe, **compute-once** table:
+topologies, pod subproblem bounds and values, sim incidence
+structures, flow-rate blocks and the daemon's online sessions.  They
+all share :class:`BoundedMemo`, a keyed, thread-safe, **compute-once** table:
 
 * the first thread to miss on a key claims it with an in-flight
   :class:`~concurrent.futures.Future` and computes *outside* the lock,
@@ -17,14 +17,16 @@ blocks and the daemon's resident contexts.  They all share
 * with ``maxsize`` set, completed entries are evicted least recently
   used first, and in-flight entries are never evicted;
 * ``hits``, ``misses`` and ``evictions`` are exact: ``misses`` counts
-  computations, ``hits`` every other lookup, for any interleaving.
+  computations, ``hits`` every other lookup, for any interleaving;
+* :meth:`BoundedMemo.peek` reads a completed value without ever
+  computing or waiting.
 
 Values must not themselves be :class:`~concurrent.futures.Future`
 objects (a Future is the in-flight marker).
 
 :class:`Counters` is the package's one kind of thread-safe work
-counters (the block solver's and the delta path's statistics, and the
-rate incidence builds).
+counters (the block solver's statistics and the rate incidence
+builds).
 """
 
 from __future__ import annotations
@@ -129,6 +131,20 @@ class BoundedMemo(Generic[V]):
                 size=self._n_values,
                 evictions=self.evictions,
             )
+
+    def peek(self, key: Hashable) -> V | None:
+        """The completed value for ``key``, or ``None``; never computes
+        and never waits on an in-flight entry.  A found value counts as
+        a hit (and refreshes its recency); a lookup that finds nothing
+        counts nothing."""
+        with self._lock:
+            entry = self._table.get(key)
+            if entry is None or isinstance(entry, Future):
+                return None
+            self.hits += 1
+            if self._maxsize is not None:
+                self._table.move_to_end(key)
+            return entry
 
     def get_or_compute(self, key: Hashable, compute: Callable[[], V]) -> V:
         """Return the value for ``key``, computing it once if absent.

@@ -73,10 +73,8 @@ Outcome = tuple[str, object]
 #: its own: a daemon fed never-repeating faults would otherwise grow it
 #: for its whole life.
 _RESIDENT_CACHE_MAX = 4096
-#: Resident incremental-pricing contexts (one per scenario lineage) and
-#: online-control sessions (one per streaming client), least recently
-#: used evicted first.
-_PLAN_CONTEXTS_MAX = 16
+#: Resident online-control sessions (one per streaming client), least
+#: recently used evicted first.
 _ONLINE_SESSIONS_MAX = 32
 
 
@@ -189,13 +187,6 @@ class PlannerDaemon:
         self._tasks: set[asyncio.Task] = set()
         self._seq = 0
         self._started_at = time.time()
-        # Resident incremental-pricing contexts, one per scenario
-        # lineage (base fabric spec + rate + theta method): a streamed
-        # request that is a small perturbation of a seen condition is
-        # delta-priced against the lineage's previous parts instead of
-        # cold-solved.  Worker threads share them (PlanContext is
-        # thread-safe).
-        self._plan_contexts: BoundedMemo = BoundedMemo(_PLAN_CONTEXTS_MAX)
         # Resident online-control sessions: one OnlineController (plus
         # its serializing lock — a session's observe/decide must not
         # interleave across worker threads) per streaming client.  An
@@ -420,18 +411,13 @@ class PlannerDaemon:
 
         Besides the daemon's own admission/latency counters and the
         resident cache statistics, the snapshot surfaces the block
-        solver's work-avoidance counters (``block``) and the delta
-        path's (``incremental``, with the derived
-        ``reuse_ratio`` and the number of resident lineage contexts).
-        Both are process-wide counters, shared with any in-process
-        library callers.
+        solver's work-avoidance counters (``block``): process-wide
+        counters, shared with any in-process library callers.
         """
-        from ..flows import block_stats, incremental_stats
+        from ..flows import block_stats
 
         snapshot = self.metrics_.snapshot()
         stats = self.cache.stats()
-        inc = incremental_stats()
-        n_contexts = len(self._plan_contexts)
         n_sessions = len(self._online_sessions)
         snapshot.update(
             version=self.version,
@@ -455,11 +441,6 @@ class PlannerDaemon:
                 }
             ),
             block=asdict(block_stats()),
-            incremental={
-                **asdict(inc),
-                "reuse_ratio": inc.reuse_ratio,
-                "contexts": n_contexts,
-            },
             online={"sessions": n_sessions},
         )
         return snapshot
@@ -612,25 +593,6 @@ class PlannerDaemon:
             coalesced=coalesced,
         )
 
-    # -- incremental pricing (worker threads; lock-guarded) ------------------
-
-    def _context_for(self, scenario):
-        """The resident :class:`~repro.engine.PlanContext` for a
-        scenario's fabric lineage, or ``None`` for scenarios the delta
-        path does not cover (see :func:`repro.engine.delta_priced`)."""
-        from ..engine.incremental import (
-            PlanContext,
-            delta_priced,
-            scenario_lineage,
-        )
-
-        if not delta_priced(scenario):
-            return None
-
-        return self._plan_contexts.get_or_compute(
-            scenario_lineage(scenario), PlanContext
-        )
-
     def _online_session_for(self, body) -> "tuple[object, threading.Lock]":
         """The resident :class:`~repro.control.OnlineController` (and its
         serializing lock) for a streaming session, creating it from the
@@ -644,27 +606,6 @@ class PlannerDaemon:
             return (controller, threading.Lock())
 
         return self._online_sessions.get_or_compute(body.session, start)
-
-    def _prewarm_incremental(self, scenarios) -> int:
-        """Delta-price every step of the given scenarios into the
-        resident cache through their lineage contexts.
-
-        Prewarming is an optimization: a failure here must never fail
-        the request (the cold path prices everything the prewarm
-        skipped), so errors are swallowed per scenario."""
-        from ..engine.incremental import prewarm_scenario_context
-
-        seeded = 0
-        for scenario in scenarios:
-            try:
-                context = self._context_for(scenario)
-                if context is not None:
-                    seeded += prewarm_scenario_context(
-                        scenario, context, cache=self.cache
-                    )
-            except Exception:
-                continue
-        return seeded
 
     # -- solving (worker threads; no daemon state mutation) ------------------
 
@@ -681,7 +622,6 @@ class PlannerDaemon:
         from ..engine.api import plan_many
         from ..planner.registry import plan
 
-        self._prewarm_incremental([request.scenario for request in requests])
         delivered = 0
 
         def deliver(index: int, result) -> None:
@@ -708,7 +648,6 @@ class PlannerDaemon:
             if isinstance(body, SimulateBody):
                 from ..sim.executor import simulate_plan
 
-                self._prewarm_incremental([body.scenario])
                 result = simulate_plan(
                     body.scenario,
                     solver=body.solver,
@@ -721,21 +660,13 @@ class PlannerDaemon:
             if isinstance(body, WorkloadBody):
                 from ..sim.workload import simulate_workload
 
-                options = dict(body.options)
-                if body.workload.phases:
-                    # Exact pod workloads prewarm through the lineage's
-                    # resident context, so successive workloads on the
-                    # same (perturbed) fabric delta against each other.
-                    context = self._context_for(body.workload.phases[0])
-                    if context is not None:
-                        options.setdefault("plan_context", context)
                 result = simulate_workload(
                     body.workload,
                     policy=body.policy,
                     solver=body.solver,
                     reconfiguration_model=body.reconfiguration_model,
                     cache=self.cache,
-                    **options,
+                    **dict(body.options),
                 )
                 return ("ok", result.to_dict())
             if isinstance(body, OnlineBody):

@@ -99,10 +99,9 @@ class SimResult:
         label)`` rows, kind ``"inject"`` or ``"repair"``.  Empty for
         fault-free runs.  ``fault_pod_log`` aligns with it on
         pod-structured fabrics: ``(time, dirty_pods)`` rows naming the
-        pods each transition touched — what an incremental replanner
-        would re-solve.  When ``fault_log`` is non-empty the plan did
-        *not* see the
-        faults coming, so :attr:`slowdown` (measured over planned) is
+        pods whose edges each transition changed — the pods a re-price
+        cannot serve from the block solver's memos.  When ``fault_log``
+        is non-empty the plan did *not* see the faults coming, so :attr:`slowdown` (measured over planned) is
         the achieved-vs-planned degradation report.
     rate_observations:
         Per-flow achieved-rate telemetry

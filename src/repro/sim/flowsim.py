@@ -47,6 +47,7 @@ from ..fabric.reconfiguration import (
     configuration_from_topology,
 )
 from ..flows import ThroughputCache, default_cache
+from ..flows.block import changed_pods, pod_structure
 from ..matching import Matching
 from ..topology.base import Topology
 from .observation import RateObservations
@@ -138,11 +139,11 @@ class SimulationResult:
 
     ``fault_pod_log`` localizes each applied health transition on
     pod-structured fabrics: ``(time, dirty_pods)`` rows aligned with
-    ``fault_log``, where ``dirty_pods`` is the tuple of pod indices the
-    transition touched (as diffed by
-    :class:`~repro.flows.DeltaIndex`) — the pods an incremental
-    replanner would re-solve.  Empty on flat fabrics and fault-free
-    runs.
+    ``fault_log``, where ``dirty_pods`` is the tuple of pod indices
+    whose edges differ between the live topology before and after the
+    transition (:func:`repro.flows.block.changed_pods`) — the pods whose
+    subproblems a re-price cannot serve from the block solver's memos.
+    Empty on flat fabrics and fault-free runs.
 
     ``rate_observations`` is the per-flow telemetry an external
     controller would see (one :class:`~repro.sim.RateObservations`
@@ -382,13 +383,7 @@ class FlowLevelSimulator:
         fault_log: list[tuple[float, str, str]] = []
         fault_pod_log: list[tuple[float, tuple[int, ...]]] = []
         observed: list[tuple] = []  # (index, start, matched, flows, completion)
-        delta_index = None
-        if pending:
-            from ..flows import DeltaIndex, pod_structure
-
-            structure = pod_structure(self.topology)
-            if structure is not None:
-                delta_index = DeltaIndex(structure)
+        attribute_pods = bool(pending) and pod_structure(self.topology) is not None
 
         previous = Decision.BASE
         current_config = (
@@ -401,7 +396,7 @@ class FlowLevelSimulator:
         for index, step in enumerate(collective.steps):
             while pending and pending[0].time <= now + 1e-18:
                 event = pending.pop(0)
-                previous_health = live_health
+                previous_topology = live_topology
                 if event.health is None or event.health.is_pristine:
                     live_health = self.health
                     live_topology = self._live_topology
@@ -420,14 +415,10 @@ class FlowLevelSimulator:
                     "" if event.health is None else event.health.name
                 )
                 fault_log.append((now, kind, label))
-                if delta_index is not None:
-                    delta = delta_index.diff_health(previous_health, live_health)
-                    dirty = (
-                        tuple(range(delta_index.structure.n_pods))
-                        if delta.full
-                        else tuple(sorted(delta.dirty_pods))
+                if attribute_pods:
+                    fault_pod_log.append(
+                        (now, changed_pods(previous_topology, live_topology))
                     )
-                    fault_pod_log.append((now, dirty))
             decision = schedule.decisions[index]
             if self.accounting == "physical":
                 if decision is Decision.MATCHED:

@@ -30,9 +30,10 @@ NodeId = Hashable
 class Fingerprint(tuple):
     """A topology fingerprint: a plain tuple that hashes once.
 
-    Every theta, hop, incidence and pod-block memo key hashes the
-    fingerprint, and a fabric's fingerprint holds one string triple per
-    edge.  It compares, hashes and ``repr``-s exactly like the plain
+    Every theta, hop and incidence memo key hashes the fingerprint, and
+    a fabric's fingerprint holds one string triple per edge; the block
+    solver's pod subproblem keys, which hold one triple per pod edge,
+    are ``Fingerprint``s for the same reason.  It compares, hashes and ``repr``-s exactly like the plain
     tuple (so content digests are unchanged); the cached hash is dropped
     on pickling and copying, because string hashes differ between
     processes.

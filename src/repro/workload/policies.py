@@ -35,7 +35,6 @@ import threading
 from dataclasses import dataclass
 from collections.abc import Callable, Collection, Mapping, Sequence
 from numbers import Real
-from typing import TYPE_CHECKING
 
 from ..core.cost_model import StepCost
 from ..core.optimizer_dp import optimize_schedule_physical
@@ -56,9 +55,6 @@ from ..flows import ThroughputCache, default_cache
 from ..planner import PlanRequest, PlanResult, plan
 from .result import PhasePlan, WorkloadPlan
 from .spec import Workload
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..engine.incremental import PlanContext
 
 __all__ = [
     "PolicyContext",
@@ -304,7 +300,6 @@ def plan_workload(
     solver: str = "dp",
     reconfiguration_model: ReconfigurationModel | None = None,
     cache: "ThroughputCache | None" = default_cache,
-    plan_context: "PlanContext | None" = None,
     **options,
 ) -> WorkloadPlan:
     """Plan a multi-phase workload with the named online policy.
@@ -328,15 +323,6 @@ def plan_workload(
     cache:
         Shared theta memo (phases of a trace repeat patterns heavily,
         so one cache makes whole workloads nearly free after phase 0).
-    plan_context:
-        A :class:`~repro.engine.PlanContext` carrying incremental theta
-        state across phases (and across calls — the service daemon
-        passes its resident context).  With one, exact phases on pod
-        fabrics are priced *incrementally*, phase k delta-solving
-        against phase k-1 — health drift or demand drift re-solves only
-        the pods that changed — before the step costs below are
-        evaluated, so the policy's planning reads warm exact values.
-        Every policy accepts it; the values are the same as without.
     options:
         Policy-specific options (e.g. ``threshold`` for hysteresis) or,
         for ``replan``, solver options forwarded to the planner.
@@ -355,13 +341,6 @@ def plan_workload(
         )
     )
     base = workload.base_configuration()
-    if plan_context is not None:
-        # Incremental prewarm before step costs: phase k's exact pod
-        # theta values delta-solve against phase k-1's parts and land
-        # in the cache the step-cost pass below reads.
-        from ..engine.incremental import prewarm_workload_context
-
-        prewarm_workload_context(workload, plan_context, cache=cache)
     phase_step_costs = tuple(
         scenario.step_costs(cache=cache) for scenario in workload.phases
     )

@@ -44,13 +44,13 @@ from repro.flows import (
 from repro.flows import block, concurrent_flow
 from repro.flows.block import (
     _coarse_theta,
+    _collect_pod_edges,
     _partition_matching,
     _pod_commodities,
-    _pod_subgraphs,
     pod_structure,
 )
 from repro.matching import Matching
-from repro.topology import PodFabric, dgx, ring, torus
+from repro.topology import PodFabric, Topology, dgx, ring, torus
 
 def edge_lp_theta(topology, commodities, rate) -> float:
     """The edge-flow LP oracle: maximize phi subject to per-commodity
@@ -109,10 +109,10 @@ def pod_subproblems(fabric: PodFabric, matching: Matching):
     structure = pod_structure(topology)
     intra, seg_out, seg_in, inter = _partition_matching(structure, matching)
     problems = []
-    for p, subgraph in enumerate(_pod_subgraphs(topology, structure)):
+    for p, edges in enumerate(_collect_pod_edges(topology, structure)):
         commodities = _pod_commodities(structure.core, intra[p], seg_out[p], seg_in[p])
         if commodities:
-            problems.append((subgraph, commodities))
+            problems.append((Topology(structure.ranges[p][1], edges), commodities))
     return topology, structure, inter, problems
 
 

@@ -21,6 +21,7 @@ import time
 
 import pytest
 
+from repro.fabric.degradation import FabricHealth
 from repro.flows import (
     ThroughputCache,
     block_stats,
@@ -221,24 +222,43 @@ class TestMemoRaces:
         ).flat_topology()
         matching = Matching.shift(64, 3)
         solve = block_mod.max_concurrent_flow
+        solved = []
 
-        def slow_solve(*args, **kwargs):
+        def slow_solve(subgraph, *args, **kwargs):
+            solved.append(subgraph.name.rsplit("|", 1)[1])
             time.sleep(0.02)  # widen the race window
-            return solve(*args, **kwargs)
+            return solve(subgraph, *args, **kwargs)
 
         monkeypatch.setattr(block_mod, "max_concurrent_flow", slow_solve)
         block_mod._clear_block_memos()
         reset_block_stats()
-        values = []
 
-        def worker():
-            values.append(
-                compute_theta(topology, matching, B, cache=ThroughputCache())
-            )
+        def race(fabric) -> list[float]:
+            values = []
 
-        _run_threads(worker, self.N_THREADS)
-        assert len(set(values)) == 1
+            def worker():
+                values.append(
+                    compute_theta(fabric, matching, B, cache=ThroughputCache())
+                )
+
+            _run_threads(worker, self.N_THREADS)
+            return values
+
+        assert len(set(race(topology))) == 1
         assert block_stats().pod_solves == 2  # one pod LP + the coarse LP
+        # Threads racing a single-pod fault on the primed memos: the
+        # dimmed gateway rank changes pod 2 and the coarse star only,
+        # and each of those LPs runs at most once between the threads.
+        solved.clear()
+        reset_block_stats()
+        faulted = FabricHealth(port_multipliers={32: 0.5}).apply(topology)
+        values = race(faulted)
+        assert len(set(values)) == 1
+        assert sorted(set(solved)) == sorted(solved)
+        assert set(solved) <= {"coarse", "pod2"} and "coarse" in solved
+        assert block_stats().pod_solves == len(solved)
+        block_mod._clear_block_memos()
+        assert values[0] == compute_theta(faulted, matching, B, cache=None)
 
     def test_incidence_builds_once(self, monkeypatch):
         topology = ring(24, B)

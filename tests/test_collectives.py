@@ -66,6 +66,11 @@ class TestStepAndTransfer:
         with pytest.raises(CollectiveError):
             Step(matching=Matching(4, [(0, 1)]))
 
+    @pytest.mark.parametrize("volume", [math.nan, math.inf, -1.0])
+    def test_step_volume_must_be_finite_and_non_negative(self, volume):
+        with pytest.raises(CollectiveError, match="volume must be a finite number"):
+            Step(matching=Matching(4, [(0, 1)]), volume=volume)
+
 
 class TestCollectiveContainer:
     def test_aggregate_matches_bvn_steps(self):

@@ -37,6 +37,7 @@ from repro.control import (
     ONLINE_POLICIES,
     OnlineController,
     PeriodicTrigger,
+    SlidingWindowDemandEstimator,
     TriggerSignal,
     demand_from_observations,
     make_trigger,
@@ -251,6 +252,24 @@ class TestTriggers:
         with pytest.raises(ControlError):
             make_trigger("sometimes")
 
+    @pytest.mark.parametrize(
+        "every", [2.5, math.nan, math.inf, 0, True, "3"],
+        ids=["fractional", "nan", "inf", "zero", "bool", "str"],
+    )
+    def test_periodic_refuses_what_admission_refuses(self, every):
+        with pytest.raises(ControlError, match="every must be a whole number"):
+            PeriodicTrigger(every=every)
+        assert PeriodicTrigger(every=4.0).every == 4
+
+    @pytest.mark.parametrize(
+        "threshold", [math.nan, math.inf, -0.1], ids=["nan", "inf", "negative"]
+    )
+    def test_drift_refuses_what_admission_refuses(self, threshold):
+        with pytest.raises(ControlError, match="finite number >= 0"):
+            DriftTrigger(threshold=threshold)
+        with pytest.raises(ControlError):
+            make_trigger("drift", drift_threshold=threshold)
+
 
 class TestController:
     def test_mask_demand_zeroes_message_size_only(self):
@@ -259,6 +278,41 @@ class TestController:
         assert masked.collective.message_size == 0.0
         assert masked.collective.algorithm == scenario.collective.algorithm
         assert masked.n == scenario.n
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"prior_message_size": math.nan},
+            {"prior_message_size": math.inf},
+            {"prior_message_size": 0.0},
+            {"estimator": "window", "window": 2.5},
+            {"estimator": "window", "window": math.nan},
+            {"estimator": "window", "window": math.inf},
+            {"beta": math.nan},
+            {"beta": 1.5},
+        ],
+        ids=[
+            "prior-nan",
+            "prior-inf",
+            "prior-zero",
+            "window-fractional",
+            "window-nan",
+            "window-inf",
+            "beta-nan",
+            "beta-above-1",
+        ],
+    )
+    def test_constructor_refuses_what_admission_refuses(self, options):
+        with pytest.raises(ControlError):
+            OnlineController(**options)
+
+    @pytest.mark.parametrize(
+        "window", [2.5, math.nan, math.inf, 0], ids=["fractional", "nan", "inf", "zero"]
+    )
+    def test_window_estimator_refuses_bad_windows(self, window):
+        with pytest.raises(EstimationError, match="window must be a whole number"):
+            SlidingWindowDemandEstimator(8, window=window)
+        assert SlidingWindowDemandEstimator(8, window=3.0).window == 3
 
     def test_observe_before_decide_is_an_error(self):
         controller = OnlineController()
@@ -420,6 +474,9 @@ class TestOnlineService:
             {"window": 2.5},
             {"replan_every": 1.9, "trigger": "periodic"},
             {"beta": True},
+            {"beta": "0.5"},
+            {"window": "4"},
+            {"drift_threshold": math.inf},
         ],
         ids=[
             "unknown-name",
@@ -438,6 +495,9 @@ class TestOnlineService:
             "window-fractional",
             "replan-every-fractional",
             "beta-bool",
+            "beta-numeric-str",
+            "window-numeric-str",
+            "drift-threshold-inf",
         ],
     )
     def test_daemon_refuses_a_bad_option(self, options):
@@ -485,6 +545,10 @@ class TestOnlineService:
             ({"beta": True}, "a number"),
             ({"drift_threshold": False}, "a number"),
             ({"prior_message_size": True}, "a number"),
+            ({"beta": "0.5"}, "a number"),
+            ({"prior_message_size": "1048576"}, "a number"),
+            ({"window": "4"}, "an integer"),
+            ({"replan_every": "2", "trigger": "periodic"}, "an integer"),
         ):
             name = next(iter(options))
             with pytest.raises(WorkloadError, match=f"{name}' must be {kind}"):

@@ -54,6 +54,14 @@ class TestCostParameters:
         with pytest.raises(ScheduleError):
             CostParameters(alpha=0, bandwidth=0, delta=0, reconfiguration_delay=0)
 
+    @pytest.mark.parametrize("field", ["alpha", "delta", "reconfiguration_delay"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_scalars_rejected(self, field, value):
+        scalars = dict(alpha=0.0, bandwidth=B, delta=0.0, reconfiguration_delay=0.0)
+        scalars[field] = value
+        with pytest.raises(ScheduleError, match=f"{field} must be a finite number"):
+            CostParameters(**scalars)
+
     def test_with_reconfiguration_delay(self):
         p = params_with(us(1)).with_reconfiguration_delay(us(5))
         assert p.reconfiguration_delay == pytest.approx(us(5))

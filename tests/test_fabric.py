@@ -1,9 +1,11 @@
 """Fabric models: reconfiguration delays, OCS, wavelength fabric."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.exceptions import FabricError
+from repro.exceptions import ConfigurationError, FabricError
 from repro.fabric import (
     ConstantReconfigurationDelay,
     OpticalCircuitSwitch,
@@ -326,3 +328,40 @@ class TestModelSerialization:
     def test_unknown_kind_rejected(self):
         with pytest.raises(FabricError, match="unknown reconfiguration"):
             reconfiguration_model_from_dict({"kind": "quantum"})
+
+    @pytest.mark.parametrize(
+        "data, field",
+        [
+            ({"kind": "constant"}, "alpha_r"),
+            ({"kind": "per_port", "base": 1e-6}, "per_port"),
+            ({"kind": "table"}, "samples"),
+        ],
+        ids=["constant", "per_port", "table"],
+    )
+    def test_missing_field_is_named(self, data, field):
+        with pytest.raises(ConfigurationError, match=f"missing the '{field}' field"):
+            reconfiguration_model_from_dict(data)
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(ConfigurationError, match="unknown reconfiguration model"):
+            reconfiguration_model_from_dict(
+                {"kind": "constant", "alpha_r": 1e-6, "alpha": 1e-6}
+            )
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda v: ConstantReconfigurationDelay(v),
+            lambda v: PerPortReconfigurationDelay(base=v, per_port=us(1)),
+            lambda v: PerPortReconfigurationDelay(base=us(1), per_port=v),
+            lambda v: TableReconfigurationDelay([(2, us(1)), (8, v)]),
+            lambda v: reconfiguration_model_from_dict(
+                {"kind": "constant", "alpha_r": v}
+            ),
+        ],
+        ids=["constant", "per_port-base", "per_port-per_port", "table", "from-dict"],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_delays_rejected(self, build, value):
+        with pytest.raises(FabricError, match="must be a finite number >= 0"):
+            build(value)

@@ -15,6 +15,7 @@ The acceptance criteria of planner-as-a-service live here:
 from __future__ import annotations
 
 import asyncio
+import math
 import threading
 
 import pytest
@@ -238,6 +239,51 @@ class TestErrorIsolation:
         assert not bad.ok and bad.error.code == "validation"
         assert good.ok and after.ok
         assert metrics["validation_errors"] == 1
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("alpha", math.nan),
+            ("delta", math.nan),
+            ("reconfiguration_delay", math.inf),
+        ],
+    )
+    def test_non_finite_cost_is_refused_at_admission(self, field, value):
+        data = plan_request(scenario(n=8)).to_dict()
+        data["body"]["scenario"]["cost"][field] = value
+
+        async def main():
+            async with PlannerDaemon(batch_window_s=0.0) as daemon:
+                return await daemon.submit(data), daemon.metrics()
+
+        response, metrics = run(main())
+        assert not response.ok and response.error.code == "validation"
+        assert f"{field} must be a finite number >= 0" in response.error.message
+        assert metrics["validation_errors"] == 1 and metrics["dispatched"] == 0
+
+    @pytest.mark.parametrize(
+        "model, message",
+        [
+            ({"kind": "constant", "alpha_r": math.nan}, "alpha_r must be a finite"),
+            ({"kind": "constant", "alpha_r": math.inf}, "alpha_r must be a finite"),
+            ({"kind": "constant"}, "missing the 'alpha_r' field"),
+        ],
+        ids=["nan", "inf", "missing"],
+    )
+    def test_bad_workload_delay_model_is_refused_at_admission(self, model, message):
+        data = ServiceRequest(
+            body=WorkloadBody(workload=steady_trace(scenario(n=4), 2))
+        ).to_dict()
+        data["body"]["reconfiguration_model"] = model
+
+        async def main():
+            async with PlannerDaemon(batch_window_s=0.0) as daemon:
+                return await daemon.submit(data), daemon.metrics()
+
+        response, metrics = run(main())
+        assert not response.ok and response.error.code == "validation"
+        assert message in response.error.message
+        assert metrics["validation_errors"] == 1 and metrics["dispatched"] == 0
 
     def test_mid_batch_solver_exception_fails_only_its_request(self):
         def failing(request, cache):

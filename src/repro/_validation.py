@@ -63,10 +63,11 @@ def require(condition: bool, exc_type: type[ReproError], message: str) -> None:
 
 
 def require_positive(value: float, name: str, exc_type: type[ReproError]) -> float:
-    """Validate that a scalar parameter is strictly positive."""
+    """Validate that a scalar parameter is a finite number > 0 (NaN and
+    infinity fail)."""
     value = float(value)
-    if not value > 0:
-        raise exc_type(f"{name} must be strictly positive, got {value!r}")
+    if not 0 < value < math.inf:
+        raise exc_type(f"{name} must be a finite number > 0, got {value!r}")
     return value
 
 

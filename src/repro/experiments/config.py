@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from .._validation import require_positive
 from ..core.cost_model import CostParameters
 from ..exceptions import ConfigurationError
 from ..topology.base import Topology
@@ -99,8 +100,7 @@ class PaperConfig:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ConfigurationError(f"n must be >= 2, got {self.n}")
-        if self.bandwidth <= 0:
-            raise ConfigurationError("bandwidth must be positive")
+        require_positive(self.bandwidth, "bandwidth", ConfigurationError)
         if not self.message_sizes or not self.alpha_rs:
             raise ConfigurationError("grid axes must be non-empty")
 

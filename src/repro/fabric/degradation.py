@@ -190,10 +190,23 @@ class FabricHealth:
 
         The step is barrier-synchronous, so its matched-topology DCT is
         gated by the worst pair.  1.0 for ``None`` / empty matchings.
+
+        Only the dimmed ports are read: the minimum over pairs of
+        :meth:`pair_multiplier` is the wavelength factor times the
+        weakest port the matching touches, bit for bit (rounding is
+        monotone and every multiplier is in ``(0, 1]``).
         """
         if matching is None or len(matching) == 0:
             return 1.0  # an empty step moves no data; no circuit to gate
-        return min(self.pair_multiplier(src, dst) for src, dst in matching)
+        return self.wavelength_factor * min(
+            [1.0]
+            + [
+                value
+                for rank, value in self.port_multipliers
+                if matching.dst_of(rank) is not None
+                or matching.src_of(rank) is not None
+            ]
+        )
 
     def unhealthy_ranks(self, min_health: float = 1.0) -> frozenset[int]:
         """Ranks a conservative planner should route *around*: endpoints

@@ -348,12 +348,12 @@ def _partition_matching(
     starts = [start for start, _ in structure.ranges]
 
     def owner(rank: int) -> int:
-        for p, (start, size) in enumerate(structure.ranges):
-            if start <= rank < start + size:
-                return p
-        raise FlowError(
-            f"rank {rank} of the matching is outside the pod ranges"
-        )
+        p = bisect_right(starts, rank) - 1
+        if p < 0 or rank >= starts[p] + structure.ranges[p][1]:
+            raise FlowError(
+                f"rank {rank} of the matching is outside the pod ranges"
+            )
+        return p
 
     intra: list[list[Commodity]] = [[] for _ in structure.ranges]
     seg_out: list[dict[int, float]] = [{} for _ in structure.ranges]

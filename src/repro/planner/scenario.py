@@ -24,7 +24,7 @@ import weakref
 from dataclasses import dataclass, field, replace
 from collections.abc import Mapping, Sequence
 
-from .._validation import require_keys
+from .._validation import require_keys, require_positive
 from ..collectives.base import Collective
 from ..collectives.registry import available_collectives, make_collective
 from ..core.cost_model import CostParameters, StepCost, evaluate_step_costs
@@ -36,7 +36,6 @@ from ..core.multiport import (
 from ..exceptions import CollectiveError, ConfigurationError
 from ..fabric.degradation import FabricHealth
 from ..flows import PathLengthRule, ThroughputCache, default_cache
-from ..matching import Matching
 from ..memo import BoundedMemo
 from ..topology import (
     Topology,
@@ -147,9 +146,9 @@ def available_topology_families() -> tuple[str, ...]:
 
 # One built Topology per distinct spec: grid sweeps produce hundreds of
 # scenarios over the same fabric, and a shared instance also shares its
-# internal hop-distance cache.  Bounded so long-lived processes sweeping
-# n or bandwidth do not accumulate topologies (and their hop caches)
-# forever.
+# hop table (4 bytes per node pair, built on the first hop query).
+# Bounded so long-lived processes sweeping n or bandwidth do not
+# accumulate topologies (and their hop tables) forever.
 _TOPOLOGY_MEMO_LIMIT = 256
 _TOPOLOGY_MEMO: BoundedMemo[Topology] = BoundedMemo(_TOPOLOGY_MEMO_LIMIT)
 
@@ -185,7 +184,6 @@ class _Skeleton:
     ``m`` (bit for bit)."""
 
     unit: Collective
-    matchings: tuple[Matching, ...]
     chunk_law: tuple[int, int]
     step_laws: tuple[tuple[int, int], ...]
 
@@ -193,7 +191,6 @@ class _Skeleton:
     def of(cls, unit: Collective) -> "_Skeleton":
         return cls(
             unit,
-            tuple(step.matching for step in unit.steps),
             _unit_law(unit.chunk_size, unit.n),
             tuple(_unit_law(step.volume, unit.n) for step in unit.steps),
         )
@@ -248,10 +245,12 @@ class TopologySpec:
             )
         if self.n < 1:
             raise ConfigurationError(f"n must be >= 1, got {self.n}")
-        if self.bandwidth <= 0:
-            raise ConfigurationError("bandwidth must be positive")
         # Stored as from_dict reads it back, so equal specs digest alike.
-        object.__setattr__(self, "bandwidth", float(self.bandwidth))
+        object.__setattr__(
+            self,
+            "bandwidth",
+            require_positive(self.bandwidth, "bandwidth", ConfigurationError),
+        )
         object.__setattr__(self, "options", _freeze_options(self.options))
 
     def build(self) -> Topology:
@@ -326,11 +325,6 @@ class CollectiveSpec:
         memoized skeleton, scaled to this spec's message size."""
         return self._skeleton(n).scaled(self.message_size)
 
-    def step_matchings(self, n: int) -> tuple[Matching, ...]:
-        """The step patterns ``M_i`` for an ``n``-rank domain (they do
-        not depend on the message size), without building a collective."""
-        return self._skeleton(n).matchings
-
     def _skeleton(self, n: int) -> _Skeleton:
         def construct() -> _Skeleton:
             try:
@@ -383,7 +377,7 @@ _STEP_COSTS_MEMO_LIMIT = 4096
 
 # One degraded Topology per (spec, health fingerprint): grid sweeps and
 # workload phases re-reference the same condition constantly, and a
-# shared instance shares its hop-distance cache, like _TOPOLOGY_MEMO.
+# shared instance shares its hop table, like _TOPOLOGY_MEMO.
 _DEGRADED_MEMO_LIMIT = 256
 _DEGRADED_MEMO: BoundedMemo[Topology] = BoundedMemo(_DEGRADED_MEMO_LIMIT)
 
@@ -605,7 +599,7 @@ class Scenario:
         """The fabric this scenario actually runs on: the base topology
         instance (memoized per spec), degraded by ``health`` when one is
         set (memoized per (spec, health) so repeated references share
-        one instance and its hop cache)."""
+        one instance and its hop table)."""
         base = self.topology.build()
         if self.health is None:
             return base

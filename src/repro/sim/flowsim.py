@@ -224,7 +224,7 @@ class FlowLevelSimulator:
         self.health = health
         # `live_topology` lets callers hand in the degraded instance
         # they already hold (Scenario.build_topology memoizes one per
-        # (spec, health), hop caches included) instead of re-deriving.
+        # (spec, health), hop tables included) instead of re-deriving.
         self._live_topology = (
             live_topology
             if live_topology is not None

@@ -17,6 +17,8 @@ from __future__ import annotations
 from collections.abc import Hashable, Iterable, Iterator, Mapping
 
 import networkx as nx
+import numpy as np
+from scipy.sparse.csgraph import shortest_path
 
 from .._validation import require_node_count, require_positive
 from ..exceptions import TopologyError
@@ -91,8 +93,16 @@ class Topology:
             else:
                 graph.add_edge(u, v, capacity=capacity)
         self._graph = graph
-        self._hop_cache: dict[NodeId, dict[NodeId, int]] = {}
         self._fingerprint: Fingerprint | None = None
+        # The hop table (see _hop_table), built on first use.
+        self._node_index: dict[NodeId, int] | None = None
+        self._hops: memoryview | None = None
+        self._ranks_connected: bool | None = None
+
+    def __getstate__(self) -> dict:
+        # A memoryview does not pickle; a copy rebuilds its hop table on
+        # demand.
+        return {**self.__dict__, "_hops": None}
 
     # -- identity ------------------------------------------------------------
 
@@ -209,6 +219,27 @@ class Topology:
 
     # -- paths ----------------------------------------------------------------
 
+    def _hop_table(self) -> memoryview:
+        """Every shortest-path hop count, computed once and then kept.
+
+        An int32 matrix over :attr:`nodes` (ranks first, so a rank is
+        its own index; ``-1`` where no path exists), filled by one C
+        all-sources pass (``csgraph.shortest_path``): 4 bytes per node
+        pair.  It is read through a 2-D ``memoryview``, which indexes
+        about as fast as a dict read (numpy scalar indexing is ~2x
+        slower).
+        """
+        if self._hops is None:
+            nodes = self.nodes
+            adjacency = nx.to_scipy_sparse_array(self._graph, nodes, weight=None)
+            hops = shortest_path(adjacency, unweighted=True)
+            hops = np.nan_to_num(hops, posinf=-1).astype(np.int32)
+            n = self._n_ranks
+            self._ranks_connected = bool((hops[:n, :n] >= 0).all())
+            self._node_index = {node: i for i, node in enumerate(nodes)}
+            self._hops = memoryview(hops)
+        return self._hops
+
     def hop_distance(self, src: NodeId, dst: NodeId) -> int:
         """Shortest-path hop count from ``src`` to ``dst``.
 
@@ -216,28 +247,28 @@ class Topology:
         collective step whose pair is disconnected has no finite
         completion time and callers must treat that explicitly.
         """
-        if src == dst:
-            return 0
-        cached = self._hop_cache.get(src)
-        if cached is None:
-            cached = nx.single_source_shortest_path_length(self._graph, src)
-            self._hop_cache[src] = cached
+        hops = self._hops
+        if hops is None:
+            hops = self._hop_table()
+        index = self._node_index
         try:
-            return int(cached[dst])
+            value = hops[index[src], index[dst]]
         except KeyError:
+            unknown = dst if src in index else src
+            raise TopologyError(f"no node {unknown!r} in topology {self._name!r}")
+        if value < 0:
             raise TopologyError(
                 f"no path from {src!r} to {dst!r} in topology {self._name!r}"
             )
+        return value
 
     def has_path(self, src: NodeId, dst: NodeId) -> bool:
-        """Whether any directed path connects ``src`` to ``dst``."""
-        if src == dst:
-            return True
-        cached = self._hop_cache.get(src)
-        if cached is None:
-            cached = nx.single_source_shortest_path_length(self._graph, src)
-            self._hop_cache[src] = cached
-        return dst in cached
+        """Whether any directed path connects ``src`` to ``dst``
+        (``False`` when either is not a node)."""
+        hops = self._hop_table()
+        i = self._node_index.get(src)
+        j = self._node_index.get(dst)
+        return i is not None and j is not None and hops[i, j] >= 0
 
     def shortest_path(self, src: NodeId, dst: NodeId) -> list[NodeId]:
         """One shortest path (list of nodes) from ``src`` to ``dst``."""
@@ -250,15 +281,17 @@ class Topology:
 
     def diameter_over_ranks(self) -> int:
         """Maximum hop distance over all ordered rank pairs."""
-        return max(
-            self.hop_distance(s, d)
-            for s in range(self._n_ranks)
-            for d in range(self._n_ranks)
-            if s != d
-        )
+        if not self.is_strongly_connected_over_ranks():
+            raise TopologyError(
+                f"no path between some ranks of topology {self._name!r}"
+            )
+        n = self._n_ranks
+        return int(np.asarray(self._hops)[:n, :n].max())
 
     def supports(self, matching: Matching) -> bool:
         """Whether every pair of ``matching`` is connected in this topology."""
+        if self.is_strongly_connected_over_ranks() and matching.n <= self._n_ranks:
+            return True
         return all(self.has_path(s, d) for s, d in matching)
 
     # -- audits -----------------------------------------------------------------
@@ -298,12 +331,8 @@ class Topology:
 
     def is_strongly_connected_over_ranks(self) -> bool:
         """Whether every rank can reach every other rank."""
-        return all(
-            self.has_path(s, d)
-            for s in range(self._n_ranks)
-            for d in range(self._n_ranks)
-            if s != d
-        )
+        self._hop_table()
+        return self._ranks_connected
 
     # -- derivation ---------------------------------------------------------------
 

@@ -109,7 +109,9 @@ def test_scaled_build_equals_factory(algorithm):
                 mine.transfers is first.transfers
                 for mine, first in zip(built.steps, builds[0].steps)
             )
-        assert CollectiveSpec(algorithm, 0.0, options).step_matchings(n) == tuple(
+        # The matchings do not depend on the message size.
+        zero = CollectiveSpec(algorithm, 0.0, options).build(n)
+        assert tuple(step.matching for step in zero.steps) == tuple(
             step.matching for step in builds[0].steps
         )
 

@@ -54,7 +54,9 @@ class TestCostParameters:
         with pytest.raises(ScheduleError):
             CostParameters(alpha=0, bandwidth=0, delta=0, reconfiguration_delay=0)
 
-    @pytest.mark.parametrize("field", ["alpha", "delta", "reconfiguration_delay"])
+    @pytest.mark.parametrize(
+        "field", ["alpha", "bandwidth", "delta", "reconfiguration_delay"]
+    )
     @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
     def test_non_finite_scalars_rejected(self, field, value):
         scalars = dict(alpha=0.0, bandwidth=B, delta=0.0, reconfiguration_delay=0.0)

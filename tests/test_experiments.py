@@ -51,6 +51,9 @@ class TestConfig:
             PaperConfig(n=1)
         with pytest.raises(ConfigurationError):
             PaperConfig(message_sizes=())
+        for bandwidth in (0.0, float("inf"), float("nan")):
+            with pytest.raises(ConfigurationError, match="finite number > 0"):
+                PaperConfig(bandwidth=bandwidth)
 
 
 @pytest.fixture(scope="module")

@@ -184,6 +184,13 @@ class TestScenario:
         with pytest.raises(ConfigurationError, match="message_size"):
             Scenario.from_dict(data)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_bandwidth_must_be_finite(self, value):
+        with pytest.raises(ConfigurationError, match="bandwidth must be a finite"):
+            TopologySpec(family="ring", n=8, bandwidth=value)
+        with pytest.raises(ScheduleError, match="bandwidth must be a finite"):
+            paper_scenario("alltoall", n=8).replace(bandwidth=value)
+
     def test_bad_collective_option_is_a_configuration_error(self):
         spec = CollectiveSpec("allreduce_ring", 1.0, {"root": 1})
         with pytest.raises(ConfigurationError, match="bad options.*root"):

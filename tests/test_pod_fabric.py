@@ -155,6 +155,18 @@ class TestPodStructureParsing:
         with pytest.raises(FlowError):
             pod_structure(topology)
 
+    @pytest.mark.parametrize(
+        "ranges, rank",
+        [(((0, 4), (4, 4)), 9), (((2, 3), (5, 3)), 0), (((0, 3), (5, 3)), 4)],
+        ids=["past-the-last-pod", "before-the-first-pod", "between-pods"],
+    )
+    def test_a_rank_outside_every_pod_is_refused(self, ranges, rank):
+        from repro.flows.block import PodStructure, _partition_matching
+
+        structure = PodStructure(ranges=ranges, core=CORE)
+        with pytest.raises(FlowError, match=f"rank {rank} .*outside the pod"):
+            _partition_matching(structure, Matching(10, [(ranges[0][0], rank)]))
+
     def test_degradation_preserves_pod_metadata(self):
         degraded = fabric((4, 4)).degraded(uniform_degradation(8, 0.8))
         structure = pod_structure(degraded)

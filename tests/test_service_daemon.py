@@ -262,6 +262,22 @@ class TestErrorIsolation:
         assert metrics["validation_errors"] == 1 and metrics["dispatched"] == 0
 
     @pytest.mark.parametrize(
+        "sides", [("topology",), ("cost",), ("topology", "cost")]
+    )
+    def test_infinite_bandwidth_is_refused_at_admission(self, sides):
+        data = plan_request(scenario(n=8)).to_dict()
+        for side in sides:
+            data["body"]["scenario"][side]["bandwidth"] = math.inf
+
+        async def main():
+            async with PlannerDaemon(batch_window_s=0.0) as daemon:
+                return await daemon.submit(data), daemon.metrics()
+
+        response, metrics = run(main())
+        assert not response.ok and response.error.code == "validation"
+        assert metrics["validation_errors"] == 1 and metrics["dispatched"] == 0
+
+    @pytest.mark.parametrize(
         "model, message",
         [
             ({"kind": "constant", "alpha_r": math.nan}, "alpha_r must be a finite"),

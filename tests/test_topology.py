@@ -1,6 +1,7 @@
 """Topology substrate: construction, queries, audits, constructors."""
 
 import copy
+import math
 import os
 import pickle
 import subprocess
@@ -47,6 +48,18 @@ class TestTopologyBase:
             Topology(2, [(0, 1, 0.0)])
         with pytest.raises(TopologyError):
             Topology(2, [(0, 1, -1.0)])
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_rejects_non_finite_rates(self, value):
+        message = "must be a finite number > 0"
+        with pytest.raises(TopologyError, match=f"edge capacity {message}"):
+            Topology(2, [(0, 1, value)])
+        with pytest.raises(TopologyError, match=f"scale factor {message}"):
+            ring(4, B).scaled(value)
+        with pytest.raises(TopologyError, match=f"circuit_rate {message}"):
+            matched_topology(Matching.shift(4, 1), value)
+        with pytest.raises(TopologyError, match=f"link_bandwidth {message}"):
+            ring(4, value)
 
     def test_missing_edge_raises(self):
         t = Topology(3, [(0, 1, 1.0)])

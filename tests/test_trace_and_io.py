@@ -1,5 +1,7 @@
 """Schedule-cost helpers, validation helpers, and the public API surface."""
 
+import math
+
 import pytest
 
 
@@ -25,8 +27,9 @@ class TestValidationHelpers:
         from repro.exceptions import TopologyError
 
         assert require_positive(2.5, "x", TopologyError) == 2.5
-        with pytest.raises(TopologyError, match="strictly positive"):
-            require_positive(0, "x", TopologyError)
+        for bad in (0, -1.0, math.inf, math.nan):
+            with pytest.raises(TopologyError, match="finite number > 0"):
+                require_positive(bad, "x", TopologyError)
 
     def test_require_power_of_two(self):
         from repro._validation import require_power_of_two

@@ -268,8 +268,13 @@ class FabricHealth:
                     f"topology {topology.name!r}"
                 )
         wavelength = self.wavelength_factor
+        ports = dict(self.port_multipliers)
+
+        def multiplier(node: object) -> float:  # self.multiplier, by one lookup
+            return ports.get(node, 1.0) if isinstance(node, int) else 1.0
+
         edges = [
-            (u, v, capacity * wavelength * min(self.multiplier(u), self.multiplier(v)))
+            (u, v, capacity * wavelength * min(multiplier(u), multiplier(v)))
             for u, v, capacity in topology.edges()
             if (u, v) not in failed
         ]

@@ -1,9 +1,10 @@
 """Closed-form throughput for structured (topology, pattern) pairs.
 
-For the experiment workhorses — uniform shifts on rings, XOR exchanges
-on hypercubes — the maximum concurrent flow has an exact closed form.
-Using it avoids thousands of LP solves in the figure sweeps; the LP is
-retained as ground truth and the test suite asserts agreement.
+For the experiment workhorses — uniform shifts and power-of-two XOR
+exchanges on rings, XOR exchanges on hypercubes — the maximum concurrent
+flow has an exact closed form.  Using it avoids thousands of LP solves
+in the figure sweeps; the LP is retained as ground truth and the test
+suite asserts agreement.
 
 Derivations
 -----------
@@ -18,6 +19,36 @@ are ``p*k`` clockwise and ``(1-p)*(n-k)`` counter-clockwise per unit
 theta; equalizing gives ``p = (n-k)/n`` and
 
     theta = c * n / (k * (n - k)).
+
+*Ring, XOR exchange at distance d = 2^j*: ranks pair up inside aligned
+2d-blocks, the lower half of a block sending ``+d`` and the upper half
+``-d``, so 2d divides n.  At ``d = n/2`` the exchange is shift ``n/2``
+and the shift form answers it; otherwise ``2d < n``.
+
+On the bidirectional ring (capacity ``c`` per direction),
+
+    theta = c / d.
+
+Lower bound: route each ``+d`` pair clockwise and each ``-d`` pair
+counter-clockwise, d hops each, at rate ``c/d``.  The clockwise paths
+through an edge start at the d ranks before it, so no edge carries more
+than ``d * c/d = c``; likewise counter-clockwise.  Upper bound: take the
+2d-rank window running from the upper half of one 2d-block through the
+lower half of the next.  Every rank in it sends out of it (an upper half
+sends down into its own block, a lower half up into its own), and two
+edges leave it, one per direction.  Unit length on those two edges and
+zero elsewhere puts every window source at distance 1 and every other
+pair at 0, so ``theta <= 2c / 2d = c / d``.
+
+On the unidirectional ring (capacity ``c`` per edge),
+
+    theta = 2c / n.
+
+Each pair ``{i, i+d}`` has one path per direction: the ``+d`` path
+crosses the d edges from i to i+d and the ``-d`` path the other n-d, so
+every edge carries exactly n/2 paths.  Rate ``2c/n`` on every path loads
+each edge to exactly c (the lower bound); unit length on every edge
+gives ``n*c / (n*n/2) = 2c/n`` (the upper bound).
 
 *Hypercube, XOR exchange at distance 2^j* (capacity ``c`` per link):
 every pair is adjacent along dimension j and owns that link exclusively,
@@ -113,15 +144,17 @@ def try_closed_form_theta(topology: Topology, matching: Matching) -> float | Non
     meta = topology.metadata
     family = meta.get("family")
     if family == "ring" and matching.n == topology.n_ranks:
+        n = matching.n
+        fraction = float(meta["per_direction_fraction"])
+        bidirectional = bool(meta["bidirectional"])
         shift = detect_uniform_shift(matching)
-        if shift is None:
+        if shift is not None:
+            return ring_shift_theta(n, shift, fraction, bidirectional)
+        # XOR-n/2 is shift n/2, answered above, so here 2d < n.
+        distance = _detect_uniform_xor(matching)
+        if distance is None or distance & (distance - 1) != 0:
             return None
-        return ring_shift_theta(
-            matching.n,
-            shift,
-            float(meta["per_direction_fraction"]),
-            bool(meta["bidirectional"]),
-        )
+        return fraction / distance if bidirectional else 2.0 * fraction / n
     if (
         family == "coprime_rings"
         and matching.n == topology.n_ranks

@@ -74,13 +74,18 @@ def certified_theta(topology, commodities, rate: float = RATE) -> float:
     return result.theta
 
 
+def xor_distances(n: int) -> list[int]:
+    """Every d for which ``Matching.xor_exchange(n, d)`` leaves no rank
+    without a partner (d = 1..7 at n = 24), powers of two or not."""
+    return [d for d in range(1, n) if all(i ^ d < n for i in range(n))]
+
+
 def _mixed_patterns(n: int) -> list[Matching]:
     """Patterns a batch must price *and* refuse: full shifts, XORs,
     partial matchings, a derangement that is neither, and the empty
     step."""
     patterns = [Matching.shift(n, k) for k in range(1, n)]
-    if n & (n - 1) == 0:  # XOR partners only pair up at powers of two
-        patterns += [Matching.xor_exchange(n, d) for d in range(1, n)]
+    patterns += [Matching.xor_exchange(n, d) for d in xor_distances(n)]
     # Partial matchings: only even ranks talk, one pair, empty.
     patterns.append(
         Matching(n, [(i, (i + 2) % n) for i in range(0, n, 2)])
@@ -103,6 +108,10 @@ def closed_form_families(n: int = 16) -> list[tuple[object, list[Matching]]]:
     families = [
         (ring(n, RATE), _mixed_patterns(n)),
         (ring(n, RATE, bidirectional=False), _mixed_patterns(n)),
+        # A ring whose size is not a power of two: the XOR form covers
+        # d = 1, 2, 4 and must refuse d = 3, 5, 6, 7.
+        (ring(24, RATE), _mixed_patterns(24)),
+        (ring(24, RATE, bidirectional=False), _mixed_patterns(24)),
         (hypercube(n, RATE), _mixed_patterns(n)),
         (
             coprime_rings(n, (3,), RATE),

@@ -16,21 +16,25 @@ import pytest
 
 from families import (
     RATE,
+    ROUNDING,
     agree,
     certified_theta,
     closed_form_families,
     degraded_variants,
     lp_only_families,
     pod_families,
+    xor_distances,
 )
 from repro.flows import (
     Commodity,
+    ThetaCertificate,
     ThroughputCache,
     commodities_from_matching,
     compute_theta,
     max_concurrent_flow,
     theta_tag,
     try_closed_form_theta,
+    verify_certificate,
 )
 from repro.matching import Matching
 from repro.topology import PodFabric, full_mesh, matched_topology, ring
@@ -85,12 +89,13 @@ class TestExactRouteAgreesWithTheLP:
         """A degraded fabric drops its family metadata, so every
         pattern goes to pod blocks or the LP, never to a formula of the
         pristine graph."""
-        shifts = [Matching.shift(8, k) for k in range(1, 8)]
-        assert any(try_closed_form_theta(pristine, m) is not None for m in shifts)
+        patterns = [Matching.shift(8, k) for k in range(1, 8)]
+        patterns += [Matching.xor_exchange(8, d) for d in (1, 2)]
+        assert any(try_closed_form_theta(pristine, m) is not None for m in patterns)
         for health, topology in degraded_variants(pristine, 8):
             if health is None:
                 continue
-            for matching in shifts:
+            for matching in patterns:
                 assert try_closed_form_theta(topology, matching) is None, (
                     health.name,
                     matching,
@@ -153,6 +158,74 @@ class TestExactRouteAgreesWithTheLP:
             topology, tuple(Commodity(s, d, 2 * w) for s, d, w in demands)
         )
         assert agree(doubled, base / 2)
+
+
+#: Ring sizes for the XOR form, powers of two and not.
+RING_SIZES = (4, 6, 8, 12, 16, 24, 40, 48, 64, 96, 128)
+
+
+def _xor_certificate(topology, matching: Matching, theta: float) -> ThetaCertificate:
+    """The closed_forms derivation of the ring XOR-d form as a certificate.
+
+    Lower bound: every pair on its direct route at ``theta`` (``+d``
+    clockwise and ``-d`` counter-clockwise on the bidirectional ring,
+    clockwise on the one-way ring).  Upper bound: unit length on the two
+    edges leaving the window ``[d, 3d)`` (bidirectional) or on every
+    edge (one-way).
+    """
+    n = matching.n
+    d = matching.dst_of(0)
+    bidirectional = topology.metadata["bidirectional"]
+    paths = []
+    for src, dst in matching:
+        step = 1 if dst > src or not bidirectional else -1
+        hops = (dst - src) * step % n
+        nodes = tuple((src + step * h) % n for h in range(hops + 1))
+        paths.append(((nodes, theta),))
+    if bidirectional:
+        edges = ((3 * d - 1, 3 * d), (d, d - 1))
+    else:
+        edges = tuple((i, (i + 1) % n) for i in range(n))
+    return ThetaCertificate(
+        theta, theta, tuple(paths), edges, (1.0,) * len(edges)
+    )
+
+
+class TestRingXorForm:
+    """The ring's XOR-d form: ``c/d`` on the bidirectional ring while
+    ``2d < n``, ``2c/n`` on the one-way ring, for powers of two only."""
+
+    @pytest.mark.parametrize("bidirectional", [True, False], ids=["bi", "uni"])
+    @pytest.mark.parametrize("n", RING_SIZES)
+    def test_formula_is_the_certified_lp(self, n, bidirectional):
+        topology = ring(n, RATE, bidirectional=bidirectional)
+        for d in xor_distances(n):
+            matching = Matching.xor_exchange(n, d)
+            value = try_closed_form_theta(topology, matching)
+            if d & (d - 1):
+                assert value is None, (n, d)
+                continue
+            # d = n/2 is shift n/2: the shift form answers, not c/d.
+            assert agree(value, _lp(topology, matching)), (n, d, value)
+
+    @pytest.mark.parametrize("bidirectional", [True, False], ids=["bi", "uni"])
+    @pytest.mark.parametrize("n", RING_SIZES)
+    def test_certificate_brackets_the_formula(self, n, bidirectional):
+        topology = ring(n, RATE, bidirectional=bidirectional)
+        distances = [d for d in xor_distances(n) if not d & (d - 1) and 2 * d < n]
+        assert distances
+        for d in distances:
+            matching = Matching.xor_exchange(n, d)
+            theta = try_closed_form_theta(topology, matching)
+            assert theta == (0.5 / d if bidirectional else 2.0 / n)
+            lo, hi = verify_certificate(
+                topology,
+                commodities_from_matching(matching),
+                RATE,
+                _xor_certificate(topology, matching, theta),
+            )
+            assert lo * (1 - ROUNDING) <= theta <= hi * (1 + ROUNDING)
+            assert agree(lo, theta) and agree(hi, theta), (n, d, lo, hi)
 
 
 def _route_cases():

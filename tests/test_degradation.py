@@ -41,7 +41,7 @@ from repro.experiments.degradation import (
     run_degradation_grid,
 )
 from repro.experiments.config import small_config
-from repro.topology import ring
+from repro.topology import pod_fabric, ring
 from repro.units import Gbps, MiB, ns, us
 from repro.workload import faulty, plan_workload, steady_trace
 
@@ -135,6 +135,29 @@ class TestFabricHealth:
         assert "family" not in degraded.metadata
         assert degraded.metadata["reference_rate"] == Gbps(800)
         assert degraded.fingerprint() != ring16.fingerprint()
+
+    def test_apply_prices_every_edge_by_its_weaker_port(self):
+        """On a pod fabric with dimmed ranks, the relay core (no port:
+        it reads 1.0) and a failed lane, every surviving edge is scaled
+        by the wavelength factor and its weaker endpoint, bit for bit."""
+        fabric = pod_fabric(8, Gbps(800), pods=2, uplinks_per_pod=2)
+        health = FabricHealth(
+            port_multipliers=((0, 0.5), (5, 0.8), (6, 0.3)),
+            failed_transceivers=((1, 2),),
+            dead_wavelengths=1,
+            total_wavelengths=4,
+        )
+        degraded = health.apply(fabric)
+        assert health.multiplier("core") == 1.0
+        assert fabric.has_edge(0, "core") and fabric.has_edge("core", 5)
+        expected = {
+            (u, v): capacity
+            * health.wavelength_factor
+            * min(health.multiplier(u), health.multiplier(v))
+            for u, v, capacity in fabric.edges()
+            if (u, v) != (1, 2)
+        }
+        assert {(u, v): c for u, v, c in degraded.edges()} == expected
 
     def test_apply_pristine_is_identity(self, ring16):
         assert PRISTINE.apply(ring16) is ring16

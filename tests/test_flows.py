@@ -170,7 +170,8 @@ class TestClosedForms:
         assert try_closed_form_theta(t, Matching.shift(8, 2)) == pytest.approx(
             0.5 * 8 / (2 * 6)
         )
-        assert try_closed_form_theta(t, Matching.xor_exchange(8, 2)) is None
+        assert try_closed_form_theta(t, Matching.xor_exchange(8, 2)) == 0.25
+        assert try_closed_form_theta(t, Matching.xor_exchange(8, 3)) is None
 
     @pytest.mark.parametrize("bidirectional", [False, True])
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 7])
@@ -326,7 +327,7 @@ class TestComputeTheta:
             compute_theta(ring(4, B), Matching.shift(4, 1), method="magic")
 
     def test_exact_theta_without_closed_form_is_the_lp(self):
-        t, m = ring(8, B), Matching.xor_exchange(8, 1)
+        t, m = ring(8, B), Matching.xor_exchange(8, 3)
         assert try_closed_form_theta(t, m) is None
         assert compute_theta(t, m, cache=None) == max_concurrent_flow(
             t, commodities_from_matching(m), B

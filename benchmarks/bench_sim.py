@@ -9,7 +9,7 @@ from repro.collectives import make_collective
 from repro.core import CostParameters, Schedule
 from repro.matching import Matching
 from repro.planner import Scenario, scenario_grid
-from repro.sim import FlowLevelSimulator, allocate_rates, simulate, simulate_plan
+from repro.sim import FlowLevelSimulator, allocate_rates, simulate_plan
 from repro.topology import ring
 from repro.units import Gbps, KiB, MiB, ns, us
 
@@ -23,13 +23,23 @@ RING = ring(N, B)
 
 @pytest.mark.benchmark(group="sim")
 def test_sim_mcf_matches_model(benchmark, shared_cache):
-    collective = make_collective("allreduce_recursive_doubling", N, MiB(16))
-    report = benchmark.pedantic(
-        lambda: simulate(collective, RING, PARAMS, cache=shared_cache),
+    scenario = Scenario.create(
+        "allreduce_recursive_doubling",
+        n=N,
+        message_size=MiB(16),
+        bandwidth=B,
+        alpha=ns(100),
+        delta=ns(100),
+        reconfiguration_delay=us(10),
+    )
+    result = benchmark.pedantic(
+        lambda: simulate_plan(
+            scenario, cache=shared_cache, collect_utilization=False
+        ),
         rounds=1,
         iterations=1,
     )
-    assert report.model_error < 1e-12
+    assert result.model_error < 1e-12
 
 
 @pytest.mark.benchmark(group="sim")

@@ -15,6 +15,7 @@ Run:  python examples/moe_alltoall.py
 
 from repro import (
     CostParameters,
+    FlowLevelSimulator,
     Gbps,
     MiB,
     evaluate_step_costs,
@@ -26,7 +27,6 @@ from repro import (
     us,
 )
 from repro.collectives import compose_sequence
-from repro.sim import simulate
 from repro.topology import coprime_rings
 from repro.units import format_time
 
@@ -61,11 +61,13 @@ def main() -> None:
     )
 
     # run it through the flow-level simulator and show the first steps
-    report = simulate(iteration, topology, params, schedule=result.schedule)
-    print(f"simulated total: {format_time(report.simulation.total_time)} "
-          f"(model error {report.model_error:.1e})")
+    simulator = FlowLevelSimulator(topology, params)
+    simulation = simulator.run(iteration, result.schedule)
+    model_error = abs(simulation.total_time - result.cost.total) / result.cost.total
+    print(f"simulated total: {format_time(simulation.total_time)} "
+          f"(model error {model_error:.1e})")
     print("\nfirst simulated steps:")
-    for row in report.simulation.steps[:5]:
+    for row in simulation.steps[:5]:
         print(
             f"  step {row.index:>2} {row.decision:<7} {row.label:<28} "
             f"reconfig {format_time(row.reconfiguration):>8}  "

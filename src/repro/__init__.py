@@ -75,7 +75,6 @@ from .core import (
     StepCost,
     best_of_both_cost,
     bvn_cost,
-    classify_regime,
     evaluate_schedule,
     evaluate_step_costs,
     optimize_pool_schedule,
@@ -113,7 +112,6 @@ from .service import (
 from .sim import (
     FlowLevelSimulator,
     WorkloadSimResult,
-    simulate,
     simulate_workload,
 )
 from .workload import (
@@ -204,13 +202,11 @@ __all__ = [
     "static_cost",
     "bvn_cost",
     "best_of_both_cost",
-    "classify_regime",
     "compute_theta",
     "max_concurrent_flow",
     "ThroughputCache",
     "CacheStats",
     "FlowLevelSimulator",
-    "simulate",
     # the adaptive workload engine
     "Workload",
     "WorkloadPlan",

@@ -81,7 +81,8 @@ def require_non_negative(value: float, name: str, exc_type: type[ReproError]) ->
 
 
 def require_count(value: object, name: str, exc_type: type[ReproError]) -> int:
-    """Validate a count of phases or samples: a whole number >= 1.
+    """Validate a count (of phases, samples, workers, ...): a whole
+    number >= 1.
 
     An integral float such as ``4.0`` is accepted; a boolean, a
     non-number, a fraction, NaN or infinity raises ``exc_type`` instead

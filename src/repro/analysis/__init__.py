@@ -1,27 +1,19 @@
-"""Analysis layer: sweeps, speedup grids, heatmaps, regime census,
+"""Analysis layer: speedup grids, heatmaps, regime census,
 adaptivity comparisons, online-control regret."""
 
 from .adaptivity import PhaseRecord, PolicyComparison, compare_policies
 from .heatmap import render_grid, render_shaded
-from .propagation import PropagationRecord, propagation_study
 from .regimes import RegimeCensus, census
 from .regret import PhaseRegret, RegretReport, measure_regret
-from .speedup import COMPARATORS, SpeedupGrid, compute_speedup_grid
-from .sweep import SweepRecord, sweep_alpha_r, sweep_parameter
+from .speedup import COMPARATORS, SpeedupGrid
 
 __all__ = [
     "SpeedupGrid",
-    "compute_speedup_grid",
     "COMPARATORS",
     "render_grid",
     "render_shaded",
     "RegimeCensus",
     "census",
-    "SweepRecord",
-    "sweep_alpha_r",
-    "sweep_parameter",
-    "PropagationRecord",
-    "propagation_study",
     "PhaseRecord",
     "PolicyComparison",
     "compare_policies",

@@ -1,29 +1,22 @@
 """Speedup grids over (reconfiguration delay, message size) — the data
 behind every heatmap of the paper's Figure 1 and Figure 2.
 
-For a fixed collective *algorithm* the step matchings do not depend on
-the message size; only the per-step volumes scale.  ``theta`` and path
-lengths are therefore computed once per pattern (through the throughput
-cache) and the whole grid costs a handful of LP solves plus trivial
-arithmetic.
+:func:`repro.experiments.run_panel` fills a :class:`SpeedupGrid` from
+one :func:`repro.engine.plan_many` call over a panel's
+:func:`~repro.planner.scenario_grid` (the ``dp``, ``static`` and
+``bvn`` plan of every cell); this module holds the grid and the
+speedup and regime views the renderers and the census read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from ..collectives.base import Collective
-from ..core.baselines import bvn_cost, static_cost
-from ..core.cost_model import CostParameters, evaluate_step_costs
-from ..core.optimizer_dp import optimize_schedule
 from ..exceptions import ConfigurationError
-from ..flows import ThroughputCache, default_cache
-from ..topology.base import Topology
 
-__all__ = ["SpeedupGrid", "compute_speedup_grid", "COMPARATORS"]
+__all__ = ["SpeedupGrid", "COMPARATORS"]
 
 COMPARATORS = ("bvn", "static", "best")
 
@@ -64,67 +57,3 @@ class SpeedupGrid:
         out = np.where(self.static <= self.bvn, "static", "bvn").astype(object)
         out[self.opt < best * (1 - tolerance)] = "mixed"
         return out
-
-
-def compute_speedup_grid(
-    collective_factory: Callable[[float], Collective],
-    topology: Topology,
-    base_params: CostParameters,
-    message_sizes: Sequence[float],
-    alpha_rs: Sequence[float],
-    theta_method: str = "auto",
-    cache: ThroughputCache | None = default_cache,
-    algorithm: str | None = None,
-) -> SpeedupGrid:
-    """Evaluate OPT / static / BvN over the full parameter grid.
-
-    Parameters
-    ----------
-    collective_factory:
-        ``message_size -> Collective`` (e.g. a registry factory with
-        ``n`` bound).
-    topology:
-        Base topology ``G``.
-    base_params:
-        Cost scalars; the grid overrides ``reconfiguration_delay``.
-    message_sizes / alpha_rs:
-        Row / column axes.
-    """
-    message_sizes = tuple(float(m) for m in message_sizes)
-    alpha_rs = tuple(float(a) for a in alpha_rs)
-    if not message_sizes or not alpha_rs:
-        raise ConfigurationError("both grid axes need at least one value")
-    shape = (len(message_sizes), len(alpha_rs))
-    opt = np.zeros(shape)
-    static = np.zeros(shape)
-    bvn = np.zeros(shape)
-    matched = np.zeros(shape, dtype=int)
-    name = algorithm
-
-    for row, message_size in enumerate(message_sizes):
-        collective = collective_factory(message_size)
-        if name is None:
-            name = collective.name
-        step_costs = evaluate_step_costs(
-            collective,
-            topology,
-            base_params,
-            theta_method=theta_method,
-            cache=cache,
-        )
-        for col, alpha_r in enumerate(alpha_rs):
-            params = base_params.with_reconfiguration_delay(alpha_r)
-            result = optimize_schedule(step_costs, params)
-            opt[row, col] = result.cost.total
-            static[row, col] = static_cost(step_costs, params).total
-            bvn[row, col] = bvn_cost(step_costs, params).total
-            matched[row, col] = result.schedule.num_matched_steps
-    return SpeedupGrid(
-        algorithm=name or "unknown",
-        message_sizes=message_sizes,
-        alpha_rs=alpha_rs,
-        opt=opt,
-        static=static,
-        bvn=bvn,
-        matched_steps=matched,
-    )

@@ -38,12 +38,7 @@ from .schedule import (
     evaluate_schedule_physical,
     step_configuration,
 )
-from .tradeoff import (
-    RegimeReport,
-    classify_regime,
-    crossover_to_static,
-    static_bvn_breakeven,
-)
+from .tradeoff import crossover_to_static, static_bvn_breakeven
 
 __all__ = [
     "CostParameters",
@@ -73,8 +68,6 @@ __all__ = [
     "evaluate_multiport_step_costs",
     "evaluate_schedule_with_overlap",
     "optimize_with_overlap",
-    "RegimeReport",
-    "classify_regime",
     "static_bvn_breakeven",
     "crossover_to_static",
 ]

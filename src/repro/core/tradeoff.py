@@ -1,75 +1,27 @@
-"""Regime analysis: "so what is the Delta after all?" (paper §3.4).
+"""Regime boundaries: "so what is the Delta after all?" (paper §3.4).
 
-Classifies parameter points into the paper's three regimes —
+The paper's three regimes are
 
 * ``"static"``   — never reconfiguring is optimal,
 * ``"bvn"``      — reconfiguring every step is optimal,
 * ``"mixed"``    — the optimum strictly beats both pure strategies
-  (the diagonal band of Figure 2),
+  (the diagonal band of Figure 2).
 
-and locates the crossover reconfiguration delays that separate them.
+:meth:`repro.analysis.SpeedupGrid.regimes` labels each cell of a
+planned grid; this module locates the reconfiguration delays that
+separate the regimes for one collective's step costs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from collections.abc import Sequence
 
 from .baselines import bvn_cost, static_cost
 from .cost_model import CostParameters, StepCost
 from .optimizer_dp import optimize_schedule
-from .schedule import ScheduleCost
 
-__all__ = [
-    "RegimeReport",
-    "classify_regime",
-    "static_bvn_breakeven",
-    "crossover_to_static",
-]
-
-
-@dataclass(frozen=True)
-class RegimeReport:
-    """Costs of the three strategies at one parameter point."""
-
-    regime: str
-    opt: ScheduleCost
-    static: ScheduleCost
-    bvn: ScheduleCost
-    speedup_vs_static: float
-    speedup_vs_bvn: float
-    speedup_vs_best: float
-    n_matched_steps: int
-
-
-def classify_regime(
-    step_costs: Sequence[StepCost],
-    params: CostParameters,
-    tolerance: float = 1e-9,
-) -> RegimeReport:
-    """Solve one parameter point and classify its regime."""
-    result = optimize_schedule(step_costs, params)
-    static = static_cost(step_costs, params)
-    bvn = bvn_cost(step_costs, params)
-    best = min(static.total, bvn.total)
-    opt_total = result.cost.total
-    if opt_total < best * (1 - tolerance):
-        regime = "mixed"
-    elif static.total <= bvn.total:
-        regime = "static"
-    else:
-        regime = "bvn"
-    return RegimeReport(
-        regime=regime,
-        opt=result.cost,
-        static=static,
-        bvn=bvn,
-        speedup_vs_static=static.total / opt_total if opt_total > 0 else math.inf,
-        speedup_vs_bvn=bvn.total / opt_total if opt_total > 0 else math.inf,
-        speedup_vs_best=best / opt_total if opt_total > 0 else math.inf,
-        n_matched_steps=result.schedule.num_matched_steps,
-    )
+__all__ = ["static_bvn_breakeven", "crossover_to_static"]
 
 
 def static_bvn_breakeven(

@@ -9,18 +9,16 @@ delay ``alpha_r`` (columns) against the message size (rows).
 The paper does not print its exact axis tick values; we use
 logarithmically spaced grids spanning the regimes it describes
 (``alpha_r`` from 100 ns to 10 ms, messages from 1 KiB to 1 GiB).
-This is recorded as a reproduction decision in EXPERIMENTS.md.
+That choice is this module's ``DEFAULT_MESSAGE_SIZES`` and
+``DEFAULT_ALPHA_RS``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .._validation import require_positive
-from ..core.cost_model import CostParameters
 from ..exceptions import ConfigurationError
-from ..topology.base import Topology
-from ..topology.ring import ring
 from ..units import Gbps, GiB, KiB, MiB, ns, us
 
 __all__ = ["PanelSpec", "PaperConfig", "PAPER_CONFIG", "small_config"]
@@ -103,20 +101,6 @@ class PaperConfig:
         require_positive(self.bandwidth, "bandwidth", ConfigurationError)
         if not self.message_sizes or not self.alpha_rs:
             raise ConfigurationError("grid axes must be non-empty")
-
-    def base_topology(self) -> Topology:
-        """The ring base topology ``G`` of the evaluation."""
-        return ring(self.n, self.bandwidth, bidirectional=self.bidirectional_ring)
-
-    def params(self, alpha: float) -> CostParameters:
-        """Cost parameters for a panel's fixed ``alpha`` (the
-        reconfiguration delay is swept per grid column)."""
-        return CostParameters(
-            alpha=alpha,
-            bandwidth=self.bandwidth,
-            delta=self.delta,
-            reconfiguration_delay=self.alpha_rs[0],
-        )
 
 
 #: The configuration matching the paper's §3.4 setup.

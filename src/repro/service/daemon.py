@@ -47,6 +47,7 @@ from dataclasses import asdict, dataclass, field
 from ..exceptions import ConfigurationError, ReproError
 from ..flows import ThroughputCache
 from ..memo import BoundedMemo
+from .._validation import require_count, require_non_negative
 from .._version import detect_version
 from .metrics import DaemonMetrics
 from .schemas import (
@@ -141,14 +142,16 @@ class PlannerDaemon:
         nothing when that is unset, keeping the daemon hermetic).
     batch_window_s:
         How long admission waits to micro-batch plan requests before
-        flushing them as one ``plan_many`` call.  ``0`` flushes on the
-        next loop tick — concurrent submitters still land in one batch.
+        flushing them as one ``plan_many`` call: a finite number of
+        seconds >= 0.  ``0`` flushes on the next loop tick — concurrent
+        submitters still land in one batch.
     max_batch:
-        Flush immediately once this many plan requests are pending.
+        Flush immediately once this many plan requests are pending (a
+        whole number >= 1).
     workers:
-        Size of the solver thread pool.  Theta work is compute-once
-        across threads (the cache guarantees it), so more workers never
-        duplicate LP solves.
+        Size of the solver thread pool (a whole number >= 1).  Theta
+        work is compute-once across threads (the cache guarantees it),
+        so more workers never duplicate LP solves.
     """
 
     def __init__(
@@ -160,14 +163,11 @@ class PlannerDaemon:
         max_batch: int = 128,
         workers: int = 2,
     ) -> None:
-        if batch_window_s < 0:
-            raise ConfigurationError(
-                f"batch_window_s must be >= 0, got {batch_window_s}"
-            )
-        if max_batch < 1:
-            raise ConfigurationError(f"max_batch must be >= 1, got {max_batch}")
-        if workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
+        self._batch_window_s = require_non_negative(
+            batch_window_s, "batch_window_s", ConfigurationError
+        )
+        self._max_batch = require_count(max_batch, "max_batch", ConfigurationError)
+        self._workers = require_count(workers, "workers", ConfigurationError)
         self.cache = (
             cache if cache is not None else ThroughputCache(maxsize=_RESIDENT_CACHE_MAX)
         )
@@ -176,9 +176,6 @@ class PlannerDaemon:
         self.store = activate_disk_cache(directory=cache_dir, cache=self.cache)
         self.metrics_ = DaemonMetrics()
         self.version = detect_version()
-        self._batch_window_s = float(batch_window_s)
-        self._max_batch = int(max_batch)
-        self._workers = int(workers)
         self._loop: asyncio.AbstractEventLoop | None = None
         self._executor: ThreadPoolExecutor | None = None
         self._inflight: dict[str, asyncio.Future] = {}

@@ -2,9 +2,9 @@
 
 Two layers:
 
-* the simulator proper (:class:`FlowLevelSimulator`, :func:`simulate`)
-  operating on library objects (collectives, topologies, schedules),
-  recording one :class:`SimStep` row per executed step;
+* the simulator proper (:class:`FlowLevelSimulator`) operating on
+  library objects (collectives, topologies, schedules), recording one
+  :class:`SimStep` row per executed step;
 * the planner-facing executor (:func:`simulate_plan`,
   :class:`SimResult`) that lowers declarative
   :class:`~repro.planner.Scenario` / :class:`~repro.planner.PlanResult`
@@ -20,7 +20,6 @@ from .observation import (
     observations_to_rows,
 )
 from .rates import RATE_METHODS, FlowRate, FlowRates, allocate_rates
-from .runner import SimulationReport, simulate
 from .workload import PhaseSimResult, WorkloadSimResult, simulate_workload
 
 __all__ = [
@@ -34,8 +33,6 @@ __all__ = [
     "RateObservations",
     "observations_to_rows",
     "observations_from_rows",
-    "SimulationReport",
-    "simulate",
     "SimResult",
     "SimStep",
     "simulate_plan",

@@ -1,40 +1,50 @@
-"""Analysis layer: speedup grids, heatmaps, regimes, sweeps, propagation."""
+"""Analysis layer: speedup grids, heatmaps, regimes, and the alpha_r
+and delta sweeps planned through ``plan_many``."""
 
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    census,
-    compute_speedup_grid,
-    propagation_study,
-    render_grid,
-    render_shaded,
-    sweep_alpha_r,
-)
-from repro.collectives import make_collective
-from repro.core import CostParameters
+from repro.analysis import census, render_grid, render_shaded
+from repro.engine import plan_many
 from repro.exceptions import ConfigurationError
+from repro.experiments import panel_by_id, run_panel, small_config
 from repro.flows import ThroughputCache
-from repro.topology import ring
+from repro.planner import PlanRequest, Scenario, scenario_grid
 from repro.units import Gbps, KiB, MiB, ns, us
 
 B = Gbps(800)
-PARAMS = CostParameters(
-    alpha=ns(100), bandwidth=B, delta=ns(100), reconfiguration_delay=us(1)
-)
+SOLVERS = ("dp", "static", "bvn")
+
+
+def scenario(algorithm, n, message_size):
+    return Scenario.create(
+        algorithm,
+        n=n,
+        message_size=message_size,
+        bandwidth=B,
+        alpha=ns(100),
+        delta=ns(100),
+        reconfiguration_delay=us(1),
+    )
+
+
+def plan_cells(scenarios):
+    """``{solver: PlanResult}`` per scenario, from one ``plan_many`` call."""
+    results = plan_many(
+        [PlanRequest(cell, solver) for cell in scenarios for solver in SOLVERS],
+        cache=ThroughputCache(),
+    )
+    return [
+        dict(zip(SOLVERS, results[i : i + len(SOLVERS)]))
+        for i in range(0, len(results), len(SOLVERS))
+    ]
 
 
 @pytest.fixture(scope="module")
 def grid():
-    cache = ThroughputCache()
-    return compute_speedup_grid(
-        lambda m: make_collective("allreduce_recursive_doubling", 8, m),
-        ring(8, B),
-        PARAMS,
-        message_sizes=(KiB(4), MiB(1), MiB(64)),
-        alpha_rs=(ns(100), us(10), us(1000)),
-        cache=cache,
-    )
+    # panel a at n=8: recursive doubling, alpha = delta = 100 ns, rows
+    # 4 KiB / 1 MiB / 64 MiB, columns alpha_r 100 ns / 10 us / 1 ms
+    return run_panel(panel_by_id("a"), small_config(8), cache=ThroughputCache()).grid
 
 
 class TestSpeedupGrid:
@@ -69,16 +79,6 @@ class TestSpeedupGrid:
         # dear reconfig + small message -> static
         assert regimes[2, 0] == "bvn"
         assert regimes[0, 2] == "static"
-
-    def test_empty_axes_rejected(self):
-        with pytest.raises(ConfigurationError):
-            compute_speedup_grid(
-                lambda m: make_collective("alltoall", 4, m),
-                ring(4, B),
-                PARAMS,
-                message_sizes=(),
-                alpha_rs=(us(1),),
-            )
 
 
 class TestCensus:
@@ -128,43 +128,34 @@ class TestHeatmapRendering:
 
 class TestSweeps:
     def test_alpha_r_sweep_monotone_matched_steps(self):
-        collective = make_collective("allreduce_recursive_doubling", 8, MiB(4))
-        records = sweep_alpha_r(
-            collective,
-            ring(8, B),
-            PARAMS,
-            alpha_rs=(ns(100), us(1), us(10), us(100), us(1000)),
+        cells = plan_cells(
+            scenario_grid(
+                scenario("allreduce_recursive_doubling", 8, MiB(4)),
+                (MiB(4),),
+                (ns(100), us(1), us(10), us(100), us(1000)),
+            )
         )
-        matched = [r.n_matched_steps for r in records]
+        matched = [cell["dp"].num_matched_steps for cell in cells]
         assert matched == sorted(matched, reverse=True)
-        for record in records:
-            assert record.opt_total <= record.static_total + 1e-18
-            assert record.opt_total <= record.bvn_total + 1e-18
-
-    def test_record_as_dict(self):
-        collective = make_collective("alltoall", 4, MiB(1))
-        record = sweep_alpha_r(collective, ring(4, B), PARAMS, (us(1),))[0]
-        data = record.as_dict()
-        assert data["parameter"] == "alpha_r"
-        assert data["opt_total"] > 0
+        for cell in cells:
+            assert cell["dp"].total_time <= cell["static"].total_time + 1e-18
+            assert cell["dp"].total_time <= cell["bvn"].total_time + 1e-18
 
 
 class TestPropagationStudy:
-    def test_static_delta_sensitivity_ordering(self):
-        records = propagation_study(
-            ["allreduce_ring", "allreduce_recursive_doubling", "allreduce_swing"],
-            16,
-            MiB(1),
-            ring(16, B),
-            PARAMS,
-            deltas=(ns(10), ns(1000)),
-        )
-        by_algo = {}
-        for record in records:
-            by_algo.setdefault(record.algorithm, []).append(record)
+    """Static and optimized totals as the per-hop propagation delay
+    ``delta`` grows (research agenda: "deeper understanding of the
+    propagation delays")."""
 
+    def test_static_delta_sensitivity_ordering(self):
         def growth(name):
-            return by_algo[name][1].static_total - by_algo[name][0].static_total
+            low, high = plan_cells(
+                [
+                    scenario(name, 16, MiB(1)).replace(delta=delta)
+                    for delta in (ns(10), ns(1000))
+                ]
+            )
+            return high["static"].total_time - low["static"].total_time
 
         # A neat identity: ring and halving/doubling both traverse
         # 2(n-1) total hops on a static ring (the XOR distances
@@ -178,7 +169,5 @@ class TestPropagationStudy:
         assert growth("allreduce_swing") < growth("allreduce_recursive_doubling")
 
     def test_opt_bounded_by_static(self):
-        records = propagation_study(
-            ["allreduce_swing"], 8, MiB(1), ring(8, B), PARAMS, deltas=(ns(100),)
-        )
-        assert all(r.opt_total <= r.static_total + 1e-18 for r in records)
+        (cell,) = plan_cells([scenario("allreduce_swing", 8, MiB(1))])
+        assert cell["dp"].total_time <= cell["static"].total_time + 1e-18

@@ -14,7 +14,6 @@ from repro.core import (
     StepCost,
     best_of_both_cost,
     bvn_cost,
-    classify_regime,
     crossover_to_static,
     evaluate_schedule,
     evaluate_schedule_with_overlap,
@@ -30,7 +29,9 @@ from repro.core import (
 )
 from repro.core.schedule import count_reconfigurations
 from repro.exceptions import ScheduleError
+from repro.experiments import PaperConfig, panel_by_id, run_panel
 from repro.fabric import PerPortReconfigurationDelay
+from repro.flows import ThroughputCache
 from repro.topology import coprime_rings, ring
 from repro.units import Gbps, KiB, MiB, ns, us
 
@@ -381,16 +382,22 @@ class TestTradeoff:
         collective = make_collective("allreduce_recursive_doubling", 16, MiB(4))
         return evaluate_step_costs(collective, ring(16, B), params_with(us(1)))
 
-    def test_regime_extremes(self, costs):
-        assert classify_regime(costs, params_with(1.0)).regime == "static"
-        assert classify_regime(costs, params_with(0.0)).regime == "bvn"
+    @staticmethod
+    def regimes(*alpha_rs):
+        """Panel a's regime row at n=16 and 4 MiB: the same collective,
+        ring and cost scalars as ``costs``."""
+        config = PaperConfig(n=16, message_sizes=(MiB(4),), alpha_rs=alpha_rs)
+        grid = run_panel(panel_by_id("a"), config, cache=ThroughputCache()).grid
+        return list(grid.regimes()[0])
 
-    def test_mixed_regime_exists(self, costs):
+    def test_regime_extremes(self):
+        assert self.regimes(1.0, 0.0) == ["static", "bvn"]
+
+    def test_mixed_regime_exists(self):
         # scan for a point where OPT strictly beats both pure strategies
-        regimes = {
-            classify_regime(costs, params_with(alpha_r)).regime
-            for alpha_r in (us(0.1), us(1), us(3), us(10), us(30), us(100), us(300))
-        }
+        regimes = self.regimes(
+            us(0.1), us(1), us(3), us(10), us(30), us(100), us(300)
+        )
         assert "mixed" in regimes
 
     def test_breakeven_consistency(self, costs):

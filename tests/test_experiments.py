@@ -21,6 +21,7 @@ from repro.experiments import (
     write_panel_csv,
 )
 from repro.experiments.__main__ import main as cli_main
+from repro.experiments.figure1 import panel_scenario
 from repro.flows import ThroughputCache
 from repro.units import Gbps, ns
 
@@ -30,7 +31,7 @@ class TestConfig:
         assert PAPER_CONFIG.n == 64
         assert PAPER_CONFIG.bandwidth == pytest.approx(Gbps(800))
         assert PAPER_CONFIG.delta == pytest.approx(ns(100))
-        topology = PAPER_CONFIG.base_topology()
+        topology = panel_scenario(FIGURE1_PANELS[0]).build_topology()
         assert topology.n_ranks == 64
         assert topology.metadata["family"] == "ring"
 

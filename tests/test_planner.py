@@ -216,6 +216,15 @@ class TestScenario:
         assert grid[5].collective.message_size == MiB(1)
         assert grid[5].cost.reconfiguration_delay == us(100)
 
+    @pytest.mark.parametrize(
+        "message_sizes, alpha_rs",
+        [((), (us(1),)), ((KiB(1),), ())],
+        ids=["no-message-sizes", "no-alpha-rs"],
+    )
+    def test_scenario_grid_empty_axis_rejected(self, message_sizes, alpha_rs):
+        with pytest.raises(ConfigurationError, match="both grid axes"):
+            scenario_grid(paper_scenario(n=8), message_sizes, alpha_rs)
+
 
 class TestPlanResultSerialization:
     """PlanResult dict round-tripping (the SimResult dict format embeds

@@ -773,13 +773,22 @@ class TestStreaming:
 
 
 class TestLifecycle:
-    def test_constructor_validation(self):
-        with pytest.raises(ConfigurationError):
-            PlannerDaemon(batch_window_s=-1)
-        with pytest.raises(ConfigurationError):
-            PlannerDaemon(max_batch=0)
-        with pytest.raises(ConfigurationError):
-            PlannerDaemon(workers=0)
+    @pytest.mark.parametrize(
+        "field, value",
+        [("batch_window_s", v) for v in (-1, math.nan, math.inf)]
+        + [(f, v) for f in ("max_batch", "workers") for v in (0, True, 2.5)],
+    )
+    def test_constructor_validation(self, tmp_path, field, value):
+        # An infinite or NaN window would hold every plan until
+        # max_batch plans are pending, and a truncated count would run
+        # 2.5 workers as 2.  Refused before the disk store is built.
+        rule = "whole number >= 1"
+        if field == "batch_window_s":
+            rule = "finite number >= 0"
+        store = tmp_path / "store"
+        with pytest.raises(ConfigurationError, match=f"{field} must be a {rule}"):
+            PlannerDaemon(cache_dir=str(store), **{field: value})
+        assert not store.exists()
 
     def test_stop_flushes_pending_work(self):
         async def main():

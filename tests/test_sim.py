@@ -23,6 +23,7 @@ from repro.fabric import (
     ReconfigurationModel,
 )
 from repro.matching import Matching
+from repro.planner import Scenario, plan
 from repro.sim import (
     FlowLevelSimulator,
     FlowRate,
@@ -32,7 +33,7 @@ from repro.sim import (
     allocate_rates,
     observations_from_rows,
     observations_to_rows,
-    simulate,
+    simulate_plan,
 )
 from repro.sim.rates import _BLOCKS, RATE_METHODS, clear_incidence_cache
 from repro.topology import Topology, pod_fabric, ring, star, torus
@@ -280,12 +281,21 @@ class TestSimulatorEqualsModel:
         assert result.total_time == pytest.approx(analytic.total, rel=1e-12)
         assert result.n_reconfigurations == analytic.n_reconfigurations
 
-    def test_runner_checks_model(self):
-        collective = make_collective("allreduce_swing", 8, MiB(2))
-        report = simulate(collective, ring(8, B), make_params())
-        assert report.model_error < 1e-12
-        assert report.speedup_vs_static >= 1.0 - 1e-12
-        assert report.speedup_vs_bvn >= 1.0 - 1e-12
+    def test_simulate_plan_checks_model(self):
+        scenario = Scenario.create(
+            "allreduce_swing",
+            n=8,
+            message_size=MiB(2),
+            bandwidth=B,
+            alpha=ns(100),
+            delta=ns(100),
+            reconfiguration_delay=us(10),
+        )
+        result = simulate_plan(scenario)
+        assert result.model_error < 1e-12
+        for baseline in ("static", "bvn"):
+            speedup = plan(scenario, solver=baseline).total_time / result.sim_time
+            assert speedup >= 1.0 - 1e-12
 
 
 class TestSimulatorBehaviour:
@@ -426,10 +436,14 @@ class TestSimulatorBehaviour:
 
         barrier = barrier_dissemination(8)
         params = make_params(us(1))
-        report = simulate(barrier, ring(8, B), params)
+        costs = evaluate_step_costs(barrier, ring(8, B), params)
+        schedule = optimize_schedule(costs, params).schedule
+        result = FlowLevelSimulator(ring(8, B), params).run(barrier, schedule)
         # barrier time = steps * alpha + propagation only
-        assert report.simulation.total_time > 0
-        assert math.isfinite(report.simulation.total_time)
+        assert result.total_time > 0
+        assert math.isfinite(result.total_time)
+        analytic = evaluate_schedule(costs, schedule, params)
+        assert result.total_time == pytest.approx(analytic.total, rel=1e-9)
 
 
 class TestMatchedStepsBuildNoGraph:

@@ -4,38 +4,47 @@
 Walks the two fabric designs the paper sketches — a centrally
 programmed optical circuit switch and a passive wavelength-routed
 fabric with tunable lasers — through the same Swing AllReduce step
-sequence, comparing reconfiguration behaviour under constant,
-per-port, and measured-table delay models.
+sequence.  The cost model reads a design only through its delay model
+over circuit configurations: the switch as a constant, per-port or
+measured-table delay, the wavelength fabric as one constant laser
+tuning time (all lasers retune in parallel).
 
 Run:  python examples/photonic_fabric_tour.py
 """
 
-from repro import Gbps, MiB, make_collective, us
+from repro import MiB, make_collective, us
 from repro.fabric import (
     ConstantReconfigurationDelay,
-    OpticalCircuitSwitch,
     PerPortReconfigurationDelay,
     TableReconfigurationDelay,
-    WavelengthSwitchedFabric,
+    configuration_from_matching,
+    touched_ports,
 )
 from repro.units import format_time, ns
 
 
-def drive(fabric, collective, label: str) -> None:
-    total = 0.0
+def drive(model, collective, label: str) -> None:
+    """Realize each step's matching in turn, starting from a dark
+    fabric, and report what the delay model charges."""
+    current = frozenset()
+    reconfigurations, total, ports = 0, 0.0, 0
     for step in collective.steps:
-        total += fabric.connect(step.matching)
-    stats = fabric.statistics
+        target = configuration_from_matching(step.matching)
+        delay = model.delay(current, target)
+        if delay > 0:
+            reconfigurations += 1
+            total += delay
+            ports += len(touched_ports(current, target))
+        current = target
     print(
-        f"  {label:>34}: {stats.n_reconfigurations:3d} reconfigurations, "
-        f"{format_time(stats.total_reconfiguration_time):>8} total, "
-        f"{stats.ports_touched:4d} ports touched"
+        f"  {label:>34}: {reconfigurations:3d} reconfigurations, "
+        f"{format_time(total):>8} total, "
+        f"{ports:4d} ports touched"
     )
 
 
 def main() -> None:
     n = 32
-    bandwidth = Gbps(800)
     collective = make_collective("allreduce_swing", n, MiB(16))
     print(
         f"driving {collective.name} (n={n}, {collective.num_steps} steps) "
@@ -43,34 +52,20 @@ def main() -> None:
     )
 
     print("optical circuit switch (central controller):")
+    drive(ConstantReconfigurationDelay(us(10)), collective, "constant 10us")
     drive(
-        OpticalCircuitSwitch(n, bandwidth, ConstantReconfigurationDelay(us(10))),
-        collective,
-        "constant 10us",
-    )
-    drive(
-        OpticalCircuitSwitch(
-            n, bandwidth, PerPortReconfigurationDelay(base=us(2), per_port=ns(250))
-        ),
+        PerPortReconfigurationDelay(base=us(2), per_port=ns(250)),
         collective,
         "2us + 250ns/port",
     )
     drive(
-        OpticalCircuitSwitch(
-            n,
-            bandwidth,
-            TableReconfigurationDelay([(8, us(3)), (32, us(8)), (64, us(20))]),
-        ),
+        TableReconfigurationDelay([(8, us(3)), (32, us(8)), (64, us(20))]),
         collective,
         "measured table",
     )
 
     print("\npassive wavelength-routed fabric (tunable lasers):")
-    drive(
-        WavelengthSwitchedFabric(n, bandwidth, tuning_time=us(4)),
-        collective,
-        "4us laser tuning",
-    )
+    drive(ConstantReconfigurationDelay(us(4)), collective, "4us laser tuning")
 
     print(
         "\nreading: the wavelength fabric pays one parallel tuning per\n"

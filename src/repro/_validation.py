@@ -63,21 +63,21 @@ def require(condition: bool, exc_type: type[ReproError], message: str) -> None:
 
 
 def require_positive(value: float, name: str, exc_type: type[ReproError]) -> float:
-    """Validate that a scalar parameter is a finite number > 0 (NaN and
-    infinity fail)."""
-    value = float(value)
-    if not 0 < value < math.inf:
+    """Validate that a scalar parameter is a finite number > 0 (NaN,
+    infinity and booleans fail)."""
+    number = math.nan if isinstance(value, bool) else float(value)
+    if not 0 < number < math.inf:
         raise exc_type(f"{name} must be a finite number > 0, got {value!r}")
-    return value
+    return number
 
 
 def require_non_negative(value: float, name: str, exc_type: type[ReproError]) -> float:
-    """Validate that a scalar parameter is a finite number >= 0 (NaN and
-    infinity fail)."""
-    value = float(value)
-    if not 0 <= value < math.inf:
+    """Validate that a scalar parameter is a finite number >= 0 (NaN,
+    infinity and booleans fail)."""
+    number = math.nan if isinstance(value, bool) else float(value)
+    if not 0 <= number < math.inf:
         raise exc_type(f"{name} must be a finite number >= 0, got {value!r}")
-    return value
+    return number
 
 
 def require_count(value: object, name: str, exc_type: type[ReproError]) -> int:

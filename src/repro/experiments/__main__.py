@@ -54,6 +54,7 @@ from pathlib import Path
 from ..analysis.adaptivity import compare_policies
 from ..collectives.registry import available_collectives
 from ..engine import activate_disk_cache
+from ..exceptions import ReproError
 from ..fabric.reconfiguration import (
     ConstantReconfigurationDelay,
     PerPortReconfigurationDelay,
@@ -658,8 +659,18 @@ def _run_degradation(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI main; returns a process exit code."""
+    """CLI main; returns a process exit code.  A refused input (any
+    :class:`~repro.exceptions.ReproError`) is reported as one
+    ``error:`` line on stderr with exit code 1."""
     args = _build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except ReproError as error:
+        print(f"error: {type(error).__name__}: {error}", file=sys.stderr)
+        return 1
+
+
+def _run(args: argparse.Namespace) -> int:
     # Opt-in persistent theta tier: with REPRO_CACHE_DIR set, every
     # subcommand reads and feeds the shared on-disk store, so repeated
     # runs (and CI jobs) pay zero LP solves after the first.

@@ -1,5 +1,5 @@
-"""Photonic fabric models: switches, transceivers, reconfiguration
-delays, and fault/heterogeneity conditions."""
+"""Photonic fabric models: reconfiguration delays over circuit
+configurations, and fault/heterogeneity conditions."""
 
 from .degradation import (
     PRISTINE,
@@ -9,7 +9,6 @@ from .degradation import (
     random_failures,
     uniform_degradation,
 )
-from .ocs import OpticalCircuitSwitch, SwitchStatistics
 from .reconfiguration import (
     ConstantReconfigurationDelay,
     PerPortReconfigurationDelay,
@@ -20,8 +19,6 @@ from .reconfiguration import (
     reconfiguration_model_from_dict,
     touched_ports,
 )
-from .transceiver import Transceiver
-from .wavelength import WavelengthSwitchedFabric
 
 __all__ = [
     "FabricHealth",
@@ -30,10 +27,6 @@ __all__ = [
     "uniform_degradation",
     "random_failures",
     "hotspot",
-    "OpticalCircuitSwitch",
-    "WavelengthSwitchedFabric",
-    "SwitchStatistics",
-    "Transceiver",
     "ReconfigurationModel",
     "ConstantReconfigurationDelay",
     "PerPortReconfigurationDelay",

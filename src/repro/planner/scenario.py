@@ -24,7 +24,7 @@ import weakref
 from dataclasses import dataclass, field, replace
 from collections.abc import Mapping, Sequence
 
-from .._validation import require_keys, require_positive
+from .._validation import require_count, require_keys, require_positive
 from ..collectives.base import Collective
 from ..collectives.registry import available_collectives, make_collective
 from ..core.cost_model import CostParameters, StepCost, evaluate_step_costs
@@ -286,8 +286,8 @@ class TopologySpec:
         require_keys(data, {"family", "n", "bandwidth", "options"}, "topology")
         return cls(
             family=str(data.get("family", "ring")),
-            n=int(data.get("n", 64)),
-            bandwidth=float(data.get("bandwidth", Gbps(800))),
+            n=require_count(data.get("n", 64), "n", ConfigurationError),
+            bandwidth=data.get("bandwidth", Gbps(800)),
             options=_freeze_options(data.get("options")),
         )
 
@@ -737,18 +737,20 @@ class Scenario:
             topology=TopologySpec.from_dict(data.get("topology", {})),
             collective=CollectiveSpec.from_dict(data.get("collective", {})),
             cost=CostParameters(
-                alpha=float(cost_data.get("alpha", 0.0)),
-                bandwidth=float(cost_data.get("bandwidth", Gbps(800))),
-                delta=float(cost_data.get("delta", 0.0)),
-                reconfiguration_delay=float(
-                    cost_data.get("reconfiguration_delay", 0.0)
-                ),
+                alpha=cost_data.get("alpha", 0.0),
+                bandwidth=cost_data.get("bandwidth", Gbps(800)),
+                delta=cost_data.get("delta", 0.0),
+                reconfiguration_delay=cost_data.get("reconfiguration_delay", 0.0),
             ),
             theta_method=str(data.get("theta_method", "auto")),
             path_rule=PathLengthRule(
                 str(data.get("path_rule", PathLengthRule.MAX_PAIR_HOPS.value))
             ),
-            multiport_radix=None if radix is None else int(radix),
+            multiport_radix=(
+                None
+                if radix is None
+                else require_count(radix, "multiport_radix", ConfigurationError)
+            ),
             name=str(data.get("name", "")),
             health=(
                 None

@@ -110,8 +110,22 @@ def _check_envelope(data: Mapping[str, object]) -> None:
         )
 
 
+# The arguments the daemon passes to the executor itself: an option of
+# the same name would rebind one (a TypeError inside the worker) or
+# switch off the sim-equals-model check.
+_EXECUTOR_ARGUMENTS = {
+    SimulateBody: frozenset(
+        {"item", "solver", "rate_method", "accounting", "cache", "check_model"}
+    ),
+    WorkloadBody: frozenset(
+        {"item", "policy", "solver", "reconfiguration_model", "cache", "check_model"}
+    ),
+}
+
+
 def _check_registries(request: ServiceRequest) -> None:
-    """Reject unregistered solver / policy / rate-method names early."""
+    """Reject unregistered solver / policy / rate-method names, and
+    options that would rebind the executor's own arguments, early."""
     from ..planner.registry import available_solvers
     from ..sim.rates import RATE_METHODS
     from ..workload.policies import available_policies
@@ -143,6 +157,14 @@ def _check_registries(request: ServiceRequest) -> None:
                 f"accounting must be 'paper' or 'physical', got "
                 f"{body.accounting!r}",
                 path="body.accounting",
+            )
+    if isinstance(body, (SimulateBody, WorkloadBody)):
+        clash = sorted(_EXECUTOR_ARGUMENTS[type(body)].intersection(dict(body.options)))
+        if clash:
+            raise _fail(
+                f"options may not set {clash}: the daemon passes them to the "
+                "executor itself",
+                path="body.options",
             )
     if isinstance(body, WorkloadBody):
         policies = available_policies()

@@ -152,3 +152,25 @@ class TestEmission:
                 cli_main([command, *flag])
             assert excinfo.value.code == 2
             assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["plan", "--n", "1"], "node count must be >= 2"),
+            (
+                ["serve", "--smoke", "5", "--batch-window", "inf"],
+                "batch_window_s must be a finite number >= 0",
+            ),
+            (
+                ["serve", "--smoke", "5", "--workers", "0"],
+                "workers must be a whole number >= 1",
+            ),
+        ],
+        ids=["plan-n-1", "serve-batch-window-inf", "serve-workers-0"],
+    )
+    def test_cli_reports_a_refused_input_in_one_line(self, argv, message, capsys):
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert message in err
+        assert "Traceback" not in err

@@ -1,4 +1,4 @@
-"""Fabric models: reconfiguration delays, OCS, wavelength fabric."""
+"""Fabric models: circuit configurations and reconfiguration delays."""
 
 import math
 
@@ -8,11 +8,8 @@ from hypothesis import given, settings, strategies as st
 from repro.exceptions import ConfigurationError, FabricError
 from repro.fabric import (
     ConstantReconfigurationDelay,
-    OpticalCircuitSwitch,
     PerPortReconfigurationDelay,
     TableReconfigurationDelay,
-    Transceiver,
-    WavelengthSwitchedFabric,
     configuration_from_matching,
     configuration_from_topology,
     reconfiguration_model_from_dict,
@@ -109,94 +106,9 @@ class TestDelayModels:
         with pytest.raises(FabricError):
             PerPortReconfigurationDelay(-1.0, 0.0)
 
-
-class TestOpticalCircuitSwitch:
-    def test_connect_and_route(self):
-        switch = OpticalCircuitSwitch(8, B, ConstantReconfigurationDelay(us(10)))
-        delay = switch.connect(Matching.shift(8, 1))
-        assert delay == pytest.approx(us(10))
-        assert switch.destination_of(0) == 1
-        assert switch.destination_of(7) == 0
-
-    def test_idempotent_connect_is_free(self):
-        switch = OpticalCircuitSwitch(8, B, ConstantReconfigurationDelay(us(10)))
-        switch.connect(Matching.shift(8, 1))
-        assert switch.connect(Matching.shift(8, 1)) == 0.0
-        assert switch.statistics.n_reconfigurations == 1
-
-    def test_statistics_accumulate(self):
-        switch = OpticalCircuitSwitch(8, B, ConstantReconfigurationDelay(us(10)))
-        switch.connect(Matching.shift(8, 1))
-        switch.connect(Matching.shift(8, 2))
-        assert switch.statistics.n_reconfigurations == 2
-        assert switch.statistics.total_reconfiguration_time == pytest.approx(us(20))
-
-    def test_as_topology(self):
-        switch = OpticalCircuitSwitch(8, B, initial=Matching.shift(8, 3))
-        topology = switch.as_topology()
-        assert topology.capacity(0, 3) == pytest.approx(B)
-        assert topology.metadata["family"] == "matched"
-
-    def test_partial_matching_reconfigures_involved_ports(self):
-        model = PerPortReconfigurationDelay(base=0.0, per_port=us(1))
-        switch = OpticalCircuitSwitch(8, B, model, initial=Matching(8, [(0, 1)]))
-        delay = switch.connect(Matching(8, [(0, 1), (2, 3)]))
-        assert delay == pytest.approx(us(2))  # only ports 2 and 3 touched
-
-    def test_validation(self):
-        with pytest.raises(FabricError):
-            OpticalCircuitSwitch(1, B)
-        switch = OpticalCircuitSwitch(4, B)
-        with pytest.raises(FabricError):
-            switch.connect(Matching.shift(8, 1))
-
-
-class TestWavelengthFabric:
-    def test_wavelength_assignment(self):
-        fabric = WavelengthSwitchedFabric(8, B, us(5))
-        assert fabric.wavelength_for(0, 3) == 3
-        assert fabric.wavelength_for(5, 2) == 5  # (2 - 5) mod 8
-
-    def test_wavelength_validation(self):
-        fabric = WavelengthSwitchedFabric(8, B, us(5))
-        with pytest.raises(FabricError):
-            fabric.wavelength_for(0, 0)
-        with pytest.raises(FabricError):
-            fabric.wavelength_for(0, 9)
-
-    def test_retune_delay_is_port_independent(self):
-        fabric = WavelengthSwitchedFabric(8, B, us(5))
-        assert fabric.connect(Matching.shift(8, 1)) == pytest.approx(us(5))
-        # full re-tune of all ports still costs one tuning time
-        assert fabric.connect(Matching.shift(8, 3)) == pytest.approx(us(5))
-
-    def test_identical_connect_free(self):
-        fabric = WavelengthSwitchedFabric(8, B, us(5))
-        fabric.connect(Matching.shift(8, 2))
-        assert fabric.connect(Matching.shift(8, 2)) == 0.0
-
-    def test_configuration_roundtrip(self):
-        fabric = WavelengthSwitchedFabric(8, B, us(5))
-        matching = Matching.xor_exchange(8, 4)
-        fabric.connect(matching)
-        assert fabric.configuration == configuration_from_matching(matching)
-        topology = fabric.as_topology()
-        assert topology.capacity(0, 4) == pytest.approx(B)
-
-
-class TestTransceiver:
-    def test_defaults_match_paper(self):
-        assert Transceiver().rate == pytest.approx(Gbps(800))
-
-    def test_transmission_time(self):
-        t = Transceiver(rate=Gbps(100))
-        assert t.transmission_time(1e9) == pytest.approx(0.01)
-
-    def test_validation(self):
-        with pytest.raises(FabricError):
-            Transceiver(rate=0)
-        with pytest.raises(FabricError):
-            Transceiver().transmission_time(-1)
+    def test_boolean_delay_rejected(self):
+        with pytest.raises(FabricError, match="got True"):
+            ConstantReconfigurationDelay(True)
 
 
 class TestTableDelayEdges:

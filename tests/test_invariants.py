@@ -13,9 +13,9 @@ from repro.core import (
     evaluate_schedule,
 )
 from repro.exceptions import ScheduleError
-from repro.fabric import ConstantReconfigurationDelay, OpticalCircuitSwitch
 from repro.flows import compute_theta
 from repro.matching import Matching
+from repro.topology import matched_topology
 from repro.units import Gbps, ns, us
 
 B = Gbps(800)
@@ -62,28 +62,21 @@ class TestBreakdownInvariant:
 
 class TestFabricFlowConsistency:
     def test_switch_topology_serves_its_matching_at_full_rate(self):
-        """Whatever the switch is connected to, the implied topology
+        """Whatever matching the circuits realize, the matched topology
         routes exactly that matching with theta == 1."""
         for matching in (
             Matching.shift(8, 3),
             Matching.xor_exchange(8, 4),
             Matching(8, [(0, 5), (5, 0), (2, 7)]),
         ):
-            switch = OpticalCircuitSwitch(
-                8, B, ConstantReconfigurationDelay(us(1))
-            )
-            switch.connect(matching)
-            theta = compute_theta(
-                switch.as_topology(), matching, reference_rate=B, cache=None
-            )
+            circuits = matched_topology(matching, B)
+            theta = compute_theta(circuits, matching, reference_rate=B, cache=None)
             assert theta == pytest.approx(1.0)
 
     def test_switch_cannot_serve_other_patterns(self):
-        switch = OpticalCircuitSwitch(8, B, initial=Matching.shift(8, 1))
+        circuits = matched_topology(Matching.shift(8, 1), B)
         other = Matching.shift(8, 3)
-        theta = compute_theta(
-            switch.as_topology(), other, reference_rate=B, cache=None
-        )
+        theta = compute_theta(circuits, other, reference_rate=B, cache=None)
         # only multi-hop relaying along the shift-1 cycle remains
         assert theta == pytest.approx(1.0 / 3.0)
 

@@ -490,6 +490,50 @@ class TestErrorIsolation:
         assert response.error.code == "solver"
         assert "threshold must be a finite number >= 0" in response.error.message
 
+    @pytest.mark.parametrize(
+        "kind, name",
+        [("simulate", n) for n in ("rate_method", "accounting")]
+        + [("workload", n) for n in ("policy", "reconfiguration_model")]
+        + [
+            (kind, n)
+            for kind in ("simulate", "workload")
+            for n in ("item", "solver", "cache", "check_model")
+        ],
+    )
+    def test_executor_arguments_are_refused_as_options(self, kind, name):
+        # The daemon passes these to simulate_plan / simulate_workload
+        # itself: as an option one would be bound twice (a TypeError in
+        # the worker) or switch off the sim-equals-model check.
+        sc = scenario(n=4)
+        if kind == "simulate":
+            body = SimulateBody(scenario=sc, options={name: None})
+        else:
+            body = WorkloadBody(workload=steady_trace(sc, 2), options={name: None})
+
+        async def main():
+            async with PlannerDaemon(batch_window_s=0.0) as daemon:
+                return await daemon.submit(ServiceRequest(body=body)), daemon.metrics()
+
+        response, metrics = run(main())
+        assert not response.ok and response.error.code == "validation"
+        assert name in response.error.message
+        assert "at body.options" in response.error.details
+        assert metrics["validation_errors"] == 1 and metrics["dispatched"] == 0
+
+    def test_policy_options_still_reach_the_policy(self):
+        body = WorkloadBody(
+            workload=steady_trace(scenario(n=4), phases=2),
+            policy="hysteresis",
+            options={"threshold": 0.1},
+        )
+
+        async def main():
+            async with PlannerDaemon(batch_window_s=0.0) as daemon:
+                return await daemon.submit(ServiceRequest(body=body))
+
+        response = run(main())
+        assert response.ok, response.error
+
     def test_pool_reconfiguration_model_as_a_dict(self):
         options = {"reconfiguration_model": {"kind": "constant", "alpha_r": us(5)}}
 
@@ -775,13 +819,14 @@ class TestStreaming:
 class TestLifecycle:
     @pytest.mark.parametrize(
         "field, value",
-        [("batch_window_s", v) for v in (-1, math.nan, math.inf)]
+        [("batch_window_s", v) for v in (-1, math.nan, math.inf, True)]
         + [(f, v) for f in ("max_batch", "workers") for v in (0, True, 2.5)],
     )
     def test_constructor_validation(self, tmp_path, field, value):
         # An infinite or NaN window would hold every plan until
-        # max_batch plans are pending, and a truncated count would run
-        # 2.5 workers as 2.  Refused before the disk store is built.
+        # max_batch plans are pending, a boolean would run a 1 s window,
+        # and a truncated count would run 2.5 workers as 2.  Refused
+        # before the disk store is built.
         rule = "whole number >= 1"
         if field == "batch_window_s":
             rule = "finite number >= 0"

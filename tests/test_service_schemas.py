@@ -313,6 +313,36 @@ class TestValidator:
         assert error is None
         assert request.body.scenario == small_scenario
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"cost": {"alpha": True}}, "alpha must be a finite number >= 0, got True"),
+            (
+                {"cost": {"reconfiguration_delay": False}},
+                "reconfiguration_delay must be a finite number >= 0, got False",
+            ),
+            ({"topology": {"n": 8.9}}, "n must be a whole number >= 1, got 8.9"),
+            ({"topology": {"n": True}}, "n must be a whole number >= 1, got True"),
+            (
+                {"collective": {"algorithm": "alltoall"}, "multiport_radix": 2.9},
+                "multiport_radix must be a whole number >= 1, got 2.9",
+            ),
+        ],
+        ids=["alpha-true", "alpha_r-false", "n-fraction", "n-true", "radix-fraction"],
+    )
+    def test_scenario_numbers_are_checked_not_coerced(
+        self, small_scenario, edit, message
+    ):
+        """A boolean is not read as 0 or 1, nor a fraction truncated,
+        where a scenario wants a number or a count."""
+        scenario = small_scenario.to_dict()
+        for key, value in edit.items():
+            merged = {**scenario[key], **value} if isinstance(value, dict) else value
+            scenario[key] = merged
+        request, error = try_validate({"kind": "plan", "body": {"scenario": scenario}})
+        assert request is None and error.code == "validation"
+        assert message in error.message
+
     def test_typed_request_revalidates_registries(self, small_scenario):
         # A typed request built against a solver that has since been
         # unregistered must still be rejected at admission.

@@ -80,9 +80,11 @@ def require_non_negative(value: float, name: str, exc_type: type[ReproError]) ->
     return number
 
 
-def require_count(value: object, name: str, exc_type: type[ReproError]) -> int:
+def require_count(
+    value: object, name: str, exc_type: type[ReproError], minimum: int = 1
+) -> int:
     """Validate a count (of phases, samples, workers, ...): a whole
-    number >= 1.
+    number >= ``minimum`` (1 unless a seed or index may be 0).
 
     An integral float such as ``4.0`` is accepted; a boolean, a
     non-number, a fraction, NaN or infinity raises ``exc_type`` instead
@@ -92,9 +94,9 @@ def require_count(value: object, name: str, exc_type: type[ReproError]) -> int:
         or not isinstance(value, Real)
         or not math.isfinite(value)
         or value != int(value)
-        or value < 1
+        or value < minimum
     ):
-        raise exc_type(f"{name} must be a whole number >= 1, got {value!r}")
+        raise exc_type(f"{name} must be a whole number >= {minimum}, got {value!r}")
     return int(value)
 
 

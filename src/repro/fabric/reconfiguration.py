@@ -23,7 +23,12 @@ from abc import ABC, abstractmethod
 from bisect import bisect_left
 from collections.abc import Mapping, Sequence
 
-from .._validation import require_field, require_keys, require_non_negative
+from .._validation import (
+    require_count,
+    require_field,
+    require_keys,
+    require_non_negative,
+)
 from ..exceptions import FabricError
 from ..matching import Matching
 from ..memo import BoundedMemo
@@ -199,13 +204,22 @@ class TableReconfigurationDelay(ReconfigurationModel):
     """
 
     def __init__(self, samples: Sequence[tuple[int, float]]):
-        if not samples:
-            raise FabricError("at least one (ports, delay) sample is required")
-        table = sorted((int(p), float(d)) for p, d in samples)
-        for ports, delay in table:
-            if ports <= 0:
-                raise FabricError(f"port counts must be positive, got {ports}")
-            require_non_negative(delay, "delay", FabricError)
+        if not isinstance(samples, (list, tuple)) or not samples:
+            raise FabricError(
+                f"samples must be a non-empty list of [ports, delay] pairs, "
+                f"got {samples!r}"
+            )
+        table = []
+        for sample in samples:
+            if not isinstance(sample, (list, tuple)) or len(sample) != 2:
+                raise FabricError(
+                    f"samples must be [ports, delay] pairs, got {sample!r}"
+                )
+            table.append((
+                require_count(sample[0], "sample ports", FabricError),
+                require_non_negative(sample[1], "sample delay", FabricError),
+            ))
+        table.sort()
         self._ports = [p for p, _ in table]
         self._delays = [d for _, d in table]
 
@@ -233,8 +247,9 @@ def reconfiguration_model_from_dict(
 ) -> ReconfigurationModel:
     """Rebuild a delay model from its :meth:`~ReconfigurationModel.to_dict`
     form — the bridge that lets workload plans and CLI configs name a
-    delay model declaratively.  A missing field, an unknown key or a
-    delay that is not a finite number >= 0 raises a
+    delay model declaratively.  A missing field, an unknown key, a
+    delay that is not a finite number >= 0 or a table sample that is
+    not a ``[ports, delay]`` pair with a whole port count >= 1 raises a
     :class:`~repro.exceptions.ReproError` naming it."""
     what = "reconfiguration model"
     require_keys(data, {"kind", "alpha_r", "base", "per_port", "samples"}, what)
@@ -246,10 +261,7 @@ def reconfiguration_model_from_dict(
             require_field(data, "base", what), require_field(data, "per_port", what)
         )
     if kind == "table":
-        samples = require_field(data, "samples", what)
-        return TableReconfigurationDelay(
-            [(int(p), float(d)) for p, d in samples]  # type: ignore[union-attr]
-        )
+        return TableReconfigurationDelay(require_field(data, "samples", what))
     raise FabricError(
         f"unknown reconfiguration model kind {kind!r}; choose from "
         "('constant', 'per_port', 'table')"

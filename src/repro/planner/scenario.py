@@ -22,9 +22,15 @@ import math
 import threading
 import weakref
 from dataclasses import dataclass, field, replace
+from functools import partial
 from collections.abc import Mapping, Sequence
 
-from .._validation import require_count, require_keys, require_positive
+from .._validation import (
+    require_count,
+    require_keys,
+    require_non_negative,
+    require_positive,
+)
 from ..collectives.base import Collective
 from ..collectives.registry import available_collectives, make_collective
 from ..core.cost_model import CostParameters, StepCost, evaluate_step_costs
@@ -312,12 +318,11 @@ class CollectiveSpec:
                 f"{available_collectives()}"
             )
         # Stored as from_dict reads it back, so equal specs digest alike.
-        size = float(self.message_size)
-        if not (math.isfinite(size) and size >= 0):
-            raise ConfigurationError(
-                f"message_size must be finite and non-negative, got {size!r}"
-            )
-        object.__setattr__(self, "message_size", size)
+        object.__setattr__(
+            self,
+            "message_size",
+            require_non_negative(self.message_size, "message_size", ConfigurationError),
+        )
         object.__setattr__(self, "options", _freeze_options(self.options))
 
     def build(self, n: int) -> Collective:
@@ -357,18 +362,20 @@ class CollectiveSpec:
         require_keys(data, {"algorithm", "message_size", "options"}, "collective")
         return cls(
             algorithm=str(data.get("algorithm", "allreduce_recursive_doubling")),
-            message_size=float(data.get("message_size", 0.0)),
+            message_size=data.get("message_size", 0.0),
             options=_freeze_options(data.get("options")),
         )
 
 
-# Step-cost evaluations keyed by (scenario facts that matter, cache):
-# the WeakKeyDictionary ties each memo's lifetime to its cache.  Entries
-# never go stale — step costs are a pure function of the key — so
-# clearing the theta cache does not require clearing this memo.  Being
+# Step costs keyed by (scenario facts that matter, cache): the
+# WeakKeyDictionary ties each memo's lifetime to its cache.  A memo holds
+# each size's step costs and, under a longer key without the message
+# size, the one evaluation of their structure they are re-volumed from.
+# Entries never go stale — step costs are a pure function of the key —
+# so clearing the theta cache does not require clearing this memo.  Being
 # compute-once keeps the shared theta cache's hit/miss statistics exact
 # under the daemon's worker threads (each step-cost evaluation, and hence
-# each theta lookup, happens exactly once per key).
+# each theta lookup, happens exactly once per structure).
 _STEP_COSTS_MEMO: "weakref.WeakKeyDictionary[ThroughputCache, BoundedMemo]" = (
     weakref.WeakKeyDictionary()
 )
@@ -639,9 +646,10 @@ class Scenario:
 
         Step costs do not depend on ``alpha``, ``delta``, or
         ``alpha_r``, so scenarios that differ only in those scalars
-        share one evaluation: results are memoized per theta cache
-        (a grid sweep's 36 cells cost as many evaluations as it has
-        distinct message sizes).
+        share one evaluation: results are memoized per theta cache.
+        Only ``m_i`` depends on the message size, so a new size
+        re-volumes the steps of its structure's one evaluation (a
+        grid sweep's 36 cells cost one evaluation).
         """
         if cache is None:
             return self._compute_step_costs(None)
@@ -660,10 +668,12 @@ class Scenario:
             memo = _STEP_COSTS_MEMO.get(cache)
             if memo is None:
                 memo = _STEP_COSTS_MEMO[cache] = BoundedMemo(_STEP_COSTS_MEMO_LIMIT)
-        return memo.get_or_compute(key, lambda: self._compute_step_costs(cache))
+        return memo.get_or_compute(
+            key, lambda: self._compute_step_costs(cache, memo, key)
+        )
 
     def _compute_step_costs(
-        self, cache: ThroughputCache | None
+        self, cache: ThroughputCache | None, memo: BoundedMemo | None = None, key=()
     ) -> tuple[StepCost, ...] | tuple[MultiPortStepCost, ...]:
         topology = self.build_topology()
         if self.multiport_radix is not None:
@@ -675,14 +685,30 @@ class Scenario:
             return evaluate_multiport_step_costs(
                 steps, topology, self.cost, self.multiport_radix, cache=cache
             )
-        return evaluate_step_costs(
-            self.build_collective(),
+        collective = self.build_collective()
+        evaluate = partial(
+            evaluate_step_costs,
+            collective,
             topology,
             self.cost,
             theta_method=self.theta_method,
             path_rule=self.path_rule,
             cache=cache,
             health=self.health,
+        )
+        if memo is None:
+            return evaluate()
+        # Only the volumes depend on the message size: price the structure
+        # (the key without the size, one element longer than a per-size
+        # key) at the first size that misses, and re-volume it per size.
+        spec = self.collective
+        priced = memo.get_or_compute(
+            (key[0], spec.algorithm, spec.options, *key[2:]), evaluate
+        )
+        return tuple(
+            StepCost(step.volume, cost.theta, cost.hops, cost.label,
+                     cost.matching, cost.matched_rate_multiplier)
+            for step, cost in zip(collective.steps, priced)
         )
 
     # -- serialization -------------------------------------------------------

@@ -29,7 +29,7 @@ import uuid
 from dataclasses import dataclass, field, replace
 from collections.abc import Mapping, Sequence
 
-from .._validation import require_field as _require, require_keys
+from .._validation import require_count, require_field as _require, require_keys
 from .._version import detect_version
 from ..exceptions import ConfigurationError
 from ..fabric.reconfiguration import (
@@ -348,6 +348,8 @@ class DegradationBody:
             raise ConfigurationError(
                 "degradation body needs at least one solver"
             )
+        seed = require_count(self.seed, "seed", ConfigurationError, minimum=0)
+        object.__setattr__(self, "seed", seed)
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -363,7 +365,7 @@ class DegradationBody:
             scenario=Scenario.from_dict(
                 _require(data, "scenario", "degradation body")
             ),
-            seed=int(data.get("seed", 7)),
+            seed=data.get("seed", 7),
             solvers=tuple(data.get("solvers", ("dp", "avoid"))),
         )
 

@@ -301,6 +301,44 @@ class TestMemoRaces:
         assert len(builds) == 1
         assert all(topology is built[0] for topology in built)
 
+    def test_step_prices_evaluate_once_across_sizes(self, monkeypatch):
+        # Each thread prices its own message size of one structure: the
+        # per-size keys all miss, and the structure's prices, looked up
+        # inside each miss, are evaluated by one thread for all of them.
+        evaluate = scenario_mod.evaluate_step_costs
+        evaluations = []
+
+        def slow_evaluate(*args, **kwargs):
+            evaluations.append(1)
+            time.sleep(0.02)  # widen the race window
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(scenario_mod, "evaluate_step_costs", slow_evaluate)
+        base = Scenario.create(
+            "allreduce_swing",
+            n=16,
+            message_size=KiB(1),
+            alpha=ns(100),
+            delta=ns(100),
+            reconfiguration_delay=us(10),
+        )
+        sizes = iter(KiB(2**k) for k in range(self.N_THREADS))
+        lock = threading.Lock()
+        cache = ThroughputCache()
+        priced = {}
+
+        def worker():
+            with lock:
+                scenario = base.replace(message_size=next(sizes))
+            priced[scenario] = scenario.step_costs(cache)
+
+        _run_threads(worker, self.N_THREADS)
+        assert len(evaluations) == 1
+        assert cache.stats().lookups == len(base.build_collective().steps)
+        monkeypatch.undo()
+        for scenario, costs in priced.items():
+            assert costs == scenario.step_costs(ThroughputCache())
+
 
 class TestThreadedPlanCacheExactness:
     """The daemon's pattern: worker threads planning on one shared

@@ -254,6 +254,44 @@ class TestModelSerialization:
         with pytest.raises(ConfigurationError, match=f"missing the '{field}' field"):
             reconfiguration_model_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "samples, message",
+        [
+            ([[2.9, 1e-6]], "sample ports must be a whole number >= 1, got 2.9"),
+            ([[2, True]], "sample delay must be a finite number >= 0, got True"),
+            ([[2.9, True]], "sample ports must be a whole number >= 1, got 2.9"),
+            ([[0, 1e-6]], "sample ports must be a whole number >= 1, got 0"),
+            ([5], "samples must be [ports, delay] pairs, got 5"),
+            ([[2]], "samples must be [ports, delay] pairs, got [2]"),
+            ([["a", 1e-6]], "sample ports must be a whole number >= 1, got 'a'"),
+            ({"2": 1e-6}, "samples must be a non-empty list"),
+        ],
+        ids=[
+            "fraction-ports",
+            "boolean-delay",
+            "fraction-and-boolean",
+            "zero-ports",
+            "not-a-pair",
+            "single",
+            "string-ports",
+            "object",
+        ],
+    )
+    def test_table_samples_are_checked_not_coerced(self, samples, message):
+        with pytest.raises(FabricError) as direct:
+            TableReconfigurationDelay(samples)
+        with pytest.raises(FabricError) as loaded:
+            reconfiguration_model_from_dict({"kind": "table", "samples": samples})
+        assert message in str(direct.value)
+        assert str(loaded.value) == str(direct.value)
+
+    def test_integral_float_ports_still_load(self):
+        model = reconfiguration_model_from_dict(
+            {"kind": "table", "samples": [[2.0, 1e-6]]}
+        )
+        assert model.to_dict() == {"kind": "table", "samples": [[2, 1e-6]]}
+        assert type(model.to_dict()["samples"][0][0]) is int
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown reconfiguration model"):
             reconfiguration_model_from_dict(

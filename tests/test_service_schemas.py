@@ -10,6 +10,7 @@ Property-based (hypothesis) over the scenario/envelope space.
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -314,32 +315,108 @@ class TestValidator:
         assert request.body.scenario == small_scenario
 
     @pytest.mark.parametrize(
-        "edit, message",
+        "kind, edit, message",
         [
-            ({"cost": {"alpha": True}}, "alpha must be a finite number >= 0, got True"),
+            ("plan", {"cost": {"alpha": True}}, "alpha must be a finite number >= 0, got True"),
             (
+                "plan",
                 {"cost": {"reconfiguration_delay": False}},
                 "reconfiguration_delay must be a finite number >= 0, got False",
             ),
-            ({"topology": {"n": 8.9}}, "n must be a whole number >= 1, got 8.9"),
-            ({"topology": {"n": True}}, "n must be a whole number >= 1, got True"),
+            ("plan", {"topology": {"n": 8.9}}, "n must be a whole number >= 1, got 8.9"),
+            ("plan", {"topology": {"n": True}}, "n must be a whole number >= 1, got True"),
             (
+                "plan",
                 {"collective": {"algorithm": "alltoall"}, "multiport_radix": 2.9},
                 "multiport_radix must be a whole number >= 1, got 2.9",
             ),
+            (
+                "plan",
+                {"collective": {"message_size": True}},
+                "message_size must be a finite number >= 0, got True",
+            ),
+            (
+                "plan",
+                {"collective": {"message_size": math.nan}},
+                "message_size must be a finite number >= 0, got nan",
+            ),
+            (
+                "plan",
+                {"collective": {"message_size": math.inf}},
+                "message_size must be a finite number >= 0, got inf",
+            ),
+            ("degradation", {"seed": True}, "seed must be a whole number >= 0, got True"),
+            ("degradation", {"seed": 1.7}, "seed must be a whole number >= 0, got 1.7"),
+            ("degradation", {"seed": -1}, "seed must be a whole number >= 0, got -1"),
         ],
-        ids=["alpha-true", "alpha_r-false", "n-fraction", "n-true", "radix-fraction"],
+        ids=[
+            "alpha-true",
+            "alpha_r-false",
+            "n-fraction",
+            "n-true",
+            "radix-fraction",
+            "message_size-true",
+            "message_size-nan",
+            "message_size-inf",
+            "seed-true",
+            "seed-fraction",
+            "seed-negative",
+        ],
     )
     def test_scenario_numbers_are_checked_not_coerced(
-        self, small_scenario, edit, message
+        self, small_scenario, kind, edit, message
     ):
         """A boolean is not read as 0 or 1, nor a fraction truncated,
-        where a scenario wants a number or a count."""
+        where a scenario wants a number or a count.  A degradation
+        edit names a body field; a plan edit, a scenario field."""
         scenario = small_scenario.to_dict()
+        body = {"scenario": scenario}
+        target = body if kind == "degradation" else scenario
         for key, value in edit.items():
-            merged = {**scenario[key], **value} if isinstance(value, dict) else value
-            scenario[key] = merged
-        request, error = try_validate({"kind": "plan", "body": {"scenario": scenario}})
+            merged = {**target[key], **value} if isinstance(value, dict) else value
+            target[key] = merged
+        request, error = try_validate({"kind": kind, "body": body})
+        assert request is None and error.code == "validation"
+        assert message in error.message
+
+    @pytest.mark.parametrize("seed", [0, 7.0])
+    def test_degradation_seed_is_a_whole_number(self, small_scenario, seed):
+        body = {"scenario": small_scenario.to_dict(), "seed": seed}
+        request, error = try_validate({"kind": "degradation", "body": body})
+        assert error is None
+        assert request.body.seed == seed and type(request.body.seed) is int
+
+    @pytest.mark.parametrize(
+        "samples, message",
+        [
+            ([[2.9, 1e-6]], "sample ports must be a whole number >= 1, got 2.9"),
+            ([[2, True]], "sample delay must be a finite number >= 0, got True"),
+            ([[2.9, True]], "sample ports must be a whole number >= 1, got 2.9"),
+            ([5], "samples must be [ports, delay] pairs, got 5"),
+            ([[2, 1e-6, 3]], "samples must be [ports, delay] pairs, got [2, 1e-06, 3]"),
+            ([["a", 1e-6]], "sample ports must be a whole number >= 1, got 'a'"),
+            ([], "samples must be a non-empty list of [ports, delay] pairs, got []"),
+            (5, "samples must be a non-empty list of [ports, delay] pairs, got 5"),
+        ],
+        ids=[
+            "fraction-ports",
+            "boolean-delay",
+            "fraction-and-boolean",
+            "not-a-pair",
+            "triple",
+            "string-ports",
+            "empty",
+            "not-a-list",
+        ],
+    )
+    def test_table_delay_samples_are_checked_not_coerced(
+        self, small_scenario, samples, message
+    ):
+        data = ServiceRequest(
+            body=WorkloadBody(workload=steady_trace(small_scenario, 2))
+        ).to_dict()
+        data["body"]["reconfiguration_model"] = {"kind": "table", "samples": samples}
+        request, error = try_validate(data)
         assert request is None and error.code == "validation"
         assert message in error.message
 
